@@ -35,23 +35,23 @@ from .errors import (
     NumericError,
     SingularGramError,
 )
-from .features import SeedPolicy, sample_gaussian_features
+from .features import SeedPolicy
 from .kernels import (
     Dataset,
     KernelSpec,
     gram_matrix,
     inv_kernel_norm_sq,
     spectral_decompose,
-    sqrt_gram,
     GramSpectrum,
 )
 from .montecarlo import (
+    _FAN_SAMPLES,
     bias_variance_decompose,
     compare_average_to_krr,
     estimate_risk,
     run_trials,
 )
-from .predictors import fit_krr, fit_rf, posterior_kernel_diag, predict_krr, predict_rf
+from .predictors import fit_krr, posterior_kernel_diag, predict_krr
 from .stieltjes import empirical_expected_A, empirical_stieltjes, sample_wishart
 from .svgplot import line_plot
 
@@ -70,8 +70,6 @@ PREFIX_COLUMNS = ["experiment", "N", "P", "gamma", "lambda", "seed", "trials"]
 # Experiments that sample features and therefore need at least two trials for
 # variance columns.
 _MC_EXPERIMENTS = {"average-rf", "double-descent", "stieltjes", "expected-a", "predictor-fan"}
-
-_FAN_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -500,7 +498,6 @@ def _run_predictor_fan(cfg: ExperimentConfig):
     kernel = _kernel_from(cfg)
     N = data.n
     X_all = np.vstack([data.X, test_X])
-    joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
     n_keep = min(_FAN_SAMPLES, cfg.trials)
     cols = (
         ["role", "x", "f_star", "mean_prediction", "std_prediction"]
@@ -511,21 +508,10 @@ def _run_predictor_fan(cfg: ExperimentConfig):
         for gamma in cfg.gamma_grid:
             P = _round_features(gamma, N)
             g_actual = P / N
-            count = 0
-            mean = np.zeros(X_all.shape[0])
-            m2 = np.zeros(X_all.shape[0])
-            kept = []
-            for t in range(cfg.trials):
-                feats = sample_gaussian_features(joint_root, P, N, SeedPolicy(cfg.base_seed, t))
-                model = fit_rf(feats.train, data.y, lam)
-                preds = np.concatenate([model.train_predictions, predict_rf(model, feats.test)])
-                count += 1
-                delta = preds - mean
-                mean += delta / count
-                m2 += delta * (preds - mean)
-                if t < n_keep:
-                    kept.append(preds)
-            std = np.sqrt(m2 / (count - 1))
+            with _row_context(gamma=g_actual, ridge=lam, P=P):
+                stats = run_trials(data, test_X, kernel, P, lam, cfg.trials, cfg.base_seed)
+            mean = np.concatenate([stats.mean_train_prediction, stats.mean_prediction])
+            std = np.sqrt(np.concatenate([stats.var_train_prediction, stats.var_prediction]))
             truths = np.concatenate([data.y, data.f_star])
             roles = np.concatenate([np.ones(N), np.zeros(test_X.shape[0])])
             for i in range(X_all.shape[0]):
@@ -538,7 +524,7 @@ def _run_predictor_fan(cfg: ExperimentConfig):
                     std_prediction=std[i],
                 )
                 for k in range(n_keep):
-                    row[f"sample_{k}"] = kept[k][i]
+                    row[f"sample_{k}"] = stats.samples[k, i]
                 rows.append(row)
     return cols, rows
 

@@ -73,60 +73,51 @@ class EffectiveRidge:
     lam: float
 
 
-def _fixed_point_residual(t: float, d: np.ndarray, gamma: float, lam: float) -> float:
-    """g(t) = t - lam - (t/gamma) * mean(d / (t + d)); the root is the effective ridge."""
-    return t - lam - (t / gamma) * float(np.mean(d / (t + d)))
+def _fixed_point_residual(t: float | complex, d: np.ndarray, gamma: float, lam: float | complex):
+    """g(t) = t - lam - (t/gamma) * mean(d / (t + d)); the root is the effective ridge.
+
+    ``t`` and ``lam`` may be complex: with ``lam = -z`` the root is ``1 / m_tilde(z)``.
+    """
+    return t - lam - (t / gamma) * np.mean(d / (t + d)).item()
 
 
-def _fixed_point_slope(t: float, d: np.ndarray, gamma: float) -> float:
-    # g'(t) = 1 - (1/gamma) * mean(d/(t+d)) + (t/gamma) * mean(d/(t+d)^2)
-    s1 = float(np.mean(d / (t + d)))
-    s2 = float(np.mean(d / (t + d) ** 2))
+def _fixed_point_slope(t: float | complex, d: np.ndarray, gamma: float):
+    # g'(t) = 1 - (1/gamma) * mean(d/(t+d)) + (t/gamma) * mean(d/(t+d)^2); the
+    # square is taken as two divisions so it cannot underflow for tiny t + d.
+    s1 = np.mean(d / (t + d)).item()
+    s2 = np.mean(d / (t + d) / (t + d)).item()
     return 1.0 - s1 / gamma + t * s2 / gamma
 
 
-def _safeguarded_newton(func, slope, lo: float, hi: float) -> float:
-    """Root of a monotone-crossing function on [lo, hi]: Newton with bisection fallback.
+def _newton(func, slope, t):
+    """Newton's method from ``t``; returns the iterate of least ``|func|`` and the step count.
 
-    Iterates until the step stalls at machine precision so downstream
-    identities (derivative, effective dimension, calibration round trips)
-    inherit full accuracy.
+    Iterates until the residual stops shrinking, which leaves the root at
+    machine precision so downstream identities (derivative, effective
+    dimension, calibration round trips) inherit full accuracy.  No bracket is
+    needed: each real caller starts on the side of its root from which Newton
+    runs monotonically to it (a convex increasing function from above, a
+    concave increasing one from below).  Raises :class:`NumericError` if the
+    residual still shrinks after ``MAX_NEWTON_ITERS`` steps.
     """
-    flo = func(lo)
-    fhi = func(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo > 0 or fhi < 0:
-        raise NumericError("root bracket is invalid; no sign change")
-    t = 0.5 * (lo + hi)
-    for _ in range(MAX_NEWTON_ITERS):
-        f = func(t)
-        if f > 0:
-            hi = t
-        elif f < 0:
-            lo = t
-        else:
-            return t
-        df = slope(t)
-        step_ok = df > 0
-        if step_ok:
-            t_new = t - f / df
-            step_ok = lo < t_new < hi
-        if not step_ok:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 4.0 * np.finfo(float).eps * max(abs(t), abs(t_new)):
-            return t_new
-        t = t_new
-    return t
+    r = func(t)
+    for steps in range(MAX_NEWTON_ITERS):
+        s = slope(t)
+        t_next = t - r / s if s else t
+        r_next = func(t_next)
+        if not abs(r_next) < abs(r):
+            return t, steps
+        t, r = t_next, r_next
+    raise NumericError(f"Newton iteration did not settle in {MAX_NEWTON_ITERS} steps: last iterate {t:.6e}")
 
 
 def solve_effective_ridge(inp: SpectrumInput) -> EffectiveRidge:
     """Solve the defining fixed point for the effective ridge.
 
-    For ``lam > 0`` the root is bracketed in ``[lam, lam + T/gamma]`` with
-    ``T`` the mean eigenvalue.  For ``lam = 0`` the ridgeless limits apply:
+    For ``lam > 0`` the residual ``g`` is convex, because ``t d / (t + d)``
+    is concave, and nonnegative at the upper bound ``lam + T/gamma`` with
+    ``T`` the mean eigenvalue, so Newton started there falls monotonically to
+    the root.  For ``lam = 0`` the ridgeless limits apply:
     zero in the overparameterized regime (gamma > 1), the positive root of
     ``gamma = mean(d / (t + d))`` in the underparameterized regime
     (gamma < 1), and no finite answer exactly at gamma = 1.
@@ -153,15 +144,14 @@ def solve_effective_ridge(inp: SpectrumInput) -> EffectiveRidge:
         # All-zero spectrum collapses the equation to t = lam.
         lambda_tilde = lam
     else:
-        lambda_tilde = _safeguarded_newton(
+        lambda_tilde, _ = _newton(
             lambda t: _fixed_point_residual(t, d, gamma, lam),
             lambda t: _fixed_point_slope(t, d, gamma),
-            lam,
             lam + T / gamma,
         )
 
     residual = _fixed_point_residual(lambda_tilde, d, gamma, lam) if lambda_tilde > 0 else 0.0
-    if abs(residual) >= RESIDUAL_TOL * max(lambda_tilde, 1.0):
+    if not abs(residual) < RESIDUAL_TOL * max(lambda_tilde, 1.0):
         raise NumericError(
             f"effective-ridge solve did not converge: residual {residual:.3e} at {lambda_tilde:.6e}"
         )
@@ -222,7 +212,10 @@ def ridgeless_limit(eigenvalues: np.ndarray, gamma: float) -> float:
     Overparameterized (gamma > 1): 0.  Underparameterized (gamma < 1): the
     unique positive root of ``gamma = mean(d / (t + d))``, which requires a
     strictly positive spectrum.  gamma = 1 sits at the interpolation
-    threshold, where no finite limit exists.
+    threshold, where no finite limit exists.  ``gamma - mean(d / (t + d))``
+    is concave and increasing, so Newton rises monotonically to its root from
+    below; the root is checked on this equation, because the defining one at
+    ``lam = 0`` is scaled by ``t`` and cannot see a wrong tiny root.
     """
     d = np.asarray(eigenvalues, dtype=float).ravel()
     if not np.isfinite(gamma) or gamma <= 0:
@@ -233,20 +226,16 @@ def ridgeless_limit(eigenvalues: np.ndarray, gamma: float) -> float:
         return 0.0
     if d.size < 1 or np.any(d <= 0):
         raise InvalidInputError("underparameterized ridgeless limit needs a strictly positive spectrum")
-    T = float(np.mean(d))
-    dmin = float(np.min(d))
+    residual = lambda t: gamma - np.mean(d / (t + d)).item()
     # Analytic lower bound dmin * (1 - sqrt(gamma)) / sqrt(gamma), shrunk
-    # slightly so the bracket endpoint sits strictly below the root; halve
-    # further if rounding still leaves the residual nonnegative there.
-    lo = dmin * (1.0 - np.sqrt(gamma)) / np.sqrt(gamma) * (1.0 - 1e-9)
-    func = lambda t: gamma - float(np.mean(d / (t + d)))
-    while lo > 0 and func(lo) >= 0:
-        lo *= 0.5
-    if lo <= 0:
-        lo = np.finfo(float).tiny
-    hi = T / gamma
-    slope = lambda t: float(np.mean(d / (t + d) ** 2))
-    return float(_safeguarded_newton(func, slope, lo, hi))
+    # slightly so the start sits below the root.
+    lo = float(np.min(d)) * (1.0 - np.sqrt(gamma)) / np.sqrt(gamma) * (1.0 - 1e-9)
+    t, _ = _newton(residual, lambda t: np.mean(d / (t + d) / (t + d)).item(), lo)
+    if not abs(residual(t)) <= RESIDUAL_TOL * gamma:
+        raise NumericError(
+            f"ridgeless effective ridge did not converge: residual {residual(t):.3e} at {t:.6e}"
+        )
+    return float(t)
 
 
 def calibrate_ridge(eigenvalues: np.ndarray, gamma: float, lambda_star: float) -> float:

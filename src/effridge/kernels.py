@@ -29,24 +29,19 @@ class KernelSpec:
 
     kind
         ``"rbf"`` for the Gaussian kernel ``exp(-||x - x'||^2 / lengthscale)``,
-        or ``"precomputed"`` when the caller supplies Gram matrices directly.
+        the only kind.
     lengthscale
-        Positive squared-distance scale; required for ``"rbf"``, meaningless
-        (and rejected) for ``"precomputed"``.
+        Positive squared-distance scale; required.
     """
 
     kind: str
     lengthscale: float | None = None
 
     def __post_init__(self):
-        if self.kind == "rbf":
-            if self.lengthscale is None or not np.isfinite(self.lengthscale) or self.lengthscale <= 0:
-                raise InvalidInputError("rbf kernel requires a positive finite lengthscale")
-        elif self.kind == "precomputed":
-            if self.lengthscale is not None:
-                raise InvalidInputError("precomputed kernel carries no parameters")
-        else:
+        if self.kind != "rbf":
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
+        if self.lengthscale is None or not np.isfinite(self.lengthscale) or self.lengthscale <= 0:
+            raise InvalidInputError("rbf kernel requires a positive finite lengthscale")
 
 
 @dataclass(frozen=True)
@@ -162,8 +157,6 @@ def gram_matrix(kernel: KernelSpec, X: np.ndarray, X2: np.ndarray | None = None)
     With ``X2`` omitted the result is a :class:`GramMatrix` (symmetric, unit
     diagonal for RBF); otherwise a plain ``(N, M)`` array of cross evaluations.
     """
-    if kernel.kind != "rbf":
-        raise InvalidInputError("gram_matrix needs an evaluable kernel; precomputed kernels supply their Gram directly")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("non-finite coordinates in X")

@@ -21,6 +21,9 @@ from .features import SeedPolicy, sample_fourier_features, sample_gaussian_featu
 from .kernels import Dataset, GramSpectrum, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf, predict_rf
 
+# Leading trials whose joint predictions TrialStats keeps as individual draws.
+_FAN_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class TrialStats:
@@ -28,7 +31,9 @@ class TrialStats:
 
     Variance fields hold sample variances (``ddof=1``) and are ``None`` when
     only one trial was run.  ``config_digest`` fingerprints the generating
-    configuration so downstream reports can assert provenance.
+    configuration so downstream reports can assert provenance.  ``samples``
+    holds the joint ``[train; test]`` predictions of the first
+    ``min(_FAN_SAMPLES, trials)`` trials, one row per trial.
     """
 
     mean_prediction: np.ndarray
@@ -38,6 +43,8 @@ class TrialStats:
     mean_train_prediction: np.ndarray
     trials: int
     config_digest: str
+    var_train_prediction: np.ndarray | None = None
+    samples: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,6 @@ def run_trials(
         raise InvalidInputError("need at least one feature")
     if feature_kind not in ("gaussian", "fourier"):
         raise InvalidInputError(f"unknown feature kind {feature_kind!r}")
-    if kernel.kind != "rbf":
-        raise InvalidInputError("run_trials needs an evaluable kernel to build the joint Gram")
     test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
     if test_X.shape[1] != dataset.dim:
         raise InvalidInputError("test points and training points have different dimension")
@@ -126,9 +131,9 @@ def run_trials(
         feature_kind=feature_kind,
     )
 
-    test_acc = _Welford(test_X.shape[0])
-    train_acc = _Welford(N)
+    joint_acc = _Welford(X_all.shape[0])
     norm_acc = _Welford(())
+    samples = []
     for t in range(trials):
         policy = SeedPolicy(base_seed, t)
         try:
@@ -140,20 +145,26 @@ def run_trials(
             preds = predict_rf(model, feats.test)
         except EffridgeError as exc:
             raise type(exc)(f"trial {t}: {exc}") from exc
-        test_acc.add(preds)
-        train_acc.add(model.train_predictions)
+        joint = np.concatenate([model.train_predictions, preds])
+        joint_acc.add(joint)
         norm_acc.add(model.theta_norm_sq)
+        if t < _FAN_SAMPLES:
+            samples.append(joint)
 
-    var_pred = test_acc.variance()
+    var_joint = joint_acc.variance()
     var_norm = norm_acc.variance()
+    if var_joint is not None:
+        var_joint = np.maximum(var_joint, 0.0)
     return TrialStats(
-        mean_prediction=test_acc.mean,
-        var_prediction=None if var_pred is None else np.maximum(var_pred, 0.0),
+        mean_prediction=joint_acc.mean[N:],
+        var_prediction=None if var_joint is None else var_joint[N:],
         mean_theta_norm_sq=float(norm_acc.mean),
         var_theta_norm_sq=None if var_norm is None else float(max(var_norm, 0.0)),
-        mean_train_prediction=train_acc.mean,
+        mean_train_prediction=joint_acc.mean[:N],
         trials=trials,
         config_digest=digest,
+        var_train_prediction=None if var_joint is None else var_joint[:N],
+        samples=np.array(samples),
     )
 
 
@@ -202,14 +213,13 @@ def compare_average_to_krr(stats: TrialStats, krr_predictions: np.ndarray) -> tu
 
 
 def theta_norm_check(
-    stats: TrialStats, spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge, P: int
+    stats: TrialStats, spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge
 ) -> tuple[float, float, float]:
     """Empirical mean squared parameter norm against its deterministic prediction.
 
     Returns ``(empirical, theoretical, gap)`` where the theoretical value is
     ``d(lt)/d(l) * y^T K (K + lt I)^{-2} y``; the gap shrinks like ``1/P``.
     """
-    del P  # the prediction does not depend on P beyond eff itself
     theoretical = theta_norm_theory(spec, y, eff)
     empirical = stats.mean_theta_norm_sq
     return empirical, theoretical, abs(empirical - theoretical)

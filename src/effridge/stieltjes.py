@@ -39,9 +39,9 @@ from .errors import InvalidInputError, NumericError
 from .features import SeedPolicy, StreamSampler, sample_gaussian_features
 from .kernels import GramSpectrum, sqrt_gram
 from .effective_ridge import SpectrumInput, solve_effective_ridge
+from .effective_ridge import _fixed_point_residual, _fixed_point_slope, _newton
 
 FIXED_POINT_TOL = 1e-10
-MAX_FP_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,16 @@ def theoretical_stieltjes(
 ) -> StieltjesSolution:
     """Solve the deterministic fixed point for ``m_tilde(z)`` with ``Re(z) < 0``.
 
-    On the real ray ``z = -lambda`` the real effective-ridge solver is used
-    and reciprocated, which is exact to machine precision.  Off the axis the
-    solution branch is tracked by continuation: starting from the known real
-    solution at ``Re(z)``, the imaginary part is switched on in adaptive steps
-    and a damped Newton iteration re-solves at every step.  Since the cone
-    solution depends holomorphically on ``z``, path-following keeps the
-    iterate on that branch; plain damped fixed-point iteration, in contrast,
-    can stall or converge to a fixed point outside the cone for gamma < 1.
-    Points with ``Re(z) >= 0`` are rejected.
+    With ``t = 1 / m`` the fixed point is the effective-ridge equation
+    ``t = lam + (t/gamma) mean(d / (t + d))`` at the complex ridge
+    ``lam = -z``.  On the real ray ``z = -lambda`` the real effective-ridge
+    solver is used and reciprocated, which is exact to machine precision.  Off
+    the axis the same Newton iteration runs at complex ``t`` from the real
+    solver's start with ``lam = -z``, ``-z + T/gamma`` (``T`` the mean
+    eigenvalue), and lands on the solution inside the cone; plain
+    damped fixed-point iteration on ``m``, in contrast, can stall or converge
+    to a fixed point outside the cone for gamma < 1.  Points with
+    ``Re(z) >= 0`` are rejected.
     """
     d = np.asarray(kernel_eigenvalues, dtype=float).ravel()
     if np.any(d < 0) or not np.all(np.isfinite(d)):
@@ -149,68 +150,24 @@ def theoretical_stieltjes(
     if not z.real < 0:
         raise InvalidInputError("the fixed point is solved on Re(z) < 0 only")
 
-    def f_at(zz, m):
-        return -(1.0 / zz) * (1.0 - np.mean(d * m / (1.0 + d * m)) / gamma)
+    def f_at(m):
+        return -(1.0 / z) * (1.0 - np.mean(d * m / (1.0 + d * m)) / gamma)
 
-    def f_prime_at(zz, m):
-        return (1.0 / (zz * gamma)) * np.mean(d / (1.0 + d * m) ** 2)
-
-    lam = -z.real
-    eff = solve_effective_ridge(SpectrumInput(eigenvalues=d, gamma=gamma, lam=lam))
-    m = complex(1.0 / eff.lambda_tilde)
+    inp = SpectrumInput(eigenvalues=d, gamma=gamma, lam=-z.real)
     if z.imag == 0.0:
-        residual = abs(m - f_at(z, m))
+        m = complex(1.0 / solve_effective_ridge(inp).lambda_tilde)
         return StieltjesSolution(
-            z=z, m_tilde=m, residual=float(residual), iterations=0, in_cone=_cone_membership(m, z)
+            z=z, m_tilde=m, residual=float(abs(m - f_at(m))), iterations=0, in_cone=_cone_membership(m, z)
         )
 
-    def newton(zz, m0, max_iter=80):
-        """Damped Newton on psi(m) = f(m) - m; returns (root, iterations) or None."""
-        m = m0
-        res = abs(f_at(zz, m) - m)
-        for it in range(1, max_iter + 1):
-            psi = f_at(zz, m) - m
-            dpsi = f_prime_at(zz, m) - 1.0
-            if dpsi == 0:
-                return None
-            step = -psi / dpsi
-            scale = 1.0
-            for _ in range(40):
-                cand = m + scale * step
-                cand_res = abs(f_at(zz, cand) - cand)
-                if cand_res < res:
-                    break
-                scale *= 0.5
-            else:
-                return (m, it) if res <= 1e-13 * max(abs(m), 1.0) else None
-            m, res = cand, cand_res
-            if res <= np.finfo(float).eps * 4 * max(abs(m), 1.0):
-                return m, it
-        return (m, max_iter) if res <= 1e-13 * max(abs(m), 1.0) else None
-
-    iterations = 0
-    s = 0.0
-    step = 1.0
-    total_steps = 0
-    while s < 1.0:
-        if total_steps > MAX_FP_ITERS:
-            raise NumericError(f"Stieltjes continuation did not reach z={z}")
-        s_next = min(1.0, s + step)
-        result = newton(complex(z.real, s_next * z.imag), m)
-        if result is None:
-            step *= 0.5
-            if step < 1e-12:
-                raise NumericError(f"Stieltjes continuation stalled at z={z}")
-            total_steps += 1
-            continue
-        m, its = result
-        iterations += its
-        s = s_next
-        step = min(1.0, step * 2.0)
-        total_steps += 1
-
-    residual = abs(m - f_at(z, m))
-    if residual >= FIXED_POINT_TOL * max(abs(m), 1.0):
+    t, iterations = _newton(
+        lambda t: _fixed_point_residual(t, d, gamma, -z),
+        lambda t: _fixed_point_slope(t, d, gamma),
+        -z + inp.trace_mean / gamma,
+    )
+    m = 1.0 / t
+    residual = abs(m - f_at(m))
+    if not residual < FIXED_POINT_TOL * max(abs(m), 1.0):
         raise NumericError(
             f"Stieltjes fixed point did not converge at z={z}: residual {residual:.3e}"
         )

@@ -1,6 +1,4 @@
 import json
-import os
-import stat
 
 import numpy as np
 import pytest
@@ -234,12 +232,10 @@ class TestMainExitCodes:
         assert main(["solve", "--gamma", "zebra"]) == 1
 
     def test_io_error_is_2(self, tmp_path, capsys):
-        blocked = tmp_path / "blocked"
-        blocked.mkdir()
-        os.chmod(blocked, stat.S_IRUSR | stat.S_IXUSR)
-        if os.access(blocked, os.W_OK):
-            pytest.skip("running with privileges that ignore directory modes")
-        code = main(["solve", "--trials", "1", "--out", str(blocked / "sub")])
+        # A path beneath a regular file cannot be created, whatever the privileges.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code = main(["solve", "--trials", "1", "--out", str(blocker / "sub")])
         assert code == 2
 
     def test_numeric_failure_is_3(self, tmp_path, capsys, monkeypatch):

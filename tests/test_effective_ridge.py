@@ -7,10 +7,12 @@ from effridge import (
     GramMatrix,
     InfeasibleTargetError,
     InvalidInputError,
+    NumericError,
     SpectrumInput,
     calibrate_ridge,
     effective_dimension,
     effective_ridge_derivative,
+    generate_spectrum,
     ridgeless_limit,
     solve_effective_ridge,
     spectral_decompose,
@@ -198,6 +200,23 @@ class TestRidgelessLimit:
     def test_threshold(self):
         with pytest.raises(AtThresholdError):
             ridgeless_limit(np.ones(3), 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.95])
+    def test_spectrum_spanning_hundreds_of_decades(self, gamma):
+        # d_min = exp(-499.5) ~ 1.2e-217: the root sits far below most
+        # eigenvalues and (t + d)^2 underflows near the start
+        d = generate_spectrum("exponential", 1000)
+        eff = solve_effective_ridge(SpectrumInput(d, gamma, 0.0))
+        assert eff.effective_dimension == pytest.approx(gamma * 1000, rel=1e-9)
+
+    def test_unsettled_newton_raises(self, monkeypatch):
+        import effridge.effective_ridge as er
+
+        monkeypatch.setattr(er, "MAX_NEWTON_ITERS", 1)
+        with pytest.raises(NumericError):
+            solve_effective_ridge(SpectrumInput(np.ones(5), 1.0, 0.1))
+        with pytest.raises(NumericError):
+            ridgeless_limit(generate_spectrum("polynomial", 20), 0.4)
 
 
 class TestCalibrate:

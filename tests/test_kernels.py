@@ -31,11 +31,6 @@ class TestKernelSpec:
         with pytest.raises(InvalidInputError):
             KernelSpec("rbf")
 
-    def test_precomputed_carries_no_parameters(self):
-        KernelSpec("precomputed")
-        with pytest.raises(InvalidInputError):
-            KernelSpec("precomputed", lengthscale=1.0)
-
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
             KernelSpec("matern", lengthscale=1.0)

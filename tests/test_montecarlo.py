@@ -250,7 +250,7 @@ class TestThetaNormCheck:
         stats = run_trials(zero_data, test_X, KERNEL, 4, 0.1, 5, 0)
         spec = spectral_decompose(gram_matrix(KERNEL, data.X))
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 1.0, 0.1))
-        emp, theo, gap = theta_norm_check(stats, spec, np.zeros(4), eff, 4)
+        emp, theo, gap = theta_norm_check(stats, spec, np.zeros(4), eff)
         assert emp == 0.0 and theo == 0.0 and gap == 0.0
 
     def test_equal_spectrum_frozen_value(self):
@@ -259,7 +259,7 @@ class TestThetaNormCheck:
         spec = spectral_decompose(GramMatrix(np.eye(2)))
         eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
         _, _, stats = sinusoid_stats(trials=3)
-        _, theo, _ = theta_norm_check(stats, spec, np.ones(2), eff, 2)
+        _, theo, _ = theta_norm_check(stats, spec, np.ones(2), eff)
         assert theo == pytest.approx(2.2796489996607274, rel=1e-9)
 
     def test_empirical_approaches_theory(self):
@@ -269,6 +269,6 @@ class TestThetaNormCheck:
         P = 64
         stats = run_trials(data, test_X, KERNEL, P, 0.5, 600, 0)
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.5))
-        emp, theo, gap = theta_norm_check(stats, spec, data.y, eff, P)
+        emp, theo, gap = theta_norm_check(stats, spec, data.y, eff)
         noise = 3 * np.sqrt(stats.var_theta_norm_sq / stats.trials)
         assert gap <= noise + 0.1 * theo
