@@ -4,7 +4,9 @@ Every experiment writes three things into its output directory:
 
 * ``results.csv`` with fixed leading columns
   ``experiment,N,P,gamma,lambda,seed,trials`` followed by per-experiment
-  metric columns (documented in the README);
+  metric columns (documented in the README); the header is the key order of
+  the rows a runner returns, so each column is named once, where its value is
+  computed;
 * ``config.json``, the fully resolved configuration, sufficient to reproduce
   ``results.csv`` byte for byte;
 * ``plot_*.svg`` line plots rendered purely from ``results.csv``.
@@ -45,25 +47,14 @@ from .kernels import (
     GramSpectrum,
 )
 from .montecarlo import (
-    _FAN_SAMPLES,
     bias_variance_decompose,
     compare_average_to_krr,
     estimate_risk,
     run_trials,
 )
 from .predictors import fit_krr, posterior_kernel_diag, predict_krr
-from .stieltjes import empirical_expected_A, empirical_stieltjes, sample_wishart
+from .stieltjes import empirical_expected_A, expected_A_theoretical, sample_wishart, stieltjes_moments
 from .svgplot import line_plot
-
-EXPERIMENTS = (
-    "solve",
-    "calibrate",
-    "average-rf",
-    "double-descent",
-    "stieltjes",
-    "expected-a",
-    "predictor-fan",
-)
 
 PREFIX_COLUMNS = ["experiment", "N", "P", "gamma", "lambda", "seed", "trials"]
 
@@ -146,6 +137,8 @@ _DEFAULTS: dict[str, dict] = {
     ),
 }
 
+EXPERIMENTS = tuple(_DEFAULTS)
+
 
 def default_config(experiment: str) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
@@ -167,6 +160,8 @@ def load_config(experiment: str, path=None, **overrides) -> ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidInputError(f"config {path}: config must be a JSON object")
         known = set(cfg.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -188,6 +183,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidInputError("dataset must be a descriptor object with a 'type' key")
     if cfg.dataset["type"] not in ("sinusoid", "clusters", "spectrum", "csv"):
         raise InvalidInputError(f"unknown dataset type {cfg.dataset['type']!r}")
+    if cfg.dataset["type"] == "csv" and "path" not in cfg.dataset:
+        raise InvalidInputError("a csv dataset needs dataset.path")
     if not cfg.lambda_list:
         raise InvalidInputError("lambda_list must be nonempty")
     uses_p = cfg.experiment in ("stieltjes", "expected-a")
@@ -251,15 +248,7 @@ def _resolve_spectrum(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _prefix(cfg: ExperimentConfig, N, P, gamma, lam):
-    return {
-        "experiment": cfg.experiment,
-        "N": N,
-        "P": P,
-        "gamma": gamma,
-        "lambda": lam,
-        "seed": cfg.base_seed,
-        "trials": cfg.trials,
-    }
+    return dict(zip(PREFIX_COLUMNS, (cfg.experiment, N, P, gamma, lam, cfg.base_seed, cfg.trials)))
 
 
 def _round_features(gamma: float, N: int) -> int:
@@ -277,14 +266,14 @@ def _row_context(**keys):
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations.  Each returns (metric_columns, rows).
+# Experiment implementations.  Each returns its rows; the key order of a row
+# is the CSV column order.
 # ---------------------------------------------------------------------------
 
 
 def _run_solve(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
-    cols = ["lambda_tilde", "d_lambda_tilde", "effective_dimension", "residual"]
     rows = []
     for lam in cfg.lambda_list:
         for gamma in cfg.gamma_grid:
@@ -298,13 +287,12 @@ def _run_solve(cfg: ExperimentConfig):
                 residual=abs(eff.residual),
             )
             rows.append(row)
-    return cols, rows
+    return rows
 
 
 def _run_calibrate(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
-    cols = ["lambda_star", "roundtrip_lambda_tilde", "roundtrip_rel_error"]
     rows = []
     for lam_star in cfg.lambda_list:
         for gamma in cfg.gamma_grid:
@@ -324,15 +312,20 @@ def _run_calibrate(cfg: ExperimentConfig):
             rows.append(row)
     if not rows:
         raise InvalidInputError("every calibration target was infeasible for every gamma")
-    return cols, rows
+    return rows
 
 
-def _mc_theory_context(cfg: ExperimentConfig):
-    """Shared setup of the data-backed Monte Carlo experiments."""
+def _sampled_data(cfg: ExperimentConfig):
+    """Training data, test grid and kernel of the experiments that sample features."""
     data, test_X = _resolve_data(cfg)
     if data.f_star is None or len(data.f_star) != test_X.shape[0]:
         raise InvalidInputError("dataset must carry true values on the test grid")
-    kernel = _kernel_from(cfg)
+    return data, test_X, _kernel_from(cfg)
+
+
+def _mc_theory_context(cfg: ExperimentConfig):
+    """Shared setup of the Monte Carlo experiments compared with kernel ridge regression."""
+    data, test_X, kernel = _sampled_data(cfg)
     gram = gram_matrix(kernel, data.X)
     spec = spectral_decompose(gram)
     k_cross = gram_matrix(kernel, test_X, data.X)
@@ -351,19 +344,6 @@ def _run_average_rf(cfg: ExperimentConfig):
             "pseudoinverse label norm",
             file=sys.stderr,
         )
-    cols = [
-        "lambda_tilde",
-        "rf_mean_risk",
-        "krr_risk",
-        "mean_rf_vs_krr_rmse",
-        "mean_rf_vs_krr_max_abs",
-        "mc_band_rmse",
-        "mean_variance",
-        "theta_norm_mean",
-        "theta_norm_theory",
-        "bound_scale_norm",
-        "bound_scale_norm_sq",
-    ]
     rows = []
     for lam in cfg.lambda_list:
         for gamma in cfg.gamma_grid:
@@ -376,8 +356,8 @@ def _run_average_rf(cfg: ExperimentConfig):
                 krr_pred = predict_krr(krr, k_cross)
             max_abs, rmse = compare_average_to_krr(stats, krr_pred)
             band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / cfg.trials))
-            sqrt_kxx = 1.0  # RBF prior variance is one at every point
             row = _prefix(cfg, N, P, g_actual, lam)
+            # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
             row.update(
                 lambda_tilde=eff.lambda_tilde,
                 rf_mean_risk=estimate_risk(stats.mean_prediction, data.f_star),
@@ -388,25 +368,17 @@ def _run_average_rf(cfg: ExperimentConfig):
                 mean_variance=float(np.mean(stats.var_prediction)),
                 theta_norm_mean=stats.mean_theta_norm_sq,
                 theta_norm_theory=theta_norm_theory(spec, data.y, eff),
-                bound_scale_norm=sqrt_kxx * np.sqrt(q_norm_sq) / P,
-                bound_scale_norm_sq=sqrt_kxx * q_norm_sq / P,
+                bound_scale_norm=np.sqrt(q_norm_sq) / P,
+                bound_scale_norm_sq=q_norm_sq / P,
             )
             rows.append(row)
-    return cols, rows
+    return rows
 
 
 def _run_double_descent(cfg: ExperimentConfig):
     data, test_X, kernel, gram, spec, k_cross = _mc_theory_context(cfg)
     N = data.n
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
-    cols = [
-        "lambda_tilde",
-        "expected_risk",
-        "risk_of_mean",
-        "mean_variance",
-        "krr_risk",
-        "variance_theory",
-    ]
     rows = []
     for lam in cfg.lambda_list:
         for gamma in cfg.gamma_grid:
@@ -430,22 +402,19 @@ def _run_double_descent(cfg: ExperimentConfig):
                 variance_theory=var_theory,
             )
             rows.append(row)
-    return cols, rows
+    return rows
 
 
 def _run_stieltjes(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
-    cols = ["m_p_mean", "m_p_var", "m_tilde", "abs_gap", "recip_identity_err"]
     rows = []
     for P in cfg.p_grid:
         P = int(P)
+        # Drawn once per P and shared by every ridge.
         samples = [sample_wishart(d, P, SeedPolicy(cfg.base_seed, t)) for t in range(cfg.trials)]
         for lam in cfg.lambda_list:
-            z = complex(-lam, 0.0)
-            vals = np.array([empirical_stieltjes(s, z) for s in samples])
-            mean = complex(np.mean(vals))
-            var = float(np.sum(np.abs(vals - mean) ** 2) / (cfg.trials - 1))
+            mean, var = stieltjes_moments(samples, complex(-lam, 0.0))
             gamma = P / N
             with _row_context(P=P, ridge=lam):
                 eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
@@ -459,14 +428,13 @@ def _run_stieltjes(cfg: ExperimentConfig):
                 recip_identity_err=abs(m_tilde * eff.lambda_tilde - 1.0),
             )
             rows.append(row)
-    return cols, rows
+    return rows
 
 
 def _run_expected_a(cfg: ExperimentConfig):
     d = np.sort(_resolve_spectrum(cfg))[::-1]
     N = d.size
     spec = GramSpectrum(eigenvalues=d, eigenvectors=np.eye(N), trace_mean=float(np.mean(d)))
-    cols = ["idx", "d", "d_tilde", "d_theory", "abs_gap"]
     rows = []
     for lam in cfg.lambda_list:
         for P in cfg.p_grid:
@@ -474,8 +442,8 @@ def _run_expected_a(cfg: ExperimentConfig):
             gamma = P / N
             with _row_context(P=P, ridge=lam):
                 eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-                theory = d / (d + eff.lambda_tilde)
                 emp = empirical_expected_A(spec, P, lam, cfg.trials, SeedPolicy(cfg.base_seed, 0))
+            theory = expected_A_theoretical(d, eff.lambda_tilde)
             for i in range(N):
                 row = _prefix(cfg, N, P, gamma, lam)
                 row.update(
@@ -486,23 +454,16 @@ def _run_expected_a(cfg: ExperimentConfig):
                     abs_gap=abs(emp[i] - theory[i]),
                 )
                 rows.append(row)
-    return cols, rows
+    return rows
 
 
 def _run_predictor_fan(cfg: ExperimentConfig):
-    data, test_X = _resolve_data(cfg)
+    data, test_X, kernel = _sampled_data(cfg)
     if data.dim != 1:
         raise InvalidInputError("predictor-fan needs one-dimensional inputs")
-    if data.f_star is None or len(data.f_star) != test_X.shape[0]:
-        raise InvalidInputError("dataset must carry true values on the test grid")
-    kernel = _kernel_from(cfg)
     N = data.n
     X_all = np.vstack([data.X, test_X])
-    n_keep = min(_FAN_SAMPLES, cfg.trials)
-    cols = (
-        ["role", "x", "f_star", "mean_prediction", "std_prediction"]
-        + [f"sample_{k}" for k in range(n_keep)]
-    )
+    truths = np.concatenate([data.y, data.f_star])
     rows = []
     for lam in cfg.lambda_list:
         for gamma in cfg.gamma_grid:
@@ -512,21 +473,18 @@ def _run_predictor_fan(cfg: ExperimentConfig):
                 stats = run_trials(data, test_X, kernel, P, lam, cfg.trials, cfg.base_seed)
             mean = np.concatenate([stats.mean_train_prediction, stats.mean_prediction])
             std = np.sqrt(np.concatenate([stats.var_train_prediction, stats.var_prediction]))
-            truths = np.concatenate([data.y, data.f_star])
-            roles = np.concatenate([np.ones(N), np.zeros(test_X.shape[0])])
             for i in range(X_all.shape[0]):
                 row = _prefix(cfg, N, P, g_actual, lam)
                 row.update(
-                    role=int(roles[i]),
+                    role=int(i < N),
                     x=X_all[i, 0],
                     f_star=truths[i],
                     mean_prediction=mean[i],
                     std_prediction=std[i],
                 )
-                for k in range(n_keep):
-                    row[f"sample_{k}"] = stats.samples[k, i]
+                row.update((f"sample_{k}", s) for k, s in enumerate(stats.samples[:, i]))
                 rows.append(row)
-    return cols, rows
+    return rows
 
 
 _RUNNERS = {
@@ -651,24 +609,9 @@ def _render_calibrate(rows):
 
 
 def _render_average_rf(rows):
-    risk_series = []
-    for lam in _group_values(rows, "lambda"):
-        sub = [r for r in rows if r["lambda"] == lam]
-        risk_series.append(
-            {
-                "label": f"mean-RF risk, ridge {lam}",
-                "x": [r["gamma"] for r in sub],
-                "y": [r["rf_mean_risk"] for r in sub],
-                "marker": True,
-            }
-        )
-        risk_series.append(
-            {
-                "label": f"KRR risk at eff. ridge {lam}",
-                "x": [r["gamma"] for r in sub],
-                "y": [r["krr_risk"] for r in sub],
-            }
-        )
+    rf = _series_by(rows, "lambda", "gamma", "rf_mean_risk", "mean-RF risk, ridge {}", marker=True)
+    krr = _series_by(rows, "lambda", "gamma", "krr_risk", "KRR risk at eff. ridge {}")
+    risk_series = [s for pair in zip(rf, krr) for s in pair]
     agreement = _series_by(rows, "lambda", "gamma", "mean_rf_vs_krr_rmse", "rmse, ridge {}", marker=True)
     agreement += _series_by(rows, "lambda", "gamma", "mc_band_rmse", "3 sigma band, ridge {}")
     return {
@@ -730,24 +673,9 @@ def _render_expected_a(rows):
     plots = {}
     for lam in _group_values(rows, "lambda"):
         sub = [r for r in rows if r["lambda"] == lam]
-        series = []
-        for P in _group_values(sub, "P"):
-            pp = [r for r in sub if r["P"] == P]
-            series.append(
-                {
-                    "label": f"sampled, P = {int(P)}",
-                    "x": [r["idx"] for r in pp],
-                    "y": [r["d_tilde"] for r in pp],
-                    "marker": True,
-                }
-            )
-            series.append(
-                {
-                    "label": f"limit, P = {int(P)}",
-                    "x": [r["idx"] for r in pp],
-                    "y": [r["d_theory"] for r in pp],
-                }
-            )
+        sampled = _series_by(sub, "P", "idx", "d_tilde", "sampled, P = {:.0f}", marker=True)
+        limit = _series_by(sub, "P", "idx", "d_theory", "limit, P = {:.0f}")
+        series = [s for pair in zip(sampled, limit) for s in pair]
         plots[f"plot_hat_eigenvalues_ridge_{_tag(lam)}.svg"] = line_plot(
             series,
             title=f"eigenvalues of the averaged hat matrix, ridge {lam}",
@@ -833,11 +761,9 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    metric_cols, rows = _RUNNERS[cfg.experiment](cfg)
-    columns = PREFIX_COLUMNS + metric_cols
-
+    rows = _RUNNERS[cfg.experiment](cfg)
     results_path = out / "results.csv"
-    write_results_csv(results_path, columns, rows)
+    write_results_csv(results_path, list(rows[0]), rows)
     config_path = out / "config.json"
     _write_text_atomic(config_path, json.dumps(asdict(cfg), indent=2, sort_keys=True, default=float) + "\n")
 

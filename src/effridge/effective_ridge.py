@@ -275,14 +275,7 @@ def theoretical_variance_term(
     """
     if k_tilde_xx < 0:
         raise InvalidInputError("posterior variance must be nonnegative")
-    eff = solve_effective_ridge(inp)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != spec.n:
-        raise InvalidInputError("label vector length does not match the spectrum")
-    w = spec.eigenvectors.T @ y
-    d = spec.eigenvalues
-    m_quad = float(np.sum(d * w * w / (eff.lambda_tilde + d) ** 2))
-    return eff.d_lambda_tilde * m_quad / P * k_tilde_xx
+    return theta_norm_theory(spec, y, solve_effective_ridge(inp)) / P * k_tilde_xx
 
 
 def theta_norm_theory(spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge) -> float:

@@ -38,10 +38,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 from .features import SeedPolicy, StreamSampler, sample_gaussian_features
 from .kernels import GramSpectrum, sqrt_gram
-from .effective_ridge import SpectrumInput, solve_effective_ridge
+from .effective_ridge import RESIDUAL_TOL, SpectrumInput, solve_effective_ridge
 from .effective_ridge import _fixed_point_residual, _fixed_point_slope, _newton
-
-FIXED_POINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,9 @@ class StieltjesSolution:
     """Fixed point of the deterministic Stieltjes equation at one complex point.
 
     ``in_cone`` records membership in the cone spanned by ``1`` and ``-1/z``
-    where the fixed point is unique; ``residual`` is ``|m - f_z(m)|``.
+    where the fixed point is unique; ``residual`` is the relative residual
+    ``|g(t)| / (|t| + |z|)`` of the equation solved for ``t = 1/m``,
+    ``g(t) = t + z - (t/gamma) mean(d / (t + d))``.
     """
 
     z: complex
@@ -138,8 +138,10 @@ def theoretical_stieltjes(
     solver's start with ``lam = -z``, ``-z + T/gamma`` (``T`` the mean
     eigenvalue), and lands on the solution inside the cone; plain
     damped fixed-point iteration on ``m``, in contrast, can stall or converge
-    to a fixed point outside the cone for gamma < 1.  Points with
-    ``Re(z) >= 0`` are rejected.
+    to a fixed point outside the cone for gamma < 1.  Both paths check the
+    ``t`` equation relative to ``|t| + |z|``, which bounds the size of its
+    terms at the root, so the check holds at machine precision however small
+    ``|z|`` is.  Points with ``Re(z) >= 0`` are rejected.
     """
     d = np.asarray(kernel_eigenvalues, dtype=float).ravel()
     if np.any(d < 0) or not np.all(np.isfinite(d)):
@@ -150,33 +152,27 @@ def theoretical_stieltjes(
     if not z.real < 0:
         raise InvalidInputError("the fixed point is solved on Re(z) < 0 only")
 
-    def f_at(m):
-        return -(1.0 / z) * (1.0 - np.mean(d * m / (1.0 + d * m)) / gamma)
-
     inp = SpectrumInput(eigenvalues=d, gamma=gamma, lam=-z.real)
     if z.imag == 0.0:
-        m = complex(1.0 / solve_effective_ridge(inp).lambda_tilde)
-        return StieltjesSolution(
-            z=z, m_tilde=m, residual=float(abs(m - f_at(m))), iterations=0, in_cone=_cone_membership(m, z)
+        t, iterations = solve_effective_ridge(inp).lambda_tilde, 0
+    else:
+        t, iterations = _newton(
+            lambda t: _fixed_point_residual(t, d, gamma, -z),
+            lambda t: _fixed_point_slope(t, d, gamma),
+            -z + inp.trace_mean / gamma,
         )
-
-    t, iterations = _newton(
-        lambda t: _fixed_point_residual(t, d, gamma, -z),
-        lambda t: _fixed_point_slope(t, d, gamma),
-        -z + inp.trace_mean / gamma,
-    )
-    m = 1.0 / t
-    residual = abs(m - f_at(m))
-    if not residual < FIXED_POINT_TOL * max(abs(m), 1.0):
+    residual = abs(_fixed_point_residual(t, d, gamma, -z)) / (abs(t) + abs(z))
+    if not residual < RESIDUAL_TOL:
         raise NumericError(
             f"Stieltjes fixed point did not converge at z={z}: residual {residual:.3e}"
         )
+    m = complex(1.0 / t)
     return StieltjesSolution(
         z=z,
-        m_tilde=complex(m),
+        m_tilde=m,
         residual=float(residual),
         iterations=iterations,
-        in_cone=_cone_membership(complex(m), z),
+        in_cone=_cone_membership(m, z),
     )
 
 
@@ -219,15 +215,11 @@ def empirical_expected_A(
     return np.linalg.eigvalsh(acc)[::-1]
 
 
-def stieltjes_moments(
-    kernel_eigenvalues: np.ndarray,
-    P: int,
-    z: complex,
-    trials: int,
-    policy: SeedPolicy,
-) -> tuple[complex, float]:
+def stieltjes_moments(samples: list[WishartSample], z: complex) -> tuple[complex, float]:
     """Mean and variance of ``m_P(z)`` over independent Wishart draws.
 
+    ``samples`` are the draws, e.g. ``sample_wishart`` at consecutive trial
+    indices; the caller draws them once and may evaluate several ``z``.
     Variance is the scalar sample variance of the complex values,
     ``mean(|m - mean|^2)`` with the ``1/(trials-1)`` normalization.
 
@@ -235,12 +227,9 @@ def stieltjes_moments(
     ``P``; with the kernel size ``N`` fixed and ``P >= N`` it is close to
     ``2 * sum_i d_i^2 / (d_i + lambda)^4 / P^3`` (see the module docstring).
     """
-    if trials < 2:
+    if len(samples) < 2:
         raise InvalidInputError("need at least two trials for a variance")
-    vals = np.empty(trials, dtype=complex)
-    for t in range(trials):
-        sample = sample_wishart(kernel_eigenvalues, P, policy.shifted(t))
-        vals[t] = empirical_stieltjes(sample, z)
+    vals = np.array([empirical_stieltjes(s, z) for s in samples])
     mean = complex(np.mean(vals))
-    var = float(np.sum(np.abs(vals - mean) ** 2) / (trials - 1))
+    var = float(np.sum(np.abs(vals - mean) ** 2) / (len(samples) - 1))
     return mean, var

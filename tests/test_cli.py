@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,18 @@ from effridge.cli import (
     render_plots,
 )
 from effridge.errors import InvalidInputError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_columns():
+    """Metric columns per experiment, as listed in the README's experiment table."""
+    table = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[1].strip().strip("`") in EXPERIMENTS:
+            table[cells[1].strip().strip("`")] = re.findall(r"`(\w+)`", cells[3])
+    return table
 
 
 def run_fast(experiment, tmp_path, **overrides):
@@ -79,6 +96,11 @@ class TestConfig:
         with pytest.raises(InvalidInputError):
             load_config("solve", None, gamma_grid=[])
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_shipped_config_equals_default(self, experiment):
+        path = ROOT / "scripts" / "configs" / f"{experiment}.json"
+        assert load_config(experiment, path) == default_config(experiment)
+
 
 class TestFormatNumber:
     def test_round_trip_shortest(self):
@@ -109,6 +131,25 @@ class TestArtifacts:
             assert row["experiment"] == experiment
             for c in columns[1:]:
                 assert np.isfinite(row[c])
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_header_matches_readme(self, experiment, tmp_path):
+        cfg, artifacts = run_fast(experiment, tmp_path)
+        columns, _ = parse_results_csv(artifacts["results"])
+        expected = PREFIX_COLUMNS + readme_columns()[experiment]
+        if experiment == "predictor-fan":
+            expected += [f"sample_{k}" for k in range(min(10, cfg.trials))]
+        assert columns == expected
+
+    def test_run_all_experiments_quick(self, tmp_path):
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), "--quick", "--out", str(tmp_path)],
+            env=env, check=True, capture_output=True,
+        )
+        for experiment in EXPERIMENTS:
+            assert (tmp_path / experiment / "results.csv").exists()
 
     def test_csv_round_trips_to_identical_values(self, tmp_path):
         _, artifacts = run_fast("solve", tmp_path)
@@ -230,6 +271,24 @@ class TestMainExitCodes:
 
     def test_bad_flag_value_is_1(self, capsys):
         assert main(["solve", "--gamma", "zebra"]) == 1
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"dataset": {"type": "csv"}}, "dataset.path"),
+            ([1, 2], "config must be a JSON object"),
+            ("solve", "config must be a JSON object"),
+        ],
+        ids=["csv-without-path", "array", "string"],
+    )
+    def test_malformed_config_is_1(self, config, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main(["average-rf", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
 
     def test_io_error_is_2(self, tmp_path, capsys):
         # A path beneath a regular file cannot be created, whatever the privileges.

@@ -146,6 +146,18 @@ class TestTheoreticalStieltjes:
         lhs = np.mean(d * m / (1 + d * m)) - gamma * z * m
         assert lhs == pytest.approx(gamma, abs=1e-9)
 
+    @pytest.mark.parametrize("z", [complex(-1e-7, 1e-7), complex(-1e-6, 5e-7)])
+    def test_tiny_z_off_axis(self, z):
+        # The residual is checked on the t = 1/m equation, whose rounding error
+        # does not grow like 1/|z|.
+        d = np.array([0.3, 1.2, 2.2])
+        gamma = 0.5
+        sol = theoretical_stieltjes(d, gamma, z)
+        assert sol.in_cone
+        m = sol.m_tilde
+        lhs = np.mean(d * m / (1 + d * m)) - gamma * z * m
+        assert lhs == pytest.approx(gamma, abs=1e-9)
+
     def test_complex_plane_monte_carlo_oracle(self):
         # off the real axis the deterministic value must still match the
         # sampled transform; simulation is the independent oracle here
@@ -249,7 +261,7 @@ class TestEmpiricalExpectedA:
 class TestMoments:
     def test_moments_deterministic_and_finite(self):
         d = generate_spectrum("exponential", 8)
-        m1, v1 = stieltjes_moments(d, P=12, z=-1 + 0j, trials=25, policy=SeedPolicy(1, 0))
-        m2, v2 = stieltjes_moments(d, P=12, z=-1 + 0j, trials=25, policy=SeedPolicy(1, 0))
+        m1, v1 = stieltjes_moments([sample_wishart(d, 12, SeedPolicy(1, t)) for t in range(25)], -1 + 0j)
+        m2, v2 = stieltjes_moments([sample_wishart(d, 12, SeedPolicy(1, t)) for t in range(25)], -1 + 0j)
         assert m1 == m2 and v1 == v2
         assert v1 > 0
