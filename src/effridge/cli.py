@@ -185,20 +185,33 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidInputError(f"unknown dataset type {cfg.dataset['type']!r}")
     if cfg.dataset["type"] == "csv" and "path" not in cfg.dataset:
         raise InvalidInputError("a csv dataset needs dataset.path")
+    _check_numbers("gamma_grid", cfg.gamma_grid, lambda v: v > 0, "positive finite numbers")
+    _check_numbers("p_grid", cfg.p_grid, lambda v: v > 0 and v == int(v), "positive integers")
+    _check_numbers("lambda_list", cfg.lambda_list, lambda v: v >= 0, "nonnegative finite numbers")
     if not cfg.lambda_list:
         raise InvalidInputError("lambda_list must be nonempty")
     uses_p = cfg.experiment in ("stieltjes", "expected-a")
-    grid = cfg.p_grid if uses_p else cfg.gamma_grid
-    if not grid:
+    if not (cfg.p_grid if uses_p else cfg.gamma_grid):
         raise InvalidInputError("the experiment's grid (gamma_grid or p_grid) must be nonempty")
-    if any(not np.isfinite(v) or v <= 0 for v in grid):
-        raise InvalidInputError("grid values must be positive and finite")
     if cfg.trials < 1:
         raise InvalidInputError("trials must be at least 1")
     if cfg.experiment in _MC_EXPERIMENTS and cfg.trials < 2:
         raise InvalidInputError(f"{cfg.experiment} needs trials >= 2 for variance estimates")
     if not (0 <= int(cfg.base_seed) < 2**64):
         raise InvalidInputError("base_seed must fit in 64 unsigned bits")
+
+
+def _check_numbers(field: str, values, valid, requirement: str) -> None:
+    """A grid field is absent or a list of finite real numbers (not booleans) that pass ``valid``."""
+    if values is None:
+        return
+    if not isinstance(values, list):
+        raise InvalidInputError(f"{field} must be a list of {requirement}")
+    for v in values:
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        # NaN, infinities and integers beyond the float range all fail the bound.
+        if not (number and abs(v) <= sys.float_info.max and valid(v)):
+            raise InvalidInputError(f"{field} values must be {requirement}, got {v!r}")
 
 
 def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
@@ -332,6 +345,23 @@ def _mc_theory_context(cfg: ExperimentConfig):
     return data, test_X, kernel, gram, spec, k_cross
 
 
+def _sampled_points(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, kernel: KernelSpec):
+    """``(lam, P, stats)`` per grid point, ridge-major as the rows are written.
+
+    One ``run_trials`` call per feature count fits each draw at every ridge.
+    """
+    N = data.n
+    Ps = [_round_features(gamma, N) for gamma in cfg.gamma_grid]
+    by_P = {}
+    for P in Ps:
+        if P not in by_P:
+            with _row_context(gamma=P / N, P=P):
+                by_P[P] = run_trials(data, test_X, kernel, P, cfg.lambda_list, cfg.trials, cfg.base_seed)
+    for i, lam in enumerate(cfg.lambda_list):
+        for P in Ps:
+            yield lam, P, by_P[P][i]
+
+
 def _run_average_rf(cfg: ExperimentConfig):
     data, test_X, kernel, gram, spec, k_cross = _mc_theory_context(cfg)
     N = data.n
@@ -345,33 +375,30 @@ def _run_average_rf(cfg: ExperimentConfig):
             file=sys.stderr,
         )
     rows = []
-    for lam in cfg.lambda_list:
-        for gamma in cfg.gamma_grid:
-            P = _round_features(gamma, N)
-            g_actual = P / N
-            with _row_context(gamma=g_actual, ridge=lam, P=P):
-                stats = run_trials(data, test_X, kernel, P, lam, cfg.trials, cfg.base_seed)
-                eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
-                krr = fit_krr(gram, data.y, eff.lambda_tilde)
-                krr_pred = predict_krr(krr, k_cross)
-            max_abs, rmse = compare_average_to_krr(stats, krr_pred)
-            band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / cfg.trials))
-            row = _prefix(cfg, N, P, g_actual, lam)
-            # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
-            row.update(
-                lambda_tilde=eff.lambda_tilde,
-                rf_mean_risk=estimate_risk(stats.mean_prediction, data.f_star),
-                krr_risk=estimate_risk(krr_pred, data.f_star),
-                mean_rf_vs_krr_rmse=rmse,
-                mean_rf_vs_krr_max_abs=max_abs,
-                mc_band_rmse=band,
-                mean_variance=float(np.mean(stats.var_prediction)),
-                theta_norm_mean=stats.mean_theta_norm_sq,
-                theta_norm_theory=theta_norm_theory(spec, data.y, eff),
-                bound_scale_norm=np.sqrt(q_norm_sq) / P,
-                bound_scale_norm_sq=q_norm_sq / P,
-            )
-            rows.append(row)
+    for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
+        g_actual = P / N
+        with _row_context(gamma=g_actual, ridge=lam, P=P):
+            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
+            krr = fit_krr(gram, data.y, eff.lambda_tilde)
+            krr_pred = predict_krr(krr, k_cross)
+        max_abs, rmse = compare_average_to_krr(stats, krr_pred)
+        band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / cfg.trials))
+        row = _prefix(cfg, N, P, g_actual, lam)
+        # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
+        row.update(
+            lambda_tilde=eff.lambda_tilde,
+            rf_mean_risk=estimate_risk(stats.mean_prediction, data.f_star),
+            krr_risk=estimate_risk(krr_pred, data.f_star),
+            mean_rf_vs_krr_rmse=rmse,
+            mean_rf_vs_krr_max_abs=max_abs,
+            mc_band_rmse=band,
+            mean_variance=float(np.mean(stats.var_prediction)),
+            theta_norm_mean=stats.mean_theta_norm_sq,
+            theta_norm_theory=theta_norm_theory(spec, data.y, eff),
+            bound_scale_norm=np.sqrt(q_norm_sq) / P,
+            bound_scale_norm_sq=q_norm_sq / P,
+        )
+        rows.append(row)
     return rows
 
 
@@ -380,28 +407,25 @@ def _run_double_descent(cfg: ExperimentConfig):
     N = data.n
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []
-    for lam in cfg.lambda_list:
-        for gamma in cfg.gamma_grid:
-            P = _round_features(gamma, N)
-            g_actual = P / N
-            with _row_context(gamma=g_actual, ridge=lam, P=P):
-                stats = run_trials(data, test_X, kernel, P, lam, cfg.trials, cfg.base_seed)
-                eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
-                krr_pred = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
-            report = bias_variance_decompose(
-                stats, data.f_star, krr_risk=estimate_risk(krr_pred, data.f_star)
-            )
-            var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
-            row = _prefix(cfg, N, P, g_actual, lam)
-            row.update(
-                lambda_tilde=eff.lambda_tilde,
-                expected_risk=report.expected_risk,
-                risk_of_mean=report.risk_of_mean,
-                mean_variance=report.mean_variance,
-                krr_risk=report.krr_risk,
-                variance_theory=var_theory,
-            )
-            rows.append(row)
+    for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
+        g_actual = P / N
+        with _row_context(gamma=g_actual, ridge=lam, P=P):
+            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
+            krr_pred = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
+        report = bias_variance_decompose(
+            stats, data.f_star, krr_risk=estimate_risk(krr_pred, data.f_star)
+        )
+        var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
+        row = _prefix(cfg, N, P, g_actual, lam)
+        row.update(
+            lambda_tilde=eff.lambda_tilde,
+            expected_risk=report.expected_risk,
+            risk_of_mean=report.risk_of_mean,
+            mean_variance=report.mean_variance,
+            krr_risk=report.krr_risk,
+            variance_theory=var_theory,
+        )
+        rows.append(row)
     return rows
 
 
@@ -412,7 +436,7 @@ def _run_stieltjes(cfg: ExperimentConfig):
     for P in cfg.p_grid:
         P = int(P)
         # Drawn once per P and shared by every ridge.
-        samples = [sample_wishart(d, P, SeedPolicy(cfg.base_seed, t)) for t in range(cfg.trials)]
+        samples = sample_wishart(d, P, SeedPolicy(cfg.base_seed), cfg.trials)
         for lam in cfg.lambda_list:
             mean, var = stieltjes_moments(samples, complex(-lam, 0.0))
             gamma = P / N
@@ -465,25 +489,20 @@ def _run_predictor_fan(cfg: ExperimentConfig):
     X_all = np.vstack([data.X, test_X])
     truths = np.concatenate([data.y, data.f_star])
     rows = []
-    for lam in cfg.lambda_list:
-        for gamma in cfg.gamma_grid:
-            P = _round_features(gamma, N)
-            g_actual = P / N
-            with _row_context(gamma=g_actual, ridge=lam, P=P):
-                stats = run_trials(data, test_X, kernel, P, lam, cfg.trials, cfg.base_seed)
-            mean = np.concatenate([stats.mean_train_prediction, stats.mean_prediction])
-            std = np.sqrt(np.concatenate([stats.var_train_prediction, stats.var_prediction]))
-            for i in range(X_all.shape[0]):
-                row = _prefix(cfg, N, P, g_actual, lam)
-                row.update(
-                    role=int(i < N),
-                    x=X_all[i, 0],
-                    f_star=truths[i],
-                    mean_prediction=mean[i],
-                    std_prediction=std[i],
-                )
-                row.update((f"sample_{k}", s) for k, s in enumerate(stats.samples[:, i]))
-                rows.append(row)
+    for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
+        mean = np.concatenate([stats.mean_train_prediction, stats.mean_prediction])
+        std = np.sqrt(np.concatenate([stats.var_train_prediction, stats.var_prediction]))
+        for i in range(X_all.shape[0]):
+            row = _prefix(cfg, N, P, P / N, lam)
+            row.update(
+                role=int(i < N),
+                x=X_all[i, 0],
+                f_star=truths[i],
+                mean_prediction=mean[i],
+                std_prediction=std[i],
+            )
+            row.update((f"sample_{k}", s) for k, s in enumerate(stats.samples[:, i]))
+            rows.append(row)
     return rows
 
 

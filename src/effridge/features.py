@@ -15,10 +15,13 @@ with ``base_seed``; that seed keys a Philox4x64 counter-based generator, and
 uniforms/normals are produced from its raw 64-bit outputs by ``(r >> 11) *
 2^-53`` and the Box-Muller transform.  All three pieces are published, fixed
 algorithms, so identical seeds give bit-identical matrices on any platform.
+``normal_chunks`` stacks consecutive trials' streams into one Box-Muller call
+and returns, for each trial, the same bits as its own ``StreamSampler``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,10 @@ from .errors import InvalidInputError
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+
+# Normals per chunk of draws.  A fixed element budget, independent of the core
+# count, so the chunking, and with it every result, is the same on any machine.
+CHUNK_ELEMENTS = 2**14
 
 
 def _mix64(x: int) -> int:
@@ -87,14 +94,40 @@ class StreamSampler:
     def normal(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive uniform pairs."""
         n = int(np.prod(shape))
-        pairs = (n + 1) // 2
-        u = self.uniform(2 * pairs)
-        u1, u2 = u[:pairs], u[pairs:]
-        # 1 - u1 lies in (0, 1], so the log is finite.
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape)
+        return _box_muller(self.uniform(2 * ((n + 1) // 2)))[:n].reshape(shape)
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from the uniforms on the last axis: its first half gives radii, its second half angles.
+
+    Every operation is elementwise along that axis, so a stack of streams
+    gives the same bits as each stream on its own.
+    """
+    pairs = u.shape[-1] // 2
+    u1, u2 = u[..., :pairs], u[..., pairs:]
+    # 1 - u1 lies in (0, 1], so the log is finite.
+    r = np.sqrt(-2.0 * np.log1p(-u1))
+    theta = 2.0 * np.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+
+
+def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
+    """Standard normal draws of ``trials`` consecutive streams, a chunk at a time.
+
+    Yields ``(t0, W)`` with ``W`` of shape ``(B, rows, cols)``, where
+    ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
+    bit for bit.  ``B = max(1, CHUNK_ELEMENTS // (rows * cols))`` depends on
+    the shape only; the last chunk holds the remaining trials.
+    """
+    rows, cols = shape
+    n = rows * cols
+    size = max(1, CHUNK_ELEMENTS // n)
+    pairs = (n + 1) // 2
+    for t0 in range(0, trials, size):
+        u = np.stack(
+            [StreamSampler(policy.shifted(t)).uniform(2 * pairs) for t in range(t0, min(t0 + size, trials))]
+        )
+        yield t0, _box_muller(u)[:, :n].reshape(-1, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -128,6 +161,15 @@ class FeatureMatrix:
         return self.entries[self.n_train :]
 
 
+def gaussian_features(joint_sqrt: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Feature entries ``joint_sqrt @ W[b].T / sqrt(P)`` of every draw in a chunk ``W`` of shape (B, P, M).
+
+    The broadcast product runs one GEMM per draw, which gives the same bits as
+    the single-draw product; one ``(M x M) @ (M x B*P)`` GEMM would not.
+    """
+    return np.matmul(joint_sqrt, W.transpose(0, 2, 1)) / np.sqrt(W.shape[1])
+
+
 def sample_gaussian_features(
     joint_sqrt: np.ndarray, P: int, n_train: int, policy: SeedPolicy
 ) -> FeatureMatrix:
@@ -135,7 +177,8 @@ def sample_gaussian_features(
 
     ``joint_sqrt`` is the symmetric PSD square root of the Gram matrix over all
     train and test points jointly, computed once per experiment and reused
-    across trials.
+    across trials.  This is the one-trial case of ``normal_chunks`` and
+    ``gaussian_features``.
     """
     if P < 1:
         raise InvalidInputError("need at least one feature")
@@ -145,8 +188,8 @@ def sample_gaussian_features(
         raise InvalidInputError("joint_sqrt must be square")
     if not (0 <= n_train <= M):
         raise InvalidInputError("n_train exceeds the point count")
-    W = StreamSampler(policy).normal((P, M))
-    entries = (joint_sqrt @ W.T) / np.sqrt(P)
+    ((_, W),) = normal_chunks(policy, 1, (P, M))
+    entries = gaussian_features(joint_sqrt, W)[0]
     return FeatureMatrix(entries=entries, n_train=n_train, seed=policy.stream_seed())
 
 

@@ -1,10 +1,11 @@
 """Monte Carlo harness: repeated random-feature fits and the statistics compared to theory.
 
 Each trial draws a fresh feature matrix (jointly over train and test points),
-fits the ridge solution, and evaluates it on the test grid.  Moments are
-accumulated with Welford updates in fixed trial order, so results are
-deterministic, numerically stable, and reproducible from the configuration
-alone.
+fits the ridge solution at every requested ridge, and evaluates it on the test
+grid.  Draws come in fixed-size chunks, one per numpy call, and each serves
+every ridge.  Moments are accumulated with Welford updates in fixed trial
+order, so results are deterministic, numerically stable, and reproducible from
+the configuration alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .effective_ridge import EffectiveRidge, theta_norm_theory
 from .errors import EffridgeError, InvalidInputError
-from .features import SeedPolicy, sample_fourier_features, sample_gaussian_features
+from .features import SeedPolicy, gaussian_features, normal_chunks, sample_fourier_features
 from .kernels import Dataset, GramSpectrum, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf, predict_rf
 
@@ -93,16 +94,19 @@ def run_trials(
     test_X: np.ndarray,
     kernel: KernelSpec,
     P: int,
-    lam: float,
+    lams: list[float],
     trials: int,
     base_seed: int,
     feature_kind: str = "gaussian",
-) -> TrialStats:
-    """Fit the random-feature predictor across seeds and accumulate its moments.
+) -> list[TrialStats]:
+    """Fit the random-feature predictor across seeds and accumulate its moments, per ridge.
 
-    Trial ``t`` uses the stream derived from ``(base_seed, t)``.  Gaussian
-    features share one joint Gram square root computed up front; Fourier
-    features resample frequencies and phases per trial.
+    Trial ``t`` uses the stream derived from ``(base_seed, t)``; its one
+    feature draw is fitted at every ridge of ``lams``, and the result holds
+    one ``TrialStats`` per ridge, in order, each equal to that of a one-ridge
+    call.  Gaussian features share one joint Gram square root computed up
+    front and are drawn a chunk at a time; Fourier features resample
+    frequencies and phases per trial.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
@@ -110,62 +114,78 @@ def run_trials(
         raise InvalidInputError("need at least one feature")
     if feature_kind not in ("gaussian", "fourier"):
         raise InvalidInputError(f"unknown feature kind {feature_kind!r}")
+    if len(lams) == 0:
+        raise InvalidInputError("need at least one ridge")
+    for lam in lams:
+        if not (np.isfinite(lam) and lam >= 0):
+            raise InvalidInputError(f"ridge {lam}: ridge must be finite and nonnegative")
     test_X = np.atleast_2d(np.asarray(test_X, dtype=float))
     if test_X.shape[1] != dataset.dim:
         raise InvalidInputError("test points and training points have different dimension")
     N = dataset.n
     X_all = np.vstack([dataset.X, test_X])
+    M = X_all.shape[0]
+    policy = SeedPolicy(base_seed)
 
-    joint_root = None
     if feature_kind == "gaussian":
         joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
+        draws = (
+            entries
+            for _, W in normal_chunks(policy, trials, (P, M))
+            for entries in gaussian_features(joint_root, W)
+        )
+    else:
+        draws = (
+            sample_fourier_features(X_all, kernel.lengthscale, P, policy.shifted(t), n_train=N).entries
+            for t in range(trials)
+        )
 
-    digest = config_digest(
-        n_train=N,
-        n_test=test_X.shape[0],
-        kernel=(kernel.kind, kernel.lengthscale),
-        P=P,
-        lam=lam,
-        trials=trials,
-        base_seed=base_seed,
-        feature_kind=feature_kind,
-    )
+    joint_accs = [_Welford(M) for _ in lams]
+    norm_accs = [_Welford(()) for _ in lams]
+    samples = [[] for _ in lams]
+    for t, entries in enumerate(draws):
+        for lam, joint_acc, norm_acc, kept in zip(lams, joint_accs, norm_accs, samples):
+            try:
+                model = fit_rf(entries[:N], dataset.y, lam)
+                preds = predict_rf(model, entries[N:])
+            except EffridgeError as exc:
+                raise type(exc)(f"ridge {lam}, trial {t}: {exc}") from exc
+            joint = np.concatenate([model.train_predictions, preds])
+            joint_acc.add(joint)
+            norm_acc.add(model.theta_norm_sq)
+            if t < _FAN_SAMPLES:
+                kept.append(joint)
 
-    joint_acc = _Welford(X_all.shape[0])
-    norm_acc = _Welford(())
-    samples = []
-    for t in range(trials):
-        policy = SeedPolicy(base_seed, t)
-        try:
-            if feature_kind == "gaussian":
-                feats = sample_gaussian_features(joint_root, P, N, policy)
-            else:
-                feats = sample_fourier_features(X_all, kernel.lengthscale, P, policy, n_train=N)
-            model = fit_rf(feats.train, dataset.y, lam)
-            preds = predict_rf(model, feats.test)
-        except EffridgeError as exc:
-            raise type(exc)(f"trial {t}: {exc}") from exc
-        joint = np.concatenate([model.train_predictions, preds])
-        joint_acc.add(joint)
-        norm_acc.add(model.theta_norm_sq)
-        if t < _FAN_SAMPLES:
-            samples.append(joint)
-
-    var_joint = joint_acc.variance()
-    var_norm = norm_acc.variance()
-    if var_joint is not None:
-        var_joint = np.maximum(var_joint, 0.0)
-    return TrialStats(
-        mean_prediction=joint_acc.mean[N:],
-        var_prediction=None if var_joint is None else var_joint[N:],
-        mean_theta_norm_sq=float(norm_acc.mean),
-        var_theta_norm_sq=None if var_norm is None else float(max(var_norm, 0.0)),
-        mean_train_prediction=joint_acc.mean[:N],
-        trials=trials,
-        config_digest=digest,
-        var_train_prediction=None if var_joint is None else var_joint[:N],
-        samples=np.array(samples),
-    )
+    out = []
+    for lam, joint_acc, norm_acc, kept in zip(lams, joint_accs, norm_accs, samples):
+        var_joint = joint_acc.variance()
+        var_norm = norm_acc.variance()
+        if var_joint is not None:
+            var_joint = np.maximum(var_joint, 0.0)
+        digest = config_digest(
+            n_train=N,
+            n_test=test_X.shape[0],
+            kernel=(kernel.kind, kernel.lengthscale),
+            P=P,
+            lam=lam,
+            trials=trials,
+            base_seed=base_seed,
+            feature_kind=feature_kind,
+        )
+        out.append(
+            TrialStats(
+                mean_prediction=joint_acc.mean[N:],
+                var_prediction=None if var_joint is None else var_joint[N:],
+                mean_theta_norm_sq=float(norm_acc.mean),
+                var_theta_norm_sq=None if var_norm is None else float(max(var_norm, 0.0)),
+                mean_train_prediction=joint_acc.mean[:N],
+                trials=trials,
+                config_digest=digest,
+                var_train_prediction=None if var_joint is None else var_joint[:N],
+                samples=np.array(kept),
+            )
+        )
+    return out
 
 
 def estimate_risk(predictions: np.ndarray, targets: np.ndarray) -> float:

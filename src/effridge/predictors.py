@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidInputError, SingularGramError
 from .features import FeatureMatrix
@@ -26,15 +26,18 @@ def _sym_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Gram matrices here are ill-conditioned by design (fast-decaying spectra),
     so a single iterative-refinement pass buys back most of the lost digits.
+    LAPACK ``dpotrf``/``dpotrs`` are called directly: they are the routines
+    scipy's ``cho_factor``/``cho_solve`` wrap, without the wrappers' cost on
+    the small systems of a Monte Carlo fit.
     """
-    try:
-        factor = cho_factor(A, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularGramError(f"symmetric solve failed: {exc}") from exc
-    x = cho_solve(factor, b, check_finite=False)
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info > 0:
+        raise SingularGramError(
+            f"symmetric solve failed: {info}-th leading minor of the array is not positive definite"
+        )
+    x = dpotrs(factor, b, lower=1)[0]
     r = b - A @ x
-    x = x + cho_solve(factor, r, check_finite=False)
-    return x
+    return x + dpotrs(factor, r, lower=1)[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .features import SeedPolicy, StreamSampler, sample_gaussian_features
+from .features import CHUNK_ELEMENTS, SeedPolicy, gaussian_features, normal_chunks
 from .kernels import GramSpectrum, sqrt_gram
 from .effective_ridge import RESIDUAL_TOL, SpectrumInput, solve_effective_ridge
 from .effective_ridge import _fixed_point_residual, _fixed_point_slope, _newton
@@ -78,30 +78,42 @@ class StieltjesSolution:
     in_cone: bool
 
 
-def sample_wishart(kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy) -> WishartSample:
+def sample_wishart(
+    kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy, trials: int | None = None
+) -> WishartSample | list[WishartSample]:
     """Draw ``F^T F = (1/P) W diag(d) W^T`` and return its full spectrum.
 
     Only the kernel eigenvalues matter (Gaussian invariance under rotation),
     so sampling happens in the eigenbasis: the nonzero spectrum of the P x P
     matrix equals that of the small ``N x N`` Gram of ``(1/sqrt(P)) W sqrt(d)``,
     padded with ``P - N`` zeros when overparameterized.
+
+    Without ``trials`` this returns the draw at ``policy``; with it, the list
+    of draws at ``policy`` shifted by ``0, ..., trials - 1``, computed a chunk
+    of stacked Grams at a time and equal to the single draws bit for bit.
     """
     d = np.asarray(kernel_eigenvalues, dtype=float).ravel()
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise InvalidInputError("kernel eigenvalues must be finite and nonnegative")
     if P < 1:
         raise InvalidInputError("need at least one feature")
+    count = 1 if trials is None else trials
+    if count < 1:
+        raise InvalidInputError("need at least one trial")
     N = d.size
-    W = StreamSampler(policy).normal((P, N))
-    Y = W * np.sqrt(d / P)
-    S = Y.T @ Y
-    evals = np.linalg.eigvalsh(0.5 * (S + S.T))[::-1]
-    evals = np.maximum(evals, 0.0)
-    if P >= N:
-        out = np.concatenate([evals, np.zeros(P - N)])
-    else:
-        out = evals[:P]
-    return WishartSample(eigenvalues=out, seed=policy.stream_seed())
+    scale = np.sqrt(d / P)
+    # Stack no more N x N Grams than fit the chunk budget, which matters when P < N.
+    step = max(1, CHUNK_ELEMENTS // (N * N))
+    samples = []
+    for t0, W in normal_chunks(policy, count, (P, N)):
+        for k in range(0, len(W), step):
+            Y = W[k : k + step] * scale
+            S = Y.transpose(0, 2, 1) @ Y
+            spectra = np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, ::-1]
+            for b, evals in enumerate(np.maximum(spectra, 0.0), start=t0 + k):
+                out = np.concatenate([evals, np.zeros(P - N)]) if P >= N else evals[:P]
+                samples.append(WishartSample(eigenvalues=out, seed=policy.shifted(b).stream_seed()))
+    return samples[0] if trials is None else samples
 
 
 def empirical_stieltjes(sample: WishartSample, z: complex) -> complex:
@@ -189,10 +201,11 @@ def empirical_expected_A(
 ) -> np.ndarray:
     """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]``.
 
-    Trials use consecutive stream seeds starting at ``policy``; the average is
-    accumulated in trial order, symmetrized, and eigendecomposed.  The primal
-    and dual forms of the hat matrix coincide; the ``N x N`` dual form
-    ``G (G + lam I)^{-1}`` with ``G = F F^T`` is used when ``P > N``.
+    Trials use consecutive stream seeds starting at ``policy`` and are drawn
+    and solved a chunk at a time; the average is accumulated in trial order,
+    symmetrized, and eigendecomposed.  The primal and dual forms of the hat
+    matrix coincide; the ``N x N`` dual form ``G (G + lam I)^{-1}`` with
+    ``G = F F^T`` is used when ``P > N``.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
@@ -201,15 +214,17 @@ def empirical_expected_A(
     N = spec.n
     root = sqrt_gram(spec)
     acc = np.zeros((N, N))
-    for t in range(trials):
-        F = sample_gaussian_features(root, P, N, policy.shifted(t)).train
+    eye = np.eye(min(N, P))
+    for _, W in normal_chunks(policy, trials, (P, N)):
+        F = gaussian_features(root, W)
+        Ft = F.transpose(0, 2, 1)
         if P > N:
-            G = F @ F.T
-            A = np.linalg.solve(G + lam * np.eye(N), G).T
+            G = F @ Ft
+            for A in np.linalg.solve(G + lam * eye, G).transpose(0, 2, 1):
+                acc += A
         else:
-            inner = np.linalg.solve(F.T @ F + lam * np.eye(P), F.T)
-            A = F @ inner
-        acc += A
+            for f, inner in zip(F, np.linalg.solve(Ft @ F + lam * eye, Ft)):
+                acc += f @ inner
     acc /= trials
     acc = 0.5 * (acc + acc.T)
     return np.linalg.eigvalsh(acc)[::-1]

@@ -290,6 +290,32 @@ class TestMainExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment, config, field",
+        [
+            ("average-rf", {"gamma_grid": ["a"]}, "gamma_grid"),
+            ("average-rf", {"gamma_grid": [True]}, "gamma_grid"),
+            ("average-rf", {"gamma_grid": [float("nan")]}, "gamma_grid"),
+            ("average-rf", {"gamma_grid": 2.0}, "gamma_grid"),
+            ("average-rf", {"lambda_list": [-0.1]}, "lambda_list"),
+            ("average-rf", {"lambda_list": [0.1, float("inf")]}, "lambda_list"),
+            ("average-rf", {"lambda_list": [None]}, "lambda_list"),
+            ("stieltjes", {"p_grid": [50, 2.5]}, "p_grid"),
+            ("stieltjes", {"p_grid": [False]}, "p_grid"),
+        ],
+        ids=["gamma-string", "gamma-bool", "gamma-nan", "gamma-not-list", "negative-ridge",
+             "infinite-ridge", "ridge-null", "p-fraction", "p-bool"],
+    )
+    def test_bad_grid_is_1(self, experiment, config, field, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main([experiment, "--config", str(path), "--trials", "5", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert field in err
+        assert "trial 0" not in err
+        assert "Traceback" not in err
+
     def test_io_error_is_2(self, tmp_path, capsys):
         # A path beneath a regular file cannot be created, whatever the privileges.
         blocker = tmp_path / "blocker"

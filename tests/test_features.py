@@ -10,7 +10,7 @@ from effridge import (
     sample_fourier_features,
     sample_gaussian_features,
 )
-from effridge.features import StreamSampler
+from effridge.features import CHUNK_ELEMENTS, StreamSampler, gaussian_features, normal_chunks
 
 
 class TestSeedDerivation:
@@ -190,3 +190,50 @@ class TestEmpiricalKernel:
             errs.append(np.max(np.abs(empirical_kernel(F) - K)))
         slope = np.polyfit(np.log([100, 1000, 10_000]), np.log(errs), 1)[0]
         assert -0.9 < slope < -0.2
+
+
+class TestNormalChunks:
+    """The chunked generator yields exactly the per-trial draws of the randomness contract."""
+
+    def _check(self, policy, trials, shape):
+        sizes = []
+        for t0, W in normal_chunks(policy, trials, shape):
+            assert t0 == sum(sizes)
+            assert W.shape[1:] == shape
+            for b in range(W.shape[0]):
+                ref = StreamSampler(policy.shifted(t0 + b)).normal(shape)
+                assert np.array_equal(W[b], ref)
+            sizes.append(W.shape[0])
+        assert sum(sizes) == trials
+        return sizes
+
+    def test_chunk_boundaries_with_a_partial_last_chunk(self):
+        # 8 * 104 normals per draw give chunks of 2**14 // 832 = 19 draws
+        sizes = self._check(SeedPolicy(3, 0), 45, (8, 104))
+        assert sizes == [19, 19, 7]
+
+    def test_odd_element_count(self):
+        # 15 normals per draw: the last Box-Muller pair is cut in half
+        sizes = self._check(SeedPolicy(11, 4), 1100, (3, 5))
+        assert sizes == [CHUNK_ELEMENTS // 15, 1100 - CHUNK_ELEMENTS // 15]
+
+    def test_draws_beyond_the_budget_come_one_per_chunk(self):
+        sizes = self._check(SeedPolicy(2**63 + 5, 7), 3, (130, 127))
+        assert sizes == [1, 1, 1]
+
+    def test_chunked_features_equal_single_products(self):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((12, 12))
+        root = A @ A.T
+        for P in (1, 3, 8, 17):
+            for t0, W in normal_chunks(SeedPolicy(5, 0), 30, (P, 12)):
+                entries = gaussian_features(root, W)
+                for b in range(W.shape[0]):
+                    assert np.array_equal(entries[b], (root @ W[b].T) / np.sqrt(P))
+
+    def test_sample_gaussian_features_is_the_contract_draw(self):
+        root = np.diag([1.0, 0.5, 0.25, 2.0])
+        policy = SeedPolicy(7, 3)
+        F = sample_gaussian_features(root, 5, 2, policy)
+        W = StreamSampler(policy).normal((5, 4))
+        assert np.array_equal(F.entries, (root @ W.T) / np.sqrt(5))

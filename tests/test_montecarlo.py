@@ -25,7 +25,7 @@ KERNEL = KernelSpec("rbf", 2.0)
 
 def sinusoid_stats(P=8, lam=0.1, trials=50, seed=0, n=4, n_test=20):
     data, test_X = generate_sinusoid(n, n_test, seed=1)
-    stats = run_trials(data, test_X, KERNEL, P, lam, trials, seed)
+    stats = run_trials(data, test_X, KERNEL, P, [lam], trials, seed)[0]
     return data, test_X, stats
 
 
@@ -64,8 +64,8 @@ class TestRunTrials:
 
     def test_single_trial_mean_is_the_sample(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
-        stats = run_trials(data, test_X, KERNEL, 6, 0.1, 1, 3)
-        stats2 = run_trials(data, test_X, KERNEL, 6, 0.1, 2, 3)
+        stats = run_trials(data, test_X, KERNEL, 6, [0.1], 1, 3)[0]
+        stats2 = run_trials(data, test_X, KERNEL, 6, [0.1], 2, 3)[0]
         # the first trial contributes identically in both runs
         assert np.allclose(stats.mean_prediction * 1.0, stats.mean_prediction)
         assert stats.config_digest != stats2.config_digest
@@ -73,7 +73,7 @@ class TestRunTrials:
     def test_interpolation_when_overparameterized_ridgeless(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         for trials in (1, 3, 7):
-            stats = run_trials(data, test_X, KERNEL, 8, 0.0, trials, 0)
+            stats = run_trials(data, test_X, KERNEL, 8, [0.0], trials, 0)[0]
             assert np.max(np.abs(stats.mean_train_prediction - data.y)) < 1e-6
 
     def test_reproducible_bit_identical(self):
@@ -86,7 +86,7 @@ class TestRunTrials:
 
     def test_fourier_kind_runs(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
-        stats = run_trials(data, test_X, KERNEL, 16, 0.1, 5, 0, feature_kind="fourier")
+        stats = run_trials(data, test_X, KERNEL, 16, [0.1], 5, 0, feature_kind="fourier")[0]
         assert stats.mean_prediction.shape == (10,)
 
     def test_fourier_mean_tracks_krr_overparameterized(self):
@@ -97,7 +97,7 @@ class TestRunTrials:
 
         data, test_X = generate_sinusoid(4, 30, seed=1)
         P, lam, trials = 32, 0.1, 800
-        stats = run_trials(data, test_X, KERNEL, P, lam, trials, 0, feature_kind="fourier")
+        stats = run_trials(data, test_X, KERNEL, P, [lam], trials, 0, feature_kind="fourier")[0]
         gram = gram_matrix(KERNEL, data.X)
         spec = spectral_decompose(gram)
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, lam))
@@ -117,7 +117,7 @@ class TestRunTrials:
         from effridge import fit_krr, predict_krr
 
         data, test_X = generate_sinusoid(4, 100, seed=1)
-        stats = run_trials(data, test_X, KERNEL, 100, 1e-4, 500, 0)
+        stats = run_trials(data, test_X, KERNEL, 100, [1e-4], 500, 0)[0]
         gram = gram_matrix(KERNEL, data.X)
         k_cross = gram_matrix(KERNEL, test_X, data.X)
         spec = spectral_decompose(gram)
@@ -141,7 +141,7 @@ class TestRunTrials:
         ktilde = posterior_kernel_diag(spec, k_cross, 1.0)
         for lam in (0.1, 0.5):
             P = 16
-            stats = run_trials(data, test_X, KERNEL, P, lam, 1500, 0)
+            stats = run_trials(data, test_X, KERNEL, P, [lam], 1500, 0)[0]
             inp = SpectrumInput(spec.eigenvalues, P / 4, lam)
             theory = np.array(
                 [theoretical_variance_term(spec, data.y, inp, kt, P) for kt in ktilde]
@@ -151,11 +151,11 @@ class TestRunTrials:
     def test_rejects_bad_inputs(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         with pytest.raises(InvalidInputError):
-            run_trials(data, test_X, KERNEL, 0, 0.1, 3, 0)
+            run_trials(data, test_X, KERNEL, 0, [0.1], 3, 0)[0]
         with pytest.raises(InvalidInputError):
-            run_trials(data, test_X, KERNEL, 4, 0.1, 0, 0)
+            run_trials(data, test_X, KERNEL, 4, [0.1], 0, 0)[0]
         with pytest.raises(InvalidInputError):
-            run_trials(data, test_X, KERNEL, 4, 0.1, 3, 0, feature_kind="orthogonal")
+            run_trials(data, test_X, KERNEL, 4, [0.1], 3, 0, feature_kind="orthogonal")[0]
 
 
 class TestBiasVarianceDecompose:
@@ -235,7 +235,7 @@ class TestCompareAverageToKRR:
         for rep in range(reps):
             gaps = []
             for P in (4, 8):
-                stats = run_trials(data, test_X, KERNEL, P, 0.1, 3000, 100 + rep)
+                stats = run_trials(data, test_X, KERNEL, P, [0.1], 3000, 100 + rep)[0]
                 eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.1))
                 krr_pred = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
                 gaps.append(compare_average_to_krr(stats, krr_pred)[0])
@@ -247,7 +247,7 @@ class TestThetaNormCheck:
     def test_zero_labels(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         zero_data = type(data)(X=data.X, y=np.zeros(4), f_star=data.f_star)
-        stats = run_trials(zero_data, test_X, KERNEL, 4, 0.1, 5, 0)
+        stats = run_trials(zero_data, test_X, KERNEL, 4, [0.1], 5, 0)[0]
         spec = spectral_decompose(gram_matrix(KERNEL, data.X))
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 1.0, 0.1))
         emp, theo, gap = theta_norm_check(stats, spec, np.zeros(4), eff)
@@ -267,8 +267,65 @@ class TestThetaNormCheck:
         gram = gram_matrix(KERNEL, data.X)
         spec = spectral_decompose(gram)
         P = 64
-        stats = run_trials(data, test_X, KERNEL, P, 0.5, 600, 0)
+        stats = run_trials(data, test_X, KERNEL, P, [0.5], 600, 0)[0]
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.5))
         emp, theo, gap = theta_norm_check(stats, spec, data.y, eff)
         noise = 3 * np.sqrt(stats.var_theta_norm_sq / stats.trials)
         assert gap <= noise + 0.1 * theo
+
+
+class TestRunTrialsRidges:
+    """One draw per trial serves every ridge, with the results of one-ridge calls."""
+
+    FIELDS = (
+        "mean_prediction", "var_prediction", "mean_theta_norm_sq", "var_theta_norm_sq",
+        "mean_train_prediction", "var_train_prediction", "samples", "trials", "config_digest",
+    )
+
+    @pytest.mark.parametrize(
+        "P, lams, trials, kind",
+        [
+            (8, [0.1, 1.0], 45, "gaussian"),  # 19-draw chunks: 19 + 19 + 7
+            (3, [0.0, 0.5], 12, "gaussian"),
+            (12, [0.0, 0.1], 12, "fourier"),
+        ],
+    )
+    def test_ridges_equal_one_ridge_calls(self, P, lams, trials, kind):
+        data, test_X = generate_sinusoid(4, 100, seed=1)
+        joint = run_trials(data, test_X, KERNEL, P, lams, trials, 5, feature_kind=kind)
+        assert len(joint) == len(lams)
+        for lam, stats in zip(lams, joint):
+            (single,) = run_trials(data, test_X, KERNEL, P, [lam], trials, 5, feature_kind=kind)
+            for field in self.FIELDS:
+                a, b = getattr(stats, field), getattr(single, field)
+                assert np.array_equal(a, b), field
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_every_ridge_checked_before_sampling(self, bad, monkeypatch):
+        import effridge.montecarlo as mc
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking the ridges")
+
+        monkeypatch.setattr(mc, "normal_chunks", no_sampling)
+        data, test_X = generate_sinusoid(4, 10, seed=1)
+        with pytest.raises(InvalidInputError, match="ridge") as info:
+            run_trials(data, test_X, KERNEL, 4, [0.1, bad], 3, 0)
+        assert "trial" not in str(info.value)
+
+    def test_fit_failure_names_ridge_and_trial(self, monkeypatch):
+        import effridge.montecarlo as mc
+        from effridge import SingularGramError, fit_rf
+
+        calls = []
+
+        def fit_once(F, y, lam):
+            calls.append(lam)
+            if len(calls) == 4:
+                raise SingularGramError("synthetic")
+            return fit_rf(F, y, lam)
+
+        monkeypatch.setattr(mc, "fit_rf", fit_once)
+        data, test_X = generate_sinusoid(4, 10, seed=1)
+        with pytest.raises(SingularGramError, match=r"^ridge 1\.0, trial 1: synthetic$"):
+            run_trials(data, test_X, KERNEL, 4, [0.1, 1.0], 3, 0)

@@ -21,6 +21,7 @@ from effridge import (
     spectral_decompose,
     sqrt_gram,
 )
+from effridge.predictors import _sym_solve
 
 
 class TestFitRF:
@@ -245,3 +246,23 @@ class TestRidgelessUnbiasedness:
         krr_pred = predict_krr(krr, gram_matrix(kernel, test_X, data.X))
         band = 3.0 * acc.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(acc.mean(axis=0) - krr_pred) <= band + 1e-12)
+
+
+class TestSymSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
+    def test_equals_cho_factor_with_refinement(self, n, seed):
+        from scipy.linalg import cho_factor, cho_solve
+
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((n, n + 3))
+        A = F @ F.T + 1e-3 * np.eye(n)
+        b = rng.standard_normal(n)
+        factor = cho_factor(A, lower=True, check_finite=False)
+        x = cho_solve(factor, b, check_finite=False)
+        x = x + cho_solve(factor, b - A @ x, check_finite=False)
+        assert np.array_equal(_sym_solve(A, b), x)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(SingularGramError, match="2-th leading minor"):
+            _sym_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))

@@ -265,3 +265,46 @@ class TestMoments:
         m2, v2 = stieltjes_moments([sample_wishart(d, 12, SeedPolicy(1, t)) for t in range(25)], -1 + 0j)
         assert m1 == m2 and v1 == v2
         assert v1 > 0
+
+
+class TestBatchedDraws:
+    """The chunked Wishart and hat-matrix loops equal per-trial reference loops bit for bit."""
+
+    @pytest.mark.parametrize("P, trials", [(5, 70), (50, 13), (200, 3)])
+    def test_wishart_batch_equals_single_draws(self, P, trials):
+        # N = 50: at P = 5 a 65-draw chunk is split into groups of 6 stacked Grams
+        d = generate_spectrum("exponential", 50)
+        policy = SeedPolicy(4, 2)
+        batch = sample_wishart(d, P, policy, trials)
+        assert len(batch) == trials
+        for t, sample in enumerate(batch):
+            W = StreamSampler(policy.shifted(t)).normal((P, 50))
+            Y = W * np.sqrt(d / P)
+            S = Y.T @ Y
+            evals = np.maximum(np.linalg.eigvalsh(0.5 * (S + S.T))[::-1], 0.0)
+            ref = np.concatenate([evals, np.zeros(P - 50)]) if P >= 50 else evals[:P]
+            assert np.array_equal(sample.eigenvalues, ref)
+            assert sample.seed == policy.shifted(t).stream_seed()
+        single = sample_wishart(d, P, policy)
+        assert np.array_equal(single.eigenvalues, batch[0].eigenvalues) and single.seed == batch[0].seed
+
+    @pytest.mark.parametrize("P, trials", [(3, 40), (10, 40), (50, 40)])
+    def test_expected_A_equals_per_trial_loop(self, P, trials):
+        from effridge.kernels import sqrt_gram
+
+        d = generate_spectrum("exponential", 10)
+        spec = GramSpectrum(eigenvalues=d, eigenvectors=np.eye(10), trace_mean=float(np.mean(d)))
+        lam, policy = 0.05, SeedPolicy(9, 1)
+        root = sqrt_gram(spec)
+        acc = np.zeros((10, 10))
+        for t in range(trials):
+            W = StreamSampler(policy.shifted(t)).normal((P, 10))
+            F = (root @ W.T) / np.sqrt(P)
+            if P > 10:
+                G = F @ F.T
+                acc += np.linalg.solve(G + lam * np.eye(10), G).T
+            else:
+                acc += F @ np.linalg.solve(F.T @ F + lam * np.eye(P), F.T)
+        acc /= trials
+        ref = np.linalg.eigvalsh(0.5 * (acc + acc.T))[::-1]
+        assert np.array_equal(empirical_expected_A(spec, P, lam, trials, policy), ref)
