@@ -32,8 +32,6 @@ from .features import (
     FeatureMatrix,
     SeedPolicy,
     derive_stream_seed,
-    empirical_kernel,
-    sample_fourier_features,
     sample_gaussian_features,
 )
 from .predictors import (
@@ -42,7 +40,6 @@ from .predictors import (
     conditional_moments,
     fit_krr,
     fit_rf,
-    posterior_kernel,
     posterior_kernel_diag,
     predict_krr,
     predict_rf,
@@ -55,7 +52,6 @@ from .effective_ridge import (
     effective_ridge_derivative,
     ridgeless_limit,
     solve_effective_ridge,
-    theoretical_variance_term,
     theta_norm_theory,
 )
 from .stieltjes import (

@@ -176,15 +176,45 @@ def load_config(experiment: str, path=None, **overrides) -> ExperimentConfig:
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    # NaN, infinities and integers beyond the float range all fail the bound.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# The keys each descriptor accepts (README, "Configuration JSON"), each with
+# the check its value must pass and the requirement a failure message states.
+_COUNT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_REAL = (_is_real, "a finite number")
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_DATASET_KEYS = {
+    "sinusoid": {"n": _COUNT, "n_test": _COUNT},
+    "clusters": {"n": _COUNT, "n_test": _COUNT, "dim": _COUNT, "separation": _REAL},
+    "spectrum": {"kind": _TEXT, "n": _COUNT},
+    "csv": {"path": _TEXT, "n_test": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")},
+}
+_KERNEL_KEYS = {"kind": _TEXT, "lengthscale": _REAL}
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Reject, naming the field, any value of the wrong type or out of range."""
     if cfg.experiment not in EXPERIMENTS:
         raise InvalidInputError(f"unknown experiment {cfg.experiment!r}")
     if not isinstance(cfg.dataset, dict) or "type" not in cfg.dataset:
         raise InvalidInputError("dataset must be a descriptor object with a 'type' key")
-    if cfg.dataset["type"] not in ("sinusoid", "clusters", "spectrum", "csv"):
-        raise InvalidInputError(f"unknown dataset type {cfg.dataset['type']!r}")
-    if cfg.dataset["type"] == "csv" and "path" not in cfg.dataset:
+    kind = cfg.dataset["type"]
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
+        raise InvalidInputError(f"unknown dataset type {kind!r}")
+    _check_descriptor("dataset", cfg.dataset, {"type": _TEXT, **_DATASET_KEYS[kind]})
+    if kind == "csv" and "path" not in cfg.dataset:
         raise InvalidInputError("a csv dataset needs dataset.path")
+    if cfg.kernel is not None:
+        if not isinstance(cfg.kernel, dict):
+            raise InvalidInputError("kernel must be a descriptor object or null")
+        _check_descriptor("kernel", cfg.kernel, _KERNEL_KEYS)
     _check_numbers("gamma_grid", cfg.gamma_grid, lambda v: v > 0, "positive finite numbers")
     _check_numbers("p_grid", cfg.p_grid, lambda v: v > 0 and v == int(v), "positive integers")
     _check_numbers("lambda_list", cfg.lambda_list, lambda v: v >= 0, "nonnegative finite numbers")
@@ -193,12 +223,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
     uses_p = cfg.experiment in ("stieltjes", "expected-a")
     if not (cfg.p_grid if uses_p else cfg.gamma_grid):
         raise InvalidInputError("the experiment's grid (gamma_grid or p_grid) must be nonempty")
-    if cfg.trials < 1:
-        raise InvalidInputError("trials must be at least 1")
+    if not (_is_int(cfg.trials) and cfg.trials >= 1):
+        raise InvalidInputError(f"trials must be a positive integer, got {cfg.trials!r}")
     if cfg.experiment in _MC_EXPERIMENTS and cfg.trials < 2:
         raise InvalidInputError(f"{cfg.experiment} needs trials >= 2 for variance estimates")
-    if not (0 <= int(cfg.base_seed) < 2**64):
-        raise InvalidInputError("base_seed must fit in 64 unsigned bits")
+    if not (_is_int(cfg.base_seed) and 0 <= cfg.base_seed < 2**64):
+        raise InvalidInputError(f"base_seed must be an integer in [0, 2**64), got {cfg.base_seed!r}")
+    if not isinstance(cfg.output_dir, str):
+        raise InvalidInputError(f"output_dir must be a string, got {cfg.output_dir!r}")
+
+
+def _check_descriptor(field: str, descriptor: dict, accepted: dict) -> None:
+    """A descriptor holds only ``accepted`` keys, each with a value that passes its check."""
+    unknown = set(descriptor) - set(accepted)
+    if unknown:
+        raise InvalidInputError(
+            f"{field} has unknown keys {sorted(unknown, key=str)}; it accepts {sorted(accepted)}"
+        )
+    for key, (valid, requirement) in accepted.items():
+        if key in descriptor and not valid(descriptor[key]):
+            raise InvalidInputError(f"{field}.{key} must be {requirement}, got {descriptor[key]!r}")
 
 
 def _check_numbers(field: str, values, valid, requirement: str) -> None:
@@ -208,9 +252,7 @@ def _check_numbers(field: str, values, valid, requirement: str) -> None:
     if not isinstance(values, list):
         raise InvalidInputError(f"{field} must be a list of {requirement}")
     for v in values:
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        # NaN, infinities and integers beyond the float range all fail the bound.
-        if not (number and abs(v) <= sys.float_info.max and valid(v)):
+        if not (_is_real(v) and valid(v)):
             raise InvalidInputError(f"{field} values must be {requirement}, got {v!r}")
 
 
@@ -265,6 +307,8 @@ def _prefix(cfg: ExperimentConfig, N, P, gamma, lam):
 
 
 def _round_features(gamma: float, N: int) -> int:
+    if not np.isfinite(gamma * N):
+        raise InvalidInputError(f"gamma_grid value {gamma} times N = {N} overflows the feature count")
     return max(1, int(round(gamma * N)))
 
 
@@ -412,9 +456,7 @@ def _run_double_descent(cfg: ExperimentConfig):
         with _row_context(gamma=g_actual, ridge=lam, P=P):
             eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
             krr_pred = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
-        report = bias_variance_decompose(
-            stats, data.f_star, krr_risk=estimate_risk(krr_pred, data.f_star)
-        )
+        report = bias_variance_decompose(stats, data.f_star)
         var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
         row = _prefix(cfg, N, P, g_actual, lam)
         row.update(
@@ -422,7 +464,7 @@ def _run_double_descent(cfg: ExperimentConfig):
             expected_risk=report.expected_risk,
             risk_of_mean=report.risk_of_mean,
             mean_variance=report.mean_variance,
-            krr_risk=report.krr_risk,
+            krr_risk=estimate_risk(krr_pred, data.f_star),
             variance_theory=var_theory,
         )
         rows.append(row)

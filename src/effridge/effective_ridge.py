@@ -10,8 +10,7 @@ ridge ``lambda`` behaves like kernel ridge regression with the larger
 where ``d_i`` are the Gram eigenvalues.  This module solves that fixed point,
 differentiates it in ``lambda``, evaluates the associated effective dimension,
 handles the ridgeless limits on both sides of ``gamma = 1``, inverts the map
-(ridge calibration), and assembles the leading variance term built from these
-quantities.
+(ridge calibration), and predicts the mean squared parameter norm.
 """
 
 from __future__ import annotations
@@ -259,23 +258,6 @@ def calibrate_ridge(eigenvalues: np.ndarray, gamma: float, lambda_star: float) -
             f"target {lambda_star:.6g} is below the ridgeless effective ridge for gamma={gamma:.6g}"
         )
     return float(lam)
-
-
-def theoretical_variance_term(
-    spec: GramSpectrum,
-    y: np.ndarray,
-    inp: SpectrumInput,
-    k_tilde_xx: float,
-    P: int,
-) -> float:
-    """Leading term of the predictor-variance lower bound at one test point.
-
-    Evaluates ``d(lambda_tilde)/d(lambda) * (y^T M y / P) * Ktilde(x, x)``
-    with ``M = K (K + lambda_tilde I)^{-2}``, all in the Gram eigenbasis.
-    """
-    if k_tilde_xx < 0:
-        raise InvalidInputError("posterior variance must be nonnegative")
-    return theta_norm_theory(spec, y, solve_effective_ridge(inp)) / P * k_tilde_xx
 
 
 def theta_norm_theory(spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge) -> float:

@@ -1,11 +1,7 @@
-"""Reproducible sampling of random feature matrices.
+"""Reproducible sampling of Gaussian random feature matrices.
 
-Two feature families are supported:
-
-* Gaussian features with covariance equal to a kernel Gram matrix, realized
-  as ``(1/sqrt(P)) * Kbar^{1/2} W^T`` for a standard normal ``W``;
-* random Fourier features ``sqrt(2/P) * cos(x^T w + b)`` whose expected Gram
-  is the RBF kernel.
+Features have covariance equal to a kernel Gram matrix and are realized as
+``(1/sqrt(P)) * Kbar^{1/2} W^T`` for a standard normal ``W``.
 
 Randomness contract
 -------------------
@@ -34,6 +30,9 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # Normals per chunk of draws.  A fixed element budget, independent of the core
 # count, so the chunking, and with it every result, is the same on any machine.
 CHUNK_ELEMENTS = 2**14
+# Normals in one draw at most: 2^26 uniforms take 512 MiB.  A larger draw is an
+# input error, reported before anything is allocated.
+MAX_DRAW_ELEMENTS = 2**26
 
 
 def _mix64(x: int) -> int:
@@ -117,10 +116,17 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     Yields ``(t0, W)`` with ``W`` of shape ``(B, rows, cols)``, where
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
     bit for bit.  ``B = max(1, CHUNK_ELEMENTS // (rows * cols))`` depends on
-    the shape only; the last chunk holds the remaining trials.
+    the shape only; the last chunk holds the remaining trials.  ``rows`` is
+    the feature count P, and a draw above ``MAX_DRAW_ELEMENTS`` normals raises
+    :class:`InvalidInputError`.
     """
     rows, cols = shape
     n = rows * cols
+    if n > MAX_DRAW_ELEMENTS:
+        raise InvalidInputError(
+            f"P = {rows}: one draw of shape ({rows}, {cols}) has {n} normals, "
+            f"above the limit of {MAX_DRAW_ELEMENTS}"
+        )
     size = max(1, CHUNK_ELEMENTS // n)
     pairs = (n + 1) // 2
     for t0 in range(0, trials, size):
@@ -191,39 +197,3 @@ def sample_gaussian_features(
     ((_, W),) = normal_chunks(policy, 1, (P, M))
     entries = gaussian_features(joint_sqrt, W)[0]
     return FeatureMatrix(entries=entries, n_train=n_train, seed=policy.stream_seed())
-
-
-def sample_fourier_features(
-    X_all: np.ndarray, lengthscale: float, P: int, policy: SeedPolicy, n_train: int | None = None
-) -> FeatureMatrix:
-    """Random Fourier features for the RBF kernel with the given lengthscale.
-
-    Frequencies ``w`` have i.i.d. centered normal coordinates with standard
-    deviation ``sqrt(2 / lengthscale)``; phases ``b`` are uniform on
-    ``[0, 2*pi)``; entries are ``sqrt(2/P) * cos(x^T w + b)``.  The sqrt(2/P)
-    scaling is the whole normalization (it plays the role of the generic
-    ``1/sqrt(P)`` with features ``sqrt(2) cos(...)``), which makes the
-    expected Gram exactly the RBF kernel.
-
-    Stream order: all P*d frequency normals first, then the P phase uniforms.
-    ``n_train`` marks how many leading rows of ``X_all`` are training points;
-    by default all of them are.
-    """
-    if P < 1:
-        raise InvalidInputError("need at least one feature")
-    if not np.isfinite(lengthscale) or lengthscale <= 0:
-        raise InvalidInputError("lengthscale must be positive")
-    X_all = np.atleast_2d(np.asarray(X_all, dtype=float))
-    M, d = X_all.shape
-    sampler = StreamSampler(policy)
-    w = sampler.normal((P, d)) * np.sqrt(2.0 / lengthscale)
-    b = sampler.uniform(P) * (2.0 * np.pi)
-    entries = np.sqrt(2.0 / P) * np.cos(X_all @ w.T + b)
-    return FeatureMatrix(entries=entries, n_train=M if n_train is None else n_train, seed=policy.stream_seed())
-
-
-def empirical_kernel(F: FeatureMatrix) -> np.ndarray:
-    """Kernel estimate ``(1/P) sum_j phi_j(x) phi_j(x')``, i.e. ``Fbar @ Fbar^T``."""
-    E = F.entries
-    G = E @ E.T
-    return 0.5 * (G + G.T)

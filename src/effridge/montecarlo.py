@@ -1,24 +1,22 @@
 """Monte Carlo harness: repeated random-feature fits and the statistics compared to theory.
 
-Each trial draws a fresh feature matrix (jointly over train and test points),
-fits the ridge solution at every requested ridge, and evaluates it on the test
-grid.  Draws come in fixed-size chunks, one per numpy call, and each serves
-every ridge.  Moments are accumulated with Welford updates in fixed trial
-order, so results are deterministic, numerically stable, and reproducible from
-the configuration alone.
+Each trial draws a fresh Gaussian feature matrix (jointly over train and test
+points), fits the ridge solution at every requested ridge, and evaluates it on
+the test grid.  Draws come in fixed-size chunks, one per numpy call, and each
+serves every ridge.  Moments are accumulated with Welford updates in fixed
+trial order, so results are deterministic, numerically stable, and
+reproducible from the configuration alone.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .effective_ridge import EffectiveRidge, theta_norm_theory
 from .errors import EffridgeError, InvalidInputError
-from .features import SeedPolicy, gaussian_features, normal_chunks, sample_fourier_features
+from .features import SeedPolicy, gaussian_features, normal_chunks
 from .kernels import Dataset, GramSpectrum, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf, predict_rf
 
@@ -31,10 +29,9 @@ class TrialStats:
     """Running moments of the sampled predictor across trials.
 
     Variance fields hold sample variances (``ddof=1``) and are ``None`` when
-    only one trial was run.  ``config_digest`` fingerprints the generating
-    configuration so downstream reports can assert provenance.  ``samples``
-    holds the joint ``[train; test]`` predictions of the first
-    ``min(_FAN_SAMPLES, trials)`` trials, one row per trial.
+    only one trial was run.  ``samples`` holds the joint ``[train; test]``
+    predictions of the first ``min(_FAN_SAMPLES, trials)`` trials, one row per
+    trial.
     """
 
     mean_prediction: np.ndarray
@@ -43,7 +40,6 @@ class TrialStats:
     var_theta_norm_sq: float | None
     mean_train_prediction: np.ndarray
     trials: int
-    config_digest: str
     var_train_prediction: np.ndarray | None = None
     samples: np.ndarray | None = None
 
@@ -53,14 +49,12 @@ class RiskReport:
     """Bias-variance split of the expected test risk over feature sampling.
 
     ``expected_risk`` is the sum of the risk of the mean predictor and the
-    mean predictor variance; ``discrepancy`` is ``expected_risk - krr_risk``.
+    mean predictor variance.
     """
 
     risk_of_mean: float
     mean_variance: float
     expected_risk: float
-    krr_risk: float
-    discrepancy: float
 
 
 class _Welford:
@@ -83,12 +77,6 @@ class _Welford:
         return self.m2 / (self.count - 1)
 
 
-def config_digest(**fields) -> str:
-    """Stable 16-hex-digit fingerprint of a trial configuration."""
-    payload = json.dumps(fields, sort_keys=True, default=repr).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def run_trials(
     dataset: Dataset,
     test_X: np.ndarray,
@@ -97,23 +85,19 @@ def run_trials(
     lams: list[float],
     trials: int,
     base_seed: int,
-    feature_kind: str = "gaussian",
 ) -> list[TrialStats]:
     """Fit the random-feature predictor across seeds and accumulate its moments, per ridge.
 
     Trial ``t`` uses the stream derived from ``(base_seed, t)``; its one
     feature draw is fitted at every ridge of ``lams``, and the result holds
     one ``TrialStats`` per ridge, in order, each equal to that of a one-ridge
-    call.  Gaussian features share one joint Gram square root computed up
-    front and are drawn a chunk at a time; Fourier features resample
-    frequencies and phases per trial.
+    call.  The features share one joint Gram square root computed up front
+    and are drawn a chunk at a time.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     if P < 1:
         raise InvalidInputError("need at least one feature")
-    if feature_kind not in ("gaussian", "fourier"):
-        raise InvalidInputError(f"unknown feature kind {feature_kind!r}")
     if len(lams) == 0:
         raise InvalidInputError("need at least one ridge")
     for lam in lams:
@@ -125,20 +109,12 @@ def run_trials(
     N = dataset.n
     X_all = np.vstack([dataset.X, test_X])
     M = X_all.shape[0]
-    policy = SeedPolicy(base_seed)
-
-    if feature_kind == "gaussian":
-        joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
-        draws = (
-            entries
-            for _, W in normal_chunks(policy, trials, (P, M))
-            for entries in gaussian_features(joint_root, W)
-        )
-    else:
-        draws = (
-            sample_fourier_features(X_all, kernel.lengthscale, P, policy.shifted(t), n_train=N).entries
-            for t in range(trials)
-        )
+    joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
+    draws = (
+        entries
+        for _, W in normal_chunks(SeedPolicy(base_seed), trials, (P, M))
+        for entries in gaussian_features(joint_root, W)
+    )
 
     joint_accs = [_Welford(M) for _ in lams]
     norm_accs = [_Welford(()) for _ in lams]
@@ -162,16 +138,6 @@ def run_trials(
         var_norm = norm_acc.variance()
         if var_joint is not None:
             var_joint = np.maximum(var_joint, 0.0)
-        digest = config_digest(
-            n_train=N,
-            n_test=test_X.shape[0],
-            kernel=(kernel.kind, kernel.lengthscale),
-            P=P,
-            lam=lam,
-            trials=trials,
-            base_seed=base_seed,
-            feature_kind=feature_kind,
-        )
         out.append(
             TrialStats(
                 mean_prediction=joint_acc.mean[N:],
@@ -180,7 +146,6 @@ def run_trials(
                 var_theta_norm_sq=None if var_norm is None else float(max(var_norm, 0.0)),
                 mean_train_prediction=joint_acc.mean[:N],
                 trials=trials,
-                config_digest=digest,
                 var_train_prediction=None if var_joint is None else var_joint[:N],
                 samples=np.array(kept),
             )
@@ -197,12 +162,11 @@ def estimate_risk(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean((predictions - targets) ** 2))
 
 
-def bias_variance_decompose(stats: TrialStats, f_star: np.ndarray, krr_risk: float = float("nan")) -> RiskReport:
+def bias_variance_decompose(stats: TrialStats, f_star: np.ndarray) -> RiskReport:
     """Split the expected risk into the risk of the mean predictor plus mean variance.
 
     The identity ``expected_risk = risk_of_mean + mean_variance`` holds by
-    construction on the empirical moments.  ``krr_risk`` is carried through
-    for reporting; pass the risk of the matching kernel predictor when known.
+    construction on the empirical moments.
     """
     f_star = np.asarray(f_star, dtype=float).ravel()
     if f_star.shape != stats.mean_prediction.shape:
@@ -213,13 +177,10 @@ def bias_variance_decompose(stats: TrialStats, f_star: np.ndarray, krr_risk: flo
         raise InvalidInputError("variance undefined with fewer than two trials")
     risk_of_mean = estimate_risk(stats.mean_prediction, f_star)
     mean_variance = float(np.mean(stats.var_prediction))
-    expected_risk = risk_of_mean + mean_variance
     return RiskReport(
         risk_of_mean=risk_of_mean,
         mean_variance=mean_variance,
-        expected_risk=expected_risk,
-        krr_risk=float(krr_risk),
-        discrepancy=expected_risk - float(krr_risk),
+        expected_risk=risk_of_mean + mean_variance,
     )
 
 

@@ -139,31 +139,16 @@ def predict_krr(model: KRRModel, k_cross: np.ndarray) -> np.ndarray:
     return k_cross @ model.coefficients
 
 
-def posterior_kernel(
-    spec: GramSpectrum, k_x: np.ndarray, k_xx: float, k_x2: np.ndarray | None = None
-) -> float:
-    """Posterior covariance of the feature process given its values on the data.
-
-    Returns ``K(x, x') - K(x, X) K(X, X)^{-1} K(X, x')`` where ``k_x`` and
-    ``k_x2`` are the cross-kernel vectors of x and x' (``k_x2`` defaults to
-    ``k_x``) and ``k_xx`` is ``K(x, x')``.  Zero at training points.
-    """
-    k_x = np.asarray(k_x, dtype=float).ravel()
-    other = k_x if k_x2 is None else np.asarray(k_x2, dtype=float).ravel()
-    if k_x.shape[0] != spec.n or other.shape[0] != spec.n:
-        raise InvalidInputError("cross-kernel vector length does not match the spectrum")
-    return float(k_xx - k_x @ apply_inverse(spec, other))
-
-
 def posterior_kernel_diag(
     spec: GramSpectrum, k_cross: np.ndarray, k_xx_diag: np.ndarray | float
 ) -> np.ndarray:
-    """Posterior variances at many points at once; the vectorized diagonal case.
+    """Posterior variances ``K(x, x) - K(x, X) K(X, X)^{-1} K(X, x)`` of the feature process.
 
-    ``k_cross`` holds one cross-kernel row per evaluation point and
-    ``k_xx_diag`` the matching prior variances (a scalar broadcasts).
-    Values are clipped at zero: exact zeros at training points otherwise
-    round to tiny negatives.
+    They are conditioned on the process's values on the data, so they vanish
+    at training points.  ``k_cross`` holds one cross-kernel row per
+    evaluation point and ``k_xx_diag`` the matching prior variances (a scalar
+    broadcasts).  Values are clipped at zero: exact zeros at training points
+    otherwise round to tiny negatives.
     """
     k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
     if k_cross.shape[1] != spec.n:

@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from effridge.cli import (
     EXPERIMENTS,
@@ -316,6 +320,42 @@ class TestMainExitCodes:
         assert "trial 0" not in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment, config, field",
+        [
+            ("average-rf", {"trials": "3"}, "trials"),
+            ("average-rf", {"trials": 2.7}, "trials"),
+            ("average-rf", {"base_seed": "x"}, "base_seed"),
+            ("average-rf", {"base_seed": 1.5}, "base_seed"),
+            ("average-rf", {"dataset": {"type": "sinusoid", "n": "4"}}, "dataset.n"),
+            ("average-rf", {"dataset": {"type": "sinusoid", "n": 4.0}}, "dataset.n"),
+            ("average-rf", {"dataset": {"type": "clusters", "dim": "5"}}, "dataset.dim"),
+            ("average-rf", {"dataset": {"type": "clusters", "separation": "3"}}, "dataset.separation"),
+            ("average-rf", {"kernel": {"kind": "rbf", "lengthscale": "2"}}, "kernel.lengthscale"),
+            ("average-rf", {"dataset": {"type": "sinusoid", "n_test": 2.5}}, "dataset.n_test"),
+            ("solve", {"dataset": {"type": "spectrum", "n": 20.5}}, "dataset.n"),
+            ("average-rf", {"dataset": {"type": "sinusoid", "nn": 4}}, "'nn'"),
+            ("average-rf", {"kernel": {"kind": "rbf", "lenghtscale": 2.0}}, "'lenghtscale'"),
+            ("average-rf", {"dataset": {"type": "csv", "path": 5}}, "dataset.path"),
+            ("stieltjes", {"p_grid": [1000000000000]}, "P = 1000000000000"),
+            ("stieltjes", {"p_grid": [1e300]}, f"P = {int(1e300)}:"),
+            ("average-rf", {"gamma_grid": [1e12]}, "P = 4000000000000"),
+            ("average-rf", {"gamma_grid": [1e308]}, "gamma_grid"),
+        ],
+        ids=["trials-string", "trials-fraction", "seed-string", "seed-fraction", "n-string",
+             "n-float", "dim-string", "separation-string", "lengthscale-string", "n_test-fraction",
+             "spectrum-n-fraction", "dataset-typo", "kernel-typo", "csv-path-number",
+             "p-huge", "p-1e300", "gamma-huge", "gamma-overflow"],
+    )
+    def test_bad_field_is_1(self, experiment, config, field, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert field in err
+        assert "Traceback" not in err
+
     def test_io_error_is_2(self, tmp_path, capsys):
         # A path beneath a regular file cannot be created, whatever the privileges.
         blocker = tmp_path / "blocker"
@@ -334,3 +374,76 @@ class TestMainExitCodes:
         code = main(["solve", "--trials", "1", "--out", str(tmp_path / "x")])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+# Values of the wrong type or out of range for any config field.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(),
+    st.integers(-3, 3),
+    st.lists(st.integers(-1, 3), max_size=2),
+    st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+)
+
+
+def _or_junk(valid):
+    """Mostly a valid value, so that many configs pass validation and run; one time in five junk."""
+    return st.tuples(valid, JUNK, st.integers(0, 4)).map(lambda t: t[1] if t[2] == 4 else t[0])
+
+
+def _with_typo(descriptors):
+    """Mostly the descriptors themselves; one time in five with an unknown key added."""
+    return st.tuples(descriptors, JUNK, st.integers(0, 4)).map(
+        lambda t: {**t[0], "bogus": t[1]} if t[2] == 4 else t[0]
+    )
+
+
+def _descriptor(required, optional):
+    """A descriptor with small valid values, junk values and now and then an unknown key."""
+    return _with_typo(st.fixed_dictionaries(
+        {k: _or_junk(v) for k, v in required.items()},
+        optional={k: _or_junk(v) for k, v in optional.items()},
+    ))
+
+
+DATASETS = _or_junk(st.one_of(
+    _descriptor({"type": st.just("sinusoid")}, {"n": st.integers(1, 5), "n_test": st.integers(1, 8)}),
+    _descriptor(
+        {"type": st.just("clusters")},
+        {"n": st.integers(2, 6), "n_test": st.integers(2, 6), "dim": st.integers(1, 3),
+         "separation": st.floats(0.0, 5.0)},
+    ),
+    _descriptor({"type": st.just("spectrum")},
+                {"kind": st.sampled_from(["exponential", "polynomial"]), "n": st.integers(1, 12)}),
+    _descriptor({"type": st.just("csv")}, {"path": st.just("missing.csv"), "n_test": st.integers(0, 2)}),
+))
+CONFIGS = _with_typo(st.fixed_dictionaries(
+    # trials is always present: the defaults run hundreds of trials.
+    {"trials": _or_junk(st.integers(1, 3))},
+    optional={
+        "dataset": DATASETS,
+        "kernel": _or_junk(_descriptor({}, {"kind": st.just("rbf"), "lengthscale": st.floats(0.5, 5.0)})),
+        "gamma_grid": _or_junk(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), max_size=3)),
+        "p_grid": _or_junk(st.lists(st.integers(1, 20), max_size=3)),
+        "lambda_list": _or_junk(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0]), max_size=2)),
+        "base_seed": _or_junk(st.integers(0, 5)),
+        "output_dir": JUNK,
+    },
+))
+
+
+class TestMainFuzz:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(experiment=st.sampled_from(EXPERIMENTS), config=CONFIGS)
+    def test_any_config_ends_in_an_exit_code(self, experiment, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([experiment, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

@@ -16,7 +16,6 @@ from effridge import (
     ridgeless_limit,
     solve_effective_ridge,
     spectral_decompose,
-    theoretical_variance_term,
     theta_norm_theory,
 )
 
@@ -249,21 +248,16 @@ class TestCalibrate:
 
 
 class TestVarianceTerm:
-    def test_zero_posterior_variance(self):
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
-        inp = SpectrumInput(np.ones(2), 1.0, 0.1)
-        assert theoretical_variance_term(spec, np.ones(2), inp, 0.0, 2) == 0.0
-
     def test_zero_labels(self):
         spec = spectral_decompose(GramMatrix(np.eye(2)))
-        inp = SpectrumInput(np.ones(2), 1.0, 0.1)
-        assert theoretical_variance_term(spec, np.zeros(2), inp, 0.5, 2) == 0.0
+        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        assert theta_norm_theory(spec, np.zeros(2), eff) * 0.5 / 2 == 0.0
 
     def test_equal_spectrum_composition(self):
         # composition of the solved ridge, its derivative, and the quadratic form
         spec = spectral_decompose(GramMatrix(np.eye(2)))
-        inp = SpectrumInput(np.ones(2), 1.0, 0.1)
-        val = theoretical_variance_term(spec, np.ones(2), inp, 0.5, 2)
+        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        val = theta_norm_theory(spec, np.ones(2), eff) * 0.5 / 2
         lt = EQUAL_LT_G1_L01
         deriv = fd_derivative(np.ones(2), 1.0, 0.1)
         expected = deriv * (2.0 / (lt + 1.0) ** 2) / 2 * 0.5
@@ -275,16 +269,3 @@ class TestVarianceTerm:
         eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
         val = theta_norm_theory(spec, np.ones(2), eff)
         assert val == pytest.approx(2.2796489996607274, rel=1e-9)
-
-    def test_variance_term_factors_through_theta_norm(self):
-        # the variance term is exactly (theta-norm prediction) * Ktilde / P
-        rng = np.random.default_rng(9)
-        G = rng.normal(size=(5, 5))
-        spec = spectral_decompose(GramMatrix(G @ G.T + np.eye(5)))
-        y = rng.normal(size=5)
-        inp = SpectrumInput(spec.eigenvalues, 1.7, 0.2)
-        eff = solve_effective_ridge(inp)
-        ktilde, P = 0.37, 8
-        assert theoretical_variance_term(spec, y, inp, ktilde, P) == pytest.approx(
-            theta_norm_theory(spec, y, eff) * ktilde / P, rel=1e-12
-        )

@@ -6,11 +6,15 @@ from effridge import (
     InvalidInputError,
     SeedPolicy,
     derive_stream_seed,
-    empirical_kernel,
-    sample_fourier_features,
     sample_gaussian_features,
 )
-from effridge.features import CHUNK_ELEMENTS, StreamSampler, gaussian_features, normal_chunks
+from effridge.features import (
+    CHUNK_ELEMENTS,
+    MAX_DRAW_ELEMENTS,
+    StreamSampler,
+    gaussian_features,
+    normal_chunks,
+)
 
 
 class TestSeedDerivation:
@@ -82,7 +86,7 @@ class TestGaussianFeatures:
         # with joint Gram = I, (1/P-normalized) F F^T estimates the identity
         M, P = 5, 100_000
         F = sample_gaussian_features(np.eye(M), P, M, SeedPolicy(11, 0))
-        est = empirical_kernel(F)
+        est = F.entries @ F.entries.T
         assert np.max(np.abs(est - np.eye(M))) < 0.02
 
     def test_covariance_matches_target_gram(self):
@@ -91,7 +95,7 @@ class TestGaussianFeatures:
         w, V = np.linalg.eigh(K)
         root = (V * np.sqrt(w)) @ V.T
         F = sample_gaussian_features(root, 200_000, 2, SeedPolicy(12, 0))
-        assert np.max(np.abs(empirical_kernel(F) - K)) < 0.02
+        assert np.max(np.abs(F.entries @ F.entries.T - K)) < 0.02
 
     def test_entry_means_vanish_over_trials(self):
         # centered features: per-entry averages across trials go to zero
@@ -117,66 +121,7 @@ class TestGaussianFeatures:
         assert np.max(np.abs(cov - K)) < 3.0 / np.sqrt(trials) * P
 
 
-class TestFourierFeatures:
-    def test_amplitude_bound(self):
-        X = np.linspace(0, 5, 20)[:, None]
-        F = sample_fourier_features(X, lengthscale=2.0, P=64, policy=SeedPolicy(0, 0))
-        # raw feature values are sqrt(2) cos(.) before the 1/sqrt(P) aggregate scale
-        raw = F.entries * np.sqrt(F.n_features)
-        assert np.all(np.abs(raw) <= np.sqrt(2.0) + 1e-12)
-
-    def test_same_point_kernel_estimate(self):
-        X = np.array([[0.7]])
-        F = sample_fourier_features(X, lengthscale=2.0, P=100_000, policy=SeedPolicy(1, 0))
-        est = empirical_kernel(F)[0, 0]
-        assert est == pytest.approx(1.0, abs=0.02)
-
-    def test_unit_separation_matches_rbf(self):
-        # d=1, lengthscale 2, |x - x'| = 1: kernel exp(-1/2)
-        X = np.array([[0.0], [1.0]])
-        F = sample_fourier_features(X, lengthscale=2.0, P=100_000, policy=SeedPolicy(2, 0))
-        est = empirical_kernel(F)[0, 1]
-        assert est == pytest.approx(np.exp(-0.5), abs=0.02)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(InvalidInputError):
-            sample_fourier_features(np.zeros((2, 1)), lengthscale=0.0, P=3, policy=SeedPolicy(0, 0))
-        with pytest.raises(InvalidInputError):
-            sample_fourier_features(np.zeros((2, 1)), lengthscale=1.0, P=0, policy=SeedPolicy(0, 0))
-
-    def test_deterministic(self):
-        X = np.linspace(0, 1, 4)[:, None]
-        a = sample_fourier_features(X, 1.0, 7, SeedPolicy(9, 4))
-        b = sample_fourier_features(X, 1.0, 7, SeedPolicy(9, 4))
-        assert np.array_equal(a.entries, b.entries)
-
-    def test_convergence_rate(self):
-        # entrywise error to the RBF kernel shrinks about like P^{-1/2}
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(8, 2))
-        Kd = np.exp(-((X[:, None, :] - X[None, :, :]) ** 2).sum(-1) / 2.0)
-        errs = []
-        for P in (100, 1000, 10_000):
-            F = sample_fourier_features(X, 2.0, P, SeedPolicy(3, 0))
-            errs.append(np.max(np.abs(empirical_kernel(F) - Kd)))
-        slope = np.polyfit(np.log([100, 1000, 10_000]), np.log(errs), 1)[0]
-        assert -0.9 < slope < -0.2
-
-
 class TestEmpiricalKernel:
-    def test_rank_one(self):
-        from effridge.features import FeatureMatrix
-
-        v = np.array([[1.0], [2.0], [-0.5]])
-        F = FeatureMatrix(entries=v, n_train=3, seed=0)
-        assert np.allclose(empirical_kernel(F), v @ v.T)
-
-    def test_symmetric_psd(self):
-        F = sample_gaussian_features(np.eye(4), 6, 4, SeedPolicy(4, 0))
-        G = empirical_kernel(F)
-        assert np.array_equal(G, G.T)
-        assert np.min(np.linalg.eigvalsh(G)) > -1e-12
-
     def test_gaussian_rate_fit(self):
         # max-abs error to the target Gram decreases about like P^{-1/2}
         rng = np.random.default_rng(6)
@@ -187,7 +132,7 @@ class TestEmpiricalKernel:
         errs = []
         for P in (100, 1000, 10_000):
             F = sample_gaussian_features(root, P, 8, SeedPolicy(8, 0))
-            errs.append(np.max(np.abs(empirical_kernel(F) - K)))
+            errs.append(np.max(np.abs(F.entries @ F.entries.T - K)))
         slope = np.polyfit(np.log([100, 1000, 10_000]), np.log(errs), 1)[0]
         assert -0.9 < slope < -0.2
 
@@ -237,3 +182,9 @@ class TestNormalChunks:
         F = sample_gaussian_features(root, 5, 2, policy)
         W = StreamSampler(policy).normal((5, 4))
         assert np.array_equal(F.entries, (root @ W.T) / np.sqrt(5))
+
+    def test_draw_above_the_limit_is_refused_before_sampling(self):
+        # two normals over the limit; the refusal names P and the shape
+        P = MAX_DRAW_ELEMENTS // 2 + 1
+        with pytest.raises(InvalidInputError, match=rf"P = {P}: one draw of shape \({P}, 2\)"):
+            next(normal_chunks(SeedPolicy(0, 0), 2, (P, 2)))

@@ -13,7 +13,6 @@ from effridge import (
     fit_rf,
     generate_sinusoid,
     gram_matrix,
-    posterior_kernel,
     posterior_kernel_diag,
     predict_krr,
     predict_rf,
@@ -146,29 +145,16 @@ class TestPosteriorKernel:
         X = rng.normal(size=(5, 2))
         kernel = KernelSpec("rbf", 2.0)
         spec = spectral_decompose(gram_matrix(kernel, X))
-        k_x = gram_matrix(kernel, X, X[2:3]).ravel()
-        assert posterior_kernel(spec, k_x, 1.0) == pytest.approx(0.0, abs=1e-8)
+        k_cross = gram_matrix(kernel, X[2:3], X)
+        assert posterior_kernel_diag(spec, k_cross, 1.0)[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_far_point_keeps_prior_variance(self):
         spec = spectral_decompose(GramMatrix(np.eye(3)))
-        assert posterior_kernel(spec, np.zeros(3), 1.0) == pytest.approx(1.0)
+        assert posterior_kernel_diag(spec, np.zeros((1, 3)), 1.0)[0] == pytest.approx(1.0)
 
     def test_scalar_case(self):
         spec = spectral_decompose(GramMatrix(np.array([[1.0]])))
-        assert posterior_kernel(spec, np.array([0.5]), 1.0) == pytest.approx(0.75)
-
-    def test_diag_helper_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        X = rng.normal(size=(4, 1))
-        Xt = rng.normal(size=(3, 1))
-        kernel = KernelSpec("rbf", 1.0)
-        spec = spectral_decompose(gram_matrix(kernel, X))
-        k_cross = gram_matrix(kernel, Xt, X)
-        diag = posterior_kernel_diag(spec, k_cross, 1.0)
-        for i in range(3):
-            assert diag[i] == pytest.approx(
-                max(posterior_kernel(spec, k_cross[i], 1.0), 0.0), abs=1e-12
-            )
+        assert posterior_kernel_diag(spec, np.array([[0.5]]), 1.0)[0] == pytest.approx(0.75)
 
 
 class TestConditionalMoments:
