@@ -37,7 +37,7 @@ from .errors import (
     NumericError,
     SingularGramError,
 )
-from .features import SeedPolicy
+from .features import MAX_ELEMENTS, SeedPolicy
 from .kernels import (
     Dataset,
     KernelSpec,
@@ -262,26 +262,35 @@ def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(kind=cfg.kernel.get("kind", "rbf"), lengthscale=cfg.kernel.get("lengthscale"))
 
 
+def _check_size(field: str, what: str, elements: int) -> None:
+    """Refuse, naming the field, a spectrum or joint Gram of more than ``MAX_ELEMENTS`` entries."""
+    if elements > MAX_ELEMENTS:
+        raise InvalidInputError(f"{field}: {what} of {elements} elements is above the limit of {MAX_ELEMENTS}")
+
+
 def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
-    """Materialize a data-backed dataset plus its test grid."""
+    """Materialize a data-backed dataset plus its test grid, once the size of their joint Gram is checked."""
     ds = cfg.dataset
     kind = ds["type"]
     if kind == "sinusoid":
-        return generate_sinusoid(
-            n=ds.get("n", 4), n_test=ds.get("n_test", 100), seed=cfg.base_seed
-        )
+        n, n_test = ds.get("n", 4), ds.get("n_test", 100)
+        _check_size("dataset.n + dataset.n_test", "the joint Gram", (n + n_test) ** 2)
+        return generate_sinusoid(n=n, n_test=n_test, seed=cfg.base_seed)
     if kind == "clusters":
+        n, n_test = ds.get("n", 100), ds.get("n_test", 100)
+        _check_size("dataset.n + dataset.n_test", "the joint Gram", (n + n_test) ** 2)
         return generate_clusters(
-            n=ds.get("n", 100),
-            n_test=ds.get("n_test", 100),
+            n=n,
+            n_test=n_test,
             dim=ds.get("dim", 5),
             separation=ds.get("separation", 3.0),
             seed=cfg.base_seed,
         )
     if kind == "csv":
         data = load_dataset_csv(ds["path"])
-        # Hold out the trailing rows as the test grid when requested.
+        # Hold out the trailing rows as the test grid when requested, else test on the training rows.
         n_test = ds.get("n_test", 0)
+        _check_size("dataset.path", "the joint Gram", (data.n if n_test else 2 * data.n) ** 2)
         if n_test:
             if n_test >= data.n:
                 raise InvalidInputError("n_test must leave at least one training row")
@@ -296,7 +305,9 @@ def _resolve_spectrum(cfg: ExperimentConfig) -> np.ndarray:
     """Eigenvalues for theory-side experiments: direct decay laws or a dataset's Gram."""
     ds = cfg.dataset
     if ds["type"] == "spectrum":
-        return generate_spectrum(ds.get("kind", "exponential"), ds.get("n", 20))
+        n = ds.get("n", 20)
+        _check_size("dataset.n", "a spectrum", n)
+        return generate_spectrum(ds.get("kind", "exponential"), n)
     data, _ = _resolve_data(cfg)
     spec = spectral_decompose(gram_matrix(_kernel_from(cfg), data.X))
     return spec.eigenvalues
@@ -306,10 +317,12 @@ def _prefix(cfg: ExperimentConfig, N, P, gamma, lam):
     return dict(zip(PREFIX_COLUMNS, (cfg.experiment, N, P, gamma, lam, cfg.base_seed, cfg.trials)))
 
 
-def _round_features(gamma: float, N: int) -> int:
-    if not np.isfinite(gamma * N):
-        raise InvalidInputError(f"gamma_grid value {gamma} times N = {N} overflows the feature count")
-    return max(1, int(round(gamma * N)))
+def _feature_counts(cfg: ExperimentConfig, N: int) -> list[float]:
+    """``gamma * N`` for every gamma of the grid, refused up front if one overflows."""
+    for gamma in cfg.gamma_grid:
+        if not np.isfinite(gamma * N):
+            raise InvalidInputError(f"gamma_grid value {gamma} times N = {N} overflows the feature count")
+    return [gamma * N for gamma in cfg.gamma_grid]
 
 
 @contextmanager
@@ -331,12 +344,13 @@ def _row_context(**keys):
 def _run_solve(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
+    Ps = _feature_counts(cfg, N)
     rows = []
     for lam in cfg.lambda_list:
-        for gamma in cfg.gamma_grid:
+        for gamma, P in zip(cfg.gamma_grid, Ps):
             with _row_context(gamma=gamma, ridge=lam):
                 eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-            row = _prefix(cfg, N, gamma * N, gamma, lam)
+            row = _prefix(cfg, N, P, gamma, lam)
             row.update(
                 lambda_tilde=eff.lambda_tilde,
                 d_lambda_tilde=eff.d_lambda_tilde,
@@ -350,9 +364,10 @@ def _run_solve(cfg: ExperimentConfig):
 def _run_calibrate(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
+    Ps = _feature_counts(cfg, N)
     rows = []
     for lam_star in cfg.lambda_list:
-        for gamma in cfg.gamma_grid:
+        for gamma, P in zip(cfg.gamma_grid, Ps):
             try:
                 lam = calibrate_ridge(d, gamma, lam_star)
             except InfeasibleTargetError as exc:
@@ -360,7 +375,7 @@ def _run_calibrate(cfg: ExperimentConfig):
                 continue
             with _row_context(gamma=gamma, target=lam_star):
                 eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-            row = _prefix(cfg, N, gamma * N, gamma, lam)
+            row = _prefix(cfg, N, P, gamma, lam)
             row.update(
                 lambda_star=lam_star,
                 roundtrip_lambda_tilde=eff.lambda_tilde,
@@ -383,31 +398,25 @@ def _sampled_data(cfg: ExperimentConfig):
 def _mc_theory_context(cfg: ExperimentConfig):
     """Shared setup of the Monte Carlo experiments compared with kernel ridge regression."""
     data, test_X, kernel = _sampled_data(cfg)
-    gram = gram_matrix(kernel, data.X)
-    spec = spectral_decompose(gram)
+    spec = spectral_decompose(gram_matrix(kernel, data.X))
     k_cross = gram_matrix(kernel, test_X, data.X)
-    return data, test_X, kernel, gram, spec, k_cross
+    return data, test_X, kernel, spec, k_cross
 
 
 def _sampled_points(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, kernel: KernelSpec):
     """``(lam, P, stats)`` per grid point, ridge-major as the rows are written.
 
-    One ``run_trials`` call per feature count fits each draw at every ridge.
+    One ``run_trials`` call fits each draw at every feature count and ridge.
     """
-    N = data.n
-    Ps = [_round_features(gamma, N) for gamma in cfg.gamma_grid]
-    by_P = {}
-    for P in Ps:
-        if P not in by_P:
-            with _row_context(gamma=P / N, P=P):
-                by_P[P] = run_trials(data, test_X, kernel, P, cfg.lambda_list, cfg.trials, cfg.base_seed)
+    Ps = [max(1, int(round(P))) for P in _feature_counts(cfg, data.n)]
+    stats = run_trials(data, test_X, kernel, Ps, cfg.lambda_list, cfg.trials, cfg.base_seed)
     for i, lam in enumerate(cfg.lambda_list):
         for P in Ps:
-            yield lam, P, by_P[P][i]
+            yield lam, P, stats[P][i]
 
 
 def _run_average_rf(cfg: ExperimentConfig):
-    data, test_X, kernel, gram, spec, k_cross = _mc_theory_context(cfg)
+    data, test_X, kernel, spec, k_cross = _mc_theory_context(cfg)
     N = data.n
     try:
         q_norm_sq = inv_kernel_norm_sq(spec, data.y)
@@ -423,7 +432,7 @@ def _run_average_rf(cfg: ExperimentConfig):
         g_actual = P / N
         with _row_context(gamma=g_actual, ridge=lam, P=P):
             eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
-            krr = fit_krr(gram, data.y, eff.lambda_tilde)
+            krr = fit_krr(spec, data.y, eff.lambda_tilde)
             krr_pred = predict_krr(krr, k_cross)
         max_abs, rmse = compare_average_to_krr(stats, krr_pred)
         band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / cfg.trials))
@@ -447,7 +456,7 @@ def _run_average_rf(cfg: ExperimentConfig):
 
 
 def _run_double_descent(cfg: ExperimentConfig):
-    data, test_X, kernel, gram, spec, k_cross = _mc_theory_context(cfg)
+    data, test_X, kernel, spec, k_cross = _mc_theory_context(cfg)
     N = data.n
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []
@@ -455,7 +464,7 @@ def _run_double_descent(cfg: ExperimentConfig):
         g_actual = P / N
         with _row_context(gamma=g_actual, ridge=lam, P=P):
             eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
-            krr_pred = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
+            krr_pred = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
         report = bias_variance_decompose(stats, data.f_star)
         var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
         row = _prefix(cfg, N, P, g_actual, lam)

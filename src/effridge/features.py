@@ -30,9 +30,9 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # Normals per chunk of draws.  A fixed element budget, independent of the core
 # count, so the chunking, and with it every result, is the same on any machine.
 CHUNK_ELEMENTS = 2**14
-# Normals in one draw at most: 2^26 uniforms take 512 MiB.  A larger draw is an
-# input error, reported before anything is allocated.
-MAX_DRAW_ELEMENTS = 2**26
+# Entries of one feature draw, spectrum or joint Gram at most (2^26 float64 take
+# 512 MiB).  A larger array is an input error, reported before it is allocated.
+MAX_ELEMENTS = 2**26
 
 
 def _mix64(x: int) -> int:
@@ -117,15 +117,15 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
     bit for bit.  ``B = max(1, CHUNK_ELEMENTS // (rows * cols))`` depends on
     the shape only; the last chunk holds the remaining trials.  ``rows`` is
-    the feature count P, and a draw above ``MAX_DRAW_ELEMENTS`` normals raises
+    the feature count P, and a draw above ``MAX_ELEMENTS`` normals raises
     :class:`InvalidInputError`.
     """
     rows, cols = shape
     n = rows * cols
-    if n > MAX_DRAW_ELEMENTS:
+    if n > MAX_ELEMENTS:
         raise InvalidInputError(
             f"P = {rows}: one draw of shape ({rows}, {cols}) has {n} normals, "
-            f"above the limit of {MAX_DRAW_ELEMENTS}"
+            f"above the limit of {MAX_ELEMENTS}"
         )
     size = max(1, CHUNK_ELEMENTS // n)
     pairs = (n + 1) // 2

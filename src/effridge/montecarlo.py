@@ -1,11 +1,13 @@
 """Monte Carlo harness: repeated random-feature fits and the statistics compared to theory.
 
 Each trial draws a fresh Gaussian feature matrix (jointly over train and test
-points), fits the ridge solution at every requested ridge, and evaluates it on
-the test grid.  Draws come in fixed-size chunks, one per numpy call, and each
-serves every ridge.  Moments are accumulated with Welford updates in fixed
-trial order, so results are deterministic, numerically stable, and
-reproducible from the configuration alone.
+points) at every requested feature count, fits the ridge solution at every
+requested ridge, and evaluates it on the test grid.  Draws come in chunks
+whose size depends on the draw's shape only, and each draw's feature Gram is
+formed once for every ridge.  Each chunk's mean and sum of squared
+deviations merge into the running moments by the pairwise update of Chan,
+Golub & LeVeque (1979), in fixed chunk order, so results are deterministic,
+numerically stable, and reproducible from the configuration alone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .effective_ridge import EffectiveRidge, theta_norm_theory
 from .errors import EffridgeError, InvalidInputError
 from .features import SeedPolicy, gaussian_features, normal_chunks
 from .kernels import Dataset, GramSpectrum, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
-from .predictors import fit_rf, predict_rf
+from .predictors import fit_rf_stacked
 
 # Leading trials whose joint predictions TrialStats keeps as individual draws.
 _FAN_SAMPLES = 10
@@ -57,46 +59,42 @@ class RiskReport:
     expected_risk: float
 
 
-class _Welford:
-    """Streaming mean / second central moment for scalars or fixed-shape vectors."""
+def _merge(mean, m2, count: int, chunk: np.ndarray):
+    """Merge a chunk of samples, stacked on the first axis, into a running mean and sum of squared deviations.
 
-    def __init__(self, shape):
-        self.count = 0
-        self.mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
-
-    def add(self, value):
-        self.count += 1
-        delta = value - self.mean
-        self.mean = self.mean + delta / self.count
-        self.m2 = self.m2 + delta * (value - self.mean)
-
-    def variance(self):
-        if self.count < 2:
-            return None
-        return self.m2 / (self.count - 1)
+    ``mean`` and ``m2`` summarize ``count`` earlier samples; the update is the
+    pairwise one of Chan, Golub & LeVeque (1979).
+    """
+    n = len(chunk)
+    chunk_mean = np.mean(chunk, axis=0)
+    chunk_m2 = np.sum((chunk - chunk_mean) ** 2, axis=0)
+    delta = chunk_mean - mean
+    total = count + n
+    return mean + delta * (n / total), m2 + chunk_m2 + delta * delta * (count * n / total)
 
 
 def run_trials(
     dataset: Dataset,
     test_X: np.ndarray,
     kernel: KernelSpec,
-    P: int,
+    Ps: list[int],
     lams: list[float],
     trials: int,
     base_seed: int,
-) -> list[TrialStats]:
-    """Fit the random-feature predictor across seeds and accumulate its moments, per ridge.
+) -> dict[int, list[TrialStats]]:
+    """Fit the random-feature predictor across seeds and accumulate its moments, per feature count and ridge.
 
-    Trial ``t`` uses the stream derived from ``(base_seed, t)``; its one
-    feature draw is fitted at every ridge of ``lams``, and the result holds
-    one ``TrialStats`` per ridge, in order, each equal to that of a one-ridge
-    call.  The features share one joint Gram square root computed up front
-    and are drawn a chunk at a time.
+    Trial ``t`` uses the stream derived from ``(base_seed, t)``; at each
+    feature count ``P`` of ``Ps`` its one feature draw is fitted at every
+    ridge of ``lams``.  The result maps each distinct ``P`` to one
+    ``TrialStats`` per ridge, in order, each equal to that of a one-ridge,
+    one-``P`` call.  Every feature count shares one joint Gram square root,
+    computed up front.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    if P < 1:
+    Ps = list(dict.fromkeys(Ps))
+    if len(Ps) == 0 or min(Ps) < 1:
         raise InvalidInputError("need at least one feature")
     if len(lams) == 0:
         raise InvalidInputError("need at least one ridge")
@@ -108,48 +106,39 @@ def run_trials(
         raise InvalidInputError("test points and training points have different dimension")
     N = dataset.n
     X_all = np.vstack([dataset.X, test_X])
-    M = X_all.shape[0]
     joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
-    draws = (
-        entries
-        for _, W in normal_chunks(SeedPolicy(base_seed), trials, (P, M))
-        for entries in gaussian_features(joint_root, W)
-    )
-
-    joint_accs = [_Welford(M) for _ in lams]
-    norm_accs = [_Welford(()) for _ in lams]
-    samples = [[] for _ in lams]
-    for t, entries in enumerate(draws):
-        for lam, joint_acc, norm_acc, kept in zip(lams, joint_accs, norm_accs, samples):
+    out = {}
+    for P in Ps:
+        joint_mean = joint_m2 = norm_mean = norm_m2 = 0.0
+        kept = []
+        for t0, W in normal_chunks(SeedPolicy(base_seed), trials, (P, X_all.shape[0])):
             try:
-                model = fit_rf(entries[:N], dataset.y, lam)
-                preds = predict_rf(model, entries[N:])
+                thetas = fit_rf_stacked(gaussian_features(joint_root[:N], W), dataset.y, lams)
             except EffridgeError as exc:
-                raise type(exc)(f"ridge {lam}, trial {t}: {exc}") from exc
-            joint = np.concatenate([model.train_predictions, preds])
-            joint_acc.add(joint)
-            norm_acc.add(model.theta_norm_sq)
-            if t < _FAN_SAMPLES:
-                kept.append(joint)
-
-    out = []
-    for lam, joint_acc, norm_acc, kept in zip(lams, joint_accs, norm_accs, samples):
-        var_joint = joint_acc.variance()
-        var_norm = norm_acc.variance()
-        if var_joint is not None:
-            var_joint = np.maximum(var_joint, 0.0)
-        out.append(
+                raise type(exc)(f"P {P}, ridges {lams}, trials {t0}-{t0 + len(W) - 1}: {exc}") from exc
+            # Joint predictions (draw, ridge, point) F_joint theta = root W^T theta / sqrt(P),
+            # which needs no joint feature block; one product per draw and ridge.
+            Wt = W.transpose(0, 2, 1)
+            joint = np.stack([(joint_root @ (Wt @ theta[:, :, None]))[:, :, 0] for theta in thetas], axis=1)
+            joint /= np.sqrt(P)
+            joint_mean, joint_m2 = _merge(joint_mean, joint_m2, t0, joint)
+            norm_mean, norm_m2 = _merge(norm_mean, norm_m2, t0, np.sum(thetas * thetas, axis=2).T)
+            kept.append(joint[: max(0, _FAN_SAMPLES - t0)])
+        var_joint, var_norm = (joint_m2 / (trials - 1), norm_m2 / (trials - 1)) if trials > 1 else (None, None)
+        samples = np.concatenate(kept)
+        out[P] = [
             TrialStats(
-                mean_prediction=joint_acc.mean[N:],
-                var_prediction=None if var_joint is None else var_joint[N:],
-                mean_theta_norm_sq=float(norm_acc.mean),
-                var_theta_norm_sq=None if var_norm is None else float(max(var_norm, 0.0)),
-                mean_train_prediction=joint_acc.mean[:N],
+                mean_prediction=joint_mean[i, N:],
+                var_prediction=None if var_joint is None else var_joint[i, N:],
+                mean_theta_norm_sq=float(norm_mean[i]),
+                var_theta_norm_sq=None if var_norm is None else float(var_norm[i]),
+                mean_train_prediction=joint_mean[i, :N],
                 trials=trials,
-                var_train_prediction=None if var_joint is None else var_joint[:N],
-                samples=np.array(kept),
+                var_train_prediction=None if var_joint is None else var_joint[i, :N],
+                samples=samples[:, i],
             )
-        )
+            for i in range(len(lams))
+        ]
     return out
 
 

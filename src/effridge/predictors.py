@@ -1,10 +1,14 @@
 """Closed-form ridge predictors: random-feature regression and kernel ridge regression.
 
-Both predictors are linear solves.  Random-feature fits use whichever of the
-primal ``(F^T F + lambda I)^{-1} F^T y`` and dual ``F^T (F F^T + lambda I)^{-1} y``
-forms is cheaper; they agree to rounding.  Ridgeless fits (``lambda = 0``) take
-the minimum-norm least-squares solution through an SVD pseudoinverse with
-relative cutoff ``1e-10`` so the limit is deterministic.
+A random-feature fit solves its ridge system on the Gram of the feature block's
+shorter side, ``F F^T`` (dual) or ``F^T F`` (primal), which agree by the
+push-through identity; one Gram per draw serves every ridge, each ridge one
+batched solve.  Ridgeless fits (``lambda = 0``) take the minimum-norm
+least-squares solution through the Gram's eigendecomposition, with a relative
+eigenvalue cutoff ``RIDGELESS_CUTOFF`` so the limit is deterministic.  Kernel
+ridge regression is a spectral filter on the Gram's eigendecomposition
+``K = U diag(d) U^T``, which every caller already holds:
+``alpha = U diag(1 / (d + lambda)) U^T y``.
 """
 
 from __future__ import annotations
@@ -12,32 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import InvalidInputError, SingularGramError
+from .errors import InvalidInputError, NumericError, SingularGramError
 from .features import FeatureMatrix
-from .kernels import GramMatrix, GramSpectrum, SINGULAR_FLOOR_REL, apply_inverse
+from .kernels import GramSpectrum, SINGULAR_FLOOR_REL, apply_inverse
 
 RIDGELESS_CUTOFF = 1e-10
-
-
-def _sym_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve symmetric positive definite ``A x = b`` by Cholesky plus one refinement step.
-
-    Gram matrices here are ill-conditioned by design (fast-decaying spectra),
-    so a single iterative-refinement pass buys back most of the lost digits.
-    LAPACK ``dpotrf``/``dpotrs`` are called directly: they are the routines
-    scipy's ``cho_factor``/``cho_solve`` wrap, without the wrappers' cost on
-    the small systems of a Monte Carlo fit.
-    """
-    factor, info = dpotrf(A, lower=1, clean=0)
-    if info > 0:
-        raise SingularGramError(
-            f"symmetric solve failed: {info}-th leading minor of the array is not positive definite"
-        )
-    x = dpotrs(factor, b, lower=1)[0]
-    r = b - A @ x
-    return x + dpotrs(factor, r, lower=1)[0]
 
 
 @dataclass(frozen=True)
@@ -62,12 +46,45 @@ class KRRModel:
     lam: float
 
 
+def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
+    """Ridge parameters of every draw in a stack ``F_train`` of shape (B, N, P), at every ridge.
+
+    Returns ``theta`` of shape ``(len(lams), B, P)``.  Each draw's Gram on its
+    shorter side, ``G = F F^T`` (N <= P) or ``F^T F`` (N > P), is formed once
+    and serves every ridge: ``theta = F^T (G + lam I)^{-1} y`` or
+    ``(G + lam I)^{-1} F^T y``, one batched solve per ridge.  At ``lam = 0``
+    the inverse is the pseudoinverse ``U diag(1/e) U^T`` of ``G = U diag(e) U^T``
+    with eigenvalues at or below ``RIDGELESS_CUTOFF`` times the largest
+    counted as zero, which gives the minimum-norm least-squares solution.
+    The products are batched, one per draw, so a draw gets the same bits in
+    any stack.
+    """
+    Ft = F_train.transpose(0, 2, 1)
+    tall = F_train.shape[1] > F_train.shape[2]
+    G = Ft @ F_train if tall else F_train @ Ft
+    b = Ft @ y[:, None] if tall else y[:, None]
+    thetas = []
+    try:
+        for lam in lams:
+            if lam == 0.0:
+                e, U = np.linalg.eigh(G)
+                h = np.divide(1.0, e, out=np.zeros_like(e), where=e > RIDGELESS_CUTOFF * e[:, -1:])
+                z = U @ (h[:, :, None] * (U.transpose(0, 2, 1) @ b))
+            else:
+                z = np.linalg.solve(G + lam * np.eye(G.shape[-1]), b)
+            thetas.append((z if tall else Ft @ z)[:, :, 0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"ridge fit failed: {exc}") from exc
+    return np.array(thetas)
+
+
 def fit_rf(F_train: np.ndarray, y: np.ndarray, lam: float) -> RFModel:
     """Minimize ``||F theta - y||^2 + lam * ||theta||^2`` in closed form.
 
-    For ``lam = 0`` returns the minimum-norm least-squares solution (SVD
-    pseudoinverse, relative cutoff ``RIDGELESS_CUTOFF``); in the
-    overparameterized full-rank case this interpolates the labels.
+    For ``lam = 0`` returns the minimum-norm least-squares solution (relative
+    cutoff ``RIDGELESS_CUTOFF`` on the squared singular values); in the
+    overparameterized full-rank case this interpolates the labels.  This is
+    the one-draw case of ``fit_rf_stacked``.
     """
     F = np.asarray(F_train, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -77,19 +94,11 @@ def fit_rf(F_train: np.ndarray, y: np.ndarray, lam: float) -> RFModel:
         raise InvalidInputError("non-finite values in the fit inputs")
     if lam < 0:
         raise InvalidInputError("ridge must be nonnegative")
-    N, P = F.shape
-    if lam == 0.0:
-        theta, *_ = np.linalg.lstsq(F, y, rcond=RIDGELESS_CUTOFF)
-    elif N <= P:
-        alpha = _sym_solve(F @ F.T + lam * np.eye(N), y)
-        theta = F.T @ alpha
-    else:
-        theta = _sym_solve(F.T @ F + lam * np.eye(P), F.T @ y)
-    yhat = F @ theta
+    theta = fit_rf_stacked(F[None], y, [lam])[0, 0]
     return RFModel(
         theta_hat=theta,
         lam=float(lam),
-        train_predictions=yhat,
+        train_predictions=F @ theta,
         theta_norm_sq=float(theta @ theta),
     )
 
@@ -102,33 +111,22 @@ def predict_rf(model: RFModel, F_eval: np.ndarray) -> np.ndarray:
     return F_eval @ model.theta_hat
 
 
-def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float, pseudoinverse: bool = False) -> KRRModel:
-    """Solve ``(K + lam I) alpha = y``.
+def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> KRRModel:
+    """Solve ``(K + lam I) alpha = y`` through the Gram's spectrum: ``U diag(1 / (d + lam)) U^T y``.
 
-    With ``lam = 0`` a strictly positive spectrum is required unless
-    ``pseudoinverse=True``, in which case the spectral pseudoinverse provides
-    the residual-optimal coefficients for a singular Gram.
+    With ``lam = 0`` a numerically singular spectrum (an eigenvalue at or
+    below ``SINGULAR_FLOOR_REL`` times the largest) raises SingularGramError.
     """
     if lam < 0:
         raise InvalidInputError("ridge must be nonnegative")
     y = np.asarray(y, dtype=float).ravel()
-    K = gram.entries
-    if y.shape[0] != K.shape[0]:
+    if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the Gram")
-    if lam == 0.0:
-        d = np.linalg.eigvalsh(K)  # ascending
-        dmin, dmax = float(d[0]), float(d[-1])
-        if dmax <= 0 or dmin <= SINGULAR_FLOOR_REL * dmax:
-            if not pseudoinverse:
-                raise SingularGramError(
-                    "ridgeless kernel regression on a numerically singular Gram; pass pseudoinverse=True"
-                )
-            alpha, *_ = np.linalg.lstsq(K, y, rcond=RIDGELESS_CUTOFF)
-            return KRRModel(coefficients=alpha, lam=0.0)
-        alpha = _sym_solve(K, y)
-        return KRRModel(coefficients=alpha, lam=0.0)
-    alpha = _sym_solve(K + lam * np.eye(K.shape[0]), y)
-    return KRRModel(coefficients=alpha, lam=float(lam))
+    d = spec.eigenvalues
+    if lam == 0.0 and not d[-1] > SINGULAR_FLOOR_REL * d[0]:
+        raise SingularGramError("ridgeless kernel regression on a numerically singular Gram")
+    U = spec.eigenvectors
+    return KRRModel(coefficients=U @ ((U.T @ y) / (d + lam)), lam=float(lam))
 
 
 def predict_krr(model: KRRModel, k_cross: np.ndarray) -> np.ndarray:

@@ -202,10 +202,10 @@ def empirical_expected_A(
     """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]``.
 
     Trials use consecutive stream seeds starting at ``policy`` and are drawn
-    and solved a chunk at a time; the average is accumulated in trial order,
-    symmetrized, and eigendecomposed.  The primal and dual forms of the hat
-    matrix coincide; the ``N x N`` dual form ``G (G + lam I)^{-1}`` with
-    ``G = F F^T`` is used when ``P > N``.
+    a chunk at a time.  Whatever the shape, each draw's hat matrix is taken
+    in the ``N x N`` dual form ``(G + lam I)^{-1} G`` with ``G = F F^T``
+    (equal to ``G (G + lam I)^{-1}``); the chunks' sums are accumulated in
+    order, averaged, symmetrized, and eigendecomposed.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
@@ -214,17 +214,10 @@ def empirical_expected_A(
     N = spec.n
     root = sqrt_gram(spec)
     acc = np.zeros((N, N))
-    eye = np.eye(min(N, P))
     for _, W in normal_chunks(policy, trials, (P, N)):
         F = gaussian_features(root, W)
-        Ft = F.transpose(0, 2, 1)
-        if P > N:
-            G = F @ Ft
-            for A in np.linalg.solve(G + lam * eye, G).transpose(0, 2, 1):
-                acc += A
-        else:
-            for f, inner in zip(F, np.linalg.solve(Ft @ F + lam * eye, Ft)):
-                acc += f @ inner
+        G = F @ F.transpose(0, 2, 1)
+        acc += np.sum(np.linalg.solve(G + lam * np.eye(N), G), axis=0)
     acc /= trials
     acc = 0.5 * (acc + acc.T)
     return np.linalg.eigvalsh(acc)[::-1]

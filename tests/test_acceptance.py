@@ -225,9 +225,9 @@ def _agreement_grid(data, test_X, kernel, trials, seed):
     for lam in (0.1, 1.0):
         for gamma in (0.5, 1.0, 2.0, 4.0):
             P = max(1, round(gamma * data.n))
-            stats = e.run_trials(data, test_X, kernel, P, [lam], trials, seed)[0]
+            stats = e.run_trials(data, test_X, kernel, [P], [lam], trials, seed)[P][0]
             eff = e.solve_effective_ridge(e.SpectrumInput(spec.eigenvalues, P / data.n, lam))
-            pred = e.predict_krr(e.fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
+            pred = e.predict_krr(e.fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
             _, rmse = e.compare_average_to_krr(stats, pred)
             band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / trials))
             if rmse > band:
@@ -250,9 +250,9 @@ def test_criterion_07_average_predictor_agreement():
     for rep in range(5):
         max_abs = []
         for P in (4, 8):
-            stats = e.run_trials(sdata, stest, KERNEL_SIN, P, [0.1], 6000, 100 + rep)[0]
+            stats = e.run_trials(sdata, stest, KERNEL_SIN, [P], [0.1], 6000, 100 + rep)[P][0]
             eff = e.solve_effective_ridge(e.SpectrumInput(spec.eigenvalues, P / 4, 0.1))
-            pred = e.predict_krr(e.fit_krr(gram, sdata.y, eff.lambda_tilde), k_cross)
+            pred = e.predict_krr(e.fit_krr(spec, sdata.y, eff.lambda_tilde), k_cross)
             max_abs.append(e.compare_average_to_krr(stats, pred)[0])
         wins += max_abs[1] < max_abs[0]
     elapsed = time.monotonic() - t0
@@ -267,9 +267,9 @@ def test_criterion_07_average_predictor_agreement():
 
 def test_criterion_08_ridgeless_unbiasedness():
     data, test_X = e.generate_sinusoid(4, 100, seed=1)
-    stats = e.run_trials(data, test_X, KERNEL_SIN, 16, [0.0], 500, 0)[0]
-    gram = e.gram_matrix(KERNEL_SIN, data.X)
-    pred0 = e.predict_krr(e.fit_krr(gram, data.y, 0.0), e.gram_matrix(KERNEL_SIN, test_X, data.X))
+    stats = e.run_trials(data, test_X, KERNEL_SIN, [16], [0.0], 500, 0)[16][0]
+    spec = e.spectral_decompose(e.gram_matrix(KERNEL_SIN, data.X))
+    pred0 = e.predict_krr(e.fit_krr(spec, data.y, 0.0), e.gram_matrix(KERNEL_SIN, test_X, data.X))
     band = e.monte_carlo_band(stats)
     worst = float(np.max(np.abs(stats.mean_prediction - pred0) / band))
     _report(8, worst <= 1.0, f"max |mean RF - ridgeless KRR| / (3-sigma band) = {worst:.2f} (<= 1)")
@@ -281,7 +281,7 @@ def test_criterion_09_parameter_norm_rate():
     for P in (20, 80, 320):
         n = P // 2
         data, test_X = e.generate_sinusoid(n, 5, seed=1)
-        stats = e.run_trials(data, test_X, KERNEL_SIN, P, [lam], 300, 3)[0]
+        stats = e.run_trials(data, test_X, KERNEL_SIN, [P], [lam], 300, 3)[P][0]
         spec = e.spectral_decompose(e.gram_matrix(KERNEL_SIN, data.X))
         eff = e.solve_effective_ridge(e.SpectrumInput(spec.eigenvalues, P / n, lam))
         _, _, gap = e.theta_norm_check(stats, spec, data.y, eff)
@@ -296,7 +296,7 @@ def test_criterion_10_double_descent():
     for lam in (1e-4, 0.5):
         for gamma in (0.25, 1.0, 4.0):
             P = max(1, round(gamma * 4))
-            stats = e.run_trials(data, test_X, KERNEL_SIN, P, [lam], 2000, 0)[0]
+            stats = e.run_trials(data, test_X, KERNEL_SIN, [P], [lam], 2000, 0)[P][0]
             variances[(lam, gamma)] = float(np.mean(stats.var_prediction))
     peak_ridgeless = (
         variances[(1e-4, 1.0)] > variances[(1e-4, 0.25)]

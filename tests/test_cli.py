@@ -155,6 +155,23 @@ class TestArtifacts:
         for experiment in EXPERIMENTS:
             assert (tmp_path / experiment / "results.csv").exists()
 
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only numeric dependency: with every scipy import made to
+        # fail, a small average-rf run (a ridgeless ridge included) still succeeds.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_grid": [2.0, 4.0], "lambda_list": [0.0, 0.1], "trials": 3}))
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from effridge.cli import main\n"
+            f"sys.exit(main(['average-rf', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]))\n"
+        )
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "results.csv").exists()
+
     def test_csv_round_trips_to_identical_values(self, tmp_path):
         _, artifacts = run_fast("solve", tmp_path)
         text = artifacts["results"].read_text()
@@ -341,11 +358,17 @@ class TestMainExitCodes:
             ("stieltjes", {"p_grid": [1e300]}, f"P = {int(1e300)}:"),
             ("average-rf", {"gamma_grid": [1e12]}, "P = 4000000000000"),
             ("average-rf", {"gamma_grid": [1e308]}, "gamma_grid"),
+            ("solve", {"dataset": {"type": "spectrum", "n": 1000000000000000}}, "dataset.n"),
+            ("average-rf", {"dataset": {"type": "sinusoid", "n_test": 10**5}}, "dataset.n_test"),
+            ("double-descent", {"dataset": {"type": "clusters", "n": 10**5}}, "dataset.n"),
+            ("solve", {"gamma_grid": [1.0, 1e308]}, "gamma_grid"),
+            ("calibrate", {"gamma_grid": [1.0, 1e308]}, "gamma_grid"),
         ],
         ids=["trials-string", "trials-fraction", "seed-string", "seed-fraction", "n-string",
              "n-float", "dim-string", "separation-string", "lengthscale-string", "n_test-fraction",
              "spectrum-n-fraction", "dataset-typo", "kernel-typo", "csv-path-number",
-             "p-huge", "p-1e300", "gamma-huge", "gamma-overflow"],
+             "p-huge", "p-1e300", "gamma-huge", "gamma-overflow", "spectrum-n-huge",
+             "n_test-huge", "clusters-n-huge", "solve-gamma-overflow", "calibrate-gamma-overflow"],
     )
     def test_bad_field_is_1(self, experiment, config, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -354,6 +377,22 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert field in err
+        assert "Traceback" not in err
+
+    def test_csv_above_the_size_limit_is_1(self, tmp_path, capsys, monkeypatch):
+        # Checked once the file is read; without held-out rows the joint Gram
+        # covers every row twice: (2 * 6)^2 = 144 elements.
+        import effridge.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 143)
+        data = tmp_path / "data.csv"
+        data.write_text("x_0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(6)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "csv", "path": str(data)}}))
+        code = main(["average-rf", "--config", str(path), "--trials", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "dataset.path" in err and "144 elements" in err
         assert "Traceback" not in err
 
     def test_io_error_is_2(self, tmp_path, capsys):

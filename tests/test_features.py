@@ -10,7 +10,7 @@ from effridge import (
 )
 from effridge.features import (
     CHUNK_ELEMENTS,
-    MAX_DRAW_ELEMENTS,
+    MAX_ELEMENTS,
     StreamSampler,
     gaussian_features,
     normal_chunks,
@@ -185,6 +185,6 @@ class TestNormalChunks:
 
     def test_draw_above_the_limit_is_refused_before_sampling(self):
         # two normals over the limit; the refusal names P and the shape
-        P = MAX_DRAW_ELEMENTS // 2 + 1
+        P = MAX_ELEMENTS // 2 + 1
         with pytest.raises(InvalidInputError, match=rf"P = {P}: one draw of shape \({P}, 2\)"):
             next(normal_chunks(SeedPolicy(0, 0), 2, (P, 2)))

@@ -17,7 +17,7 @@ from effridge import (
     spectral_decompose,
     theta_norm_check,
 )
-from effridge.montecarlo import _Welford
+from effridge.montecarlo import _merge
 
 
 KERNEL = KernelSpec("rbf", 2.0)
@@ -25,7 +25,7 @@ KERNEL = KernelSpec("rbf", 2.0)
 
 def sinusoid_stats(P=8, lam=0.1, trials=50, seed=0, n=4, n_test=20):
     data, test_X = generate_sinusoid(n, n_test, seed=1)
-    stats = run_trials(data, test_X, KERNEL, P, [lam], trials, seed)[0]
+    stats = run_trials(data, test_X, KERNEL, [P], [lam], trials, seed)[P][0]
     return data, test_X, stats
 
 
@@ -44,15 +44,15 @@ class TestEstimateRisk:
             estimate_risk([1.0], [1.0, 2.0])
 
 
-class TestWelford:
+class TestMoments:
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60), st.integers(0, 100))
-    def test_matches_numpy(self, values, _):
-        acc = _Welford(())
-        for v in values:
-            acc.add(v)
-        assert float(acc.mean) == pytest.approx(np.mean(values), rel=1e-10, abs=1e-9)
-        assert float(acc.variance()) == pytest.approx(np.var(values, ddof=1), rel=1e-8, abs=1e-9)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60), st.integers(1, 7))
+    def test_matches_numpy(self, values, chunk):
+        mean = m2 = 0.0
+        for i in range(0, len(values), chunk):
+            mean, m2 = _merge(mean, m2, i, np.array(values[i : i + chunk]))
+        assert float(mean) == pytest.approx(np.mean(values), rel=1e-10, abs=1e-9)
+        assert float(m2 / (len(values) - 1)) == pytest.approx(np.var(values, ddof=1), rel=1e-8, abs=1e-9)
 
 
 class TestRunTrials:
@@ -64,8 +64,8 @@ class TestRunTrials:
 
     def test_single_trial_mean_is_the_sample(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
-        stats = run_trials(data, test_X, KERNEL, 6, [0.1], 1, 3)[0]
-        stats2 = run_trials(data, test_X, KERNEL, 6, [0.1], 2, 3)[0]
+        stats = run_trials(data, test_X, KERNEL, [6], [0.1], 1, 3)[6][0]
+        stats2 = run_trials(data, test_X, KERNEL, [6], [0.1], 2, 3)[6][0]
         # the first trial contributes identically in both runs
         assert np.allclose(stats.mean_prediction * 1.0, stats.mean_prediction)
         assert np.array_equal(stats.mean_prediction, stats.samples[0, data.n :])
@@ -74,7 +74,7 @@ class TestRunTrials:
     def test_interpolation_when_overparameterized_ridgeless(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         for trials in (1, 3, 7):
-            stats = run_trials(data, test_X, KERNEL, 8, [0.0], trials, 0)[0]
+            stats = run_trials(data, test_X, KERNEL, [8], [0.0], trials, 0)[8][0]
             assert np.max(np.abs(stats.mean_train_prediction - data.y)) < 1e-6
 
     def test_reproducible_bit_identical(self):
@@ -93,13 +93,13 @@ class TestRunTrials:
         from effridge import fit_krr, predict_krr
 
         data, test_X = generate_sinusoid(4, 100, seed=1)
-        stats = run_trials(data, test_X, KERNEL, 100, [1e-4], 500, 0)[0]
+        stats = run_trials(data, test_X, KERNEL, [100], [1e-4], 500, 0)[100][0]
         gram = gram_matrix(KERNEL, data.X)
         k_cross = gram_matrix(KERNEL, test_X, data.X)
         spec = spectral_decompose(gram)
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 25.0, 1e-4))
-        pred_eff = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
-        pred_zero = predict_krr(fit_krr(gram, data.y, 0.0), k_cross)
+        pred_eff = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
+        pred_zero = predict_krr(fit_krr(spec, data.y, 0.0), k_cross)
         band = monte_carlo_band(stats)
         assert np.all(np.abs(stats.mean_prediction - pred_eff) <= band + 1e-12)
         offset = np.abs(pred_eff - pred_zero)
@@ -117,7 +117,7 @@ class TestRunTrials:
         ktilde = posterior_kernel_diag(spec, k_cross, 1.0)
         for lam in (0.1, 0.5):
             P = 16
-            stats = run_trials(data, test_X, KERNEL, P, [lam], 1500, 0)[0]
+            stats = run_trials(data, test_X, KERNEL, [P], [lam], 1500, 0)[P][0]
             eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, lam))
             theory = theta_norm_theory(spec, data.y, eff) / P * ktilde
             assert np.all(stats.var_prediction >= 0.5 * theory)
@@ -125,9 +125,9 @@ class TestRunTrials:
     def test_rejects_bad_inputs(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         with pytest.raises(InvalidInputError):
-            run_trials(data, test_X, KERNEL, 0, [0.1], 3, 0)[0]
+            run_trials(data, test_X, KERNEL, [0], [0.1], 3, 0)
         with pytest.raises(InvalidInputError):
-            run_trials(data, test_X, KERNEL, 4, [0.1], 0, 0)[0]
+            run_trials(data, test_X, KERNEL, [4], [0.1], 0, 0)
 
 
 class TestBiasVarianceDecompose:
@@ -205,9 +205,9 @@ class TestCompareAverageToKRR:
         for rep in range(reps):
             gaps = []
             for P in (4, 8):
-                stats = run_trials(data, test_X, KERNEL, P, [0.1], 3000, 100 + rep)[0]
+                stats = run_trials(data, test_X, KERNEL, [P], [0.1], 3000, 100 + rep)[P][0]
                 eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.1))
-                krr_pred = predict_krr(fit_krr(gram, data.y, eff.lambda_tilde), k_cross)
+                krr_pred = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
                 gaps.append(compare_average_to_krr(stats, krr_pred)[0])
             wins += gaps[1] < gaps[0]
         assert wins >= 4
@@ -217,7 +217,7 @@ class TestThetaNormCheck:
     def test_zero_labels(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         zero_data = type(data)(X=data.X, y=np.zeros(4), f_star=data.f_star)
-        stats = run_trials(zero_data, test_X, KERNEL, 4, [0.1], 5, 0)[0]
+        stats = run_trials(zero_data, test_X, KERNEL, [4], [0.1], 5, 0)[4][0]
         spec = spectral_decompose(gram_matrix(KERNEL, data.X))
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 1.0, 0.1))
         emp, theo, gap = theta_norm_check(stats, spec, np.zeros(4), eff)
@@ -237,7 +237,7 @@ class TestThetaNormCheck:
         gram = gram_matrix(KERNEL, data.X)
         spec = spectral_decompose(gram)
         P = 64
-        stats = run_trials(data, test_X, KERNEL, P, [0.5], 600, 0)[0]
+        stats = run_trials(data, test_X, KERNEL, [P], [0.5], 600, 0)[P][0]
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.5))
         emp, theo, gap = theta_norm_check(stats, spec, data.y, eff)
         noise = 3 * np.sqrt(stats.var_theta_norm_sq / stats.trials)
@@ -262,10 +262,10 @@ class TestRunTrialsRidges:
     )
     def test_ridges_equal_one_ridge_calls(self, P, lams, trials):
         data, test_X = generate_sinusoid(4, 100, seed=1)
-        joint = run_trials(data, test_X, KERNEL, P, lams, trials, 5)
+        joint = run_trials(data, test_X, KERNEL, [P], lams, trials, 5)[P]
         assert len(joint) == len(lams)
         for lam, stats in zip(lams, joint):
-            (single,) = run_trials(data, test_X, KERNEL, P, [lam], trials, 5)
+            (single,) = run_trials(data, test_X, KERNEL, [P], [lam], trials, 5)[P]
             for field in self.FIELDS:
                 a, b = getattr(stats, field), getattr(single, field)
                 assert np.array_equal(a, b), field
@@ -280,22 +280,35 @@ class TestRunTrialsRidges:
         monkeypatch.setattr(mc, "normal_chunks", no_sampling)
         data, test_X = generate_sinusoid(4, 10, seed=1)
         with pytest.raises(InvalidInputError, match="ridge") as info:
-            run_trials(data, test_X, KERNEL, 4, [0.1, bad], 3, 0)
+            run_trials(data, test_X, KERNEL, [4], [0.1, bad], 3, 0)
         assert "trial" not in str(info.value)
 
     def test_fit_failure_names_ridge_and_trial(self, monkeypatch):
         import effridge.montecarlo as mc
-        from effridge import SingularGramError, fit_rf
+        from effridge import NumericError
+        from effridge.predictors import fit_rf_stacked
 
         calls = []
 
-        def fit_once(F, y, lam):
-            calls.append(lam)
-            if len(calls) == 4:
-                raise SingularGramError("synthetic")
-            return fit_rf(F, y, lam)
+        def fit_once(F, y, lams):
+            calls.append(len(F))
+            if len(calls) == 3:
+                raise NumericError("synthetic")
+            return fit_rf_stacked(F, y, lams)
 
-        monkeypatch.setattr(mc, "fit_rf", fit_once)
+        monkeypatch.setattr(mc, "fit_rf_stacked", fit_once)
         data, test_X = generate_sinusoid(4, 10, seed=1)
-        with pytest.raises(SingularGramError, match=r"^ridge 1\.0, trial 1: synthetic$"):
-            run_trials(data, test_X, KERNEL, 4, [0.1, 1.0], 3, 0)
+        # P = 4 runs one chunk of 3 trials; P = 400 runs chunks of 2 and 1 (5,600 normals a draw).
+        with pytest.raises(NumericError, match=r"^P 400, ridges \[0\.1, 1\.0\], trials 2-2: synthetic$"):
+            run_trials(data, test_X, KERNEL, [4, 400], [0.1, 1.0], 3, 0)
+        assert calls == [3, 2, 1]
+
+    def test_feature_counts_equal_one_count_calls(self):
+        # One call over several P (repeats included) gives each P the stats of its own call.
+        data, test_X = generate_sinusoid(4, 20, seed=1)
+        joint = run_trials(data, test_X, KERNEL, [8, 3, 8], [0.0, 0.5], 25, 2)
+        assert list(joint) == [8, 3]
+        for P, stats in joint.items():
+            for a, b in zip(stats, run_trials(data, test_X, KERNEL, [P], [0.0, 0.5], 25, 2)[P]):
+                for field in self.FIELDS:
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), field

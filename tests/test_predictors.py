@@ -20,7 +20,7 @@ from effridge import (
     spectral_decompose,
     sqrt_gram,
 )
-from effridge.predictors import _sym_solve
+from effridge.predictors import RIDGELESS_CUTOFF, fit_rf_stacked
 
 
 class TestFitRF:
@@ -115,28 +115,25 @@ class TestPredictRF:
 class TestKRR:
     def test_identity_gram(self):
         y = np.array([2.0, -4.0])
-        model = fit_krr(GramMatrix(np.eye(2)), y, 1.0)
+        model = fit_krr(spectral_decompose(GramMatrix(np.eye(2))), y, 1.0)
         assert np.allclose(model.coefficients, y / 2)
         assert np.allclose(predict_krr(model, np.eye(2)), y / 2)
 
     def test_ridgeless_interpolation(self):
         K = np.array([[2.0, 0.5], [0.5, 1.0]])
         y = np.array([1.0, -1.0])
-        model = fit_krr(GramMatrix(K), y, 0.0)
+        model = fit_krr(spectral_decompose(GramMatrix(K)), y, 0.0)
         assert np.max(np.abs(predict_krr(model, K) - y)) < 1e-8
 
     def test_diag_hand_solve(self):
-        model = fit_krr(GramMatrix(np.diag([2.0, 1.0])), np.array([1.0, 1.0]), 1.0)
+        model = fit_krr(spectral_decompose(GramMatrix(np.diag([2.0, 1.0]))), np.array([1.0, 1.0]), 1.0)
         assert np.allclose(model.coefficients, [1.0 / 3.0, 0.5], atol=1e-12)
 
     def test_singular_ridgeless_needs_flag(self):
         v = np.array([1.0, 1.0])
-        K = GramMatrix(np.outer(v, v))
+        spec = spectral_decompose(GramMatrix(np.outer(v, v)))
         with pytest.raises(SingularGramError):
-            fit_krr(K, np.array([1.0, 1.0]), 0.0)
-        model = fit_krr(K, np.array([1.0, 1.0]), 0.0, pseudoinverse=True)
-        # residual-optimal: K alpha reproduces y when y lies in the range
-        assert np.allclose(K.entries @ model.coefficients, [1.0, 1.0], atol=1e-10)
+            fit_krr(spec, np.array([1.0, 1.0]), 0.0)
 
 
 class TestPosteriorKernel:
@@ -228,27 +225,51 @@ class TestRidgelessUnbiasedness:
             model = fit_rf(feats.train, data.y, 0.0)
             acc[t] = predict_rf(model, feats.test)
         gram = gram_matrix(kernel, data.X)
-        krr = fit_krr(gram, data.y, 0.0)
+        krr = fit_krr(spectral_decompose(gram), data.y, 0.0)
         krr_pred = predict_krr(krr, gram_matrix(kernel, test_X, data.X))
         band = 3.0 * acc.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(acc.mean(axis=0) - krr_pred) <= band + 1e-12)
 
 
-class TestSymSolve:
+class TestStackedFit:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 24), st.integers(0, 2**32 - 1))
-    def test_equals_cho_factor_with_refinement(self, n, seed):
-        from scipy.linalg import cho_factor, cho_solve
-
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 7),
+        st.integers(-3, 3),
+        st.sampled_from([0.0, 1e-2, 1.0, 1e3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_lstsq_and_normal_equations(self, B, N, dP, lam, seed):
+        # Shapes with N < P, N = P and N > P; some draws rank-deficient, so the
+        # ridgeless cutoff decides.  Nonzero singular values lie in [0.5, 2] and
+        # the normal equations' condition number is at most (4 + lam) / lam <= 401,
+        # so both sides are accurate to well within 1e-10 relative.
+        P = max(1, N + dP)
+        k = min(N, P)
         rng = np.random.default_rng(seed)
-        F = rng.standard_normal((n, n + 3))
-        A = F @ F.T + 1e-3 * np.eye(n)
-        b = rng.standard_normal(n)
-        factor = cho_factor(A, lower=True, check_finite=False)
-        x = cho_solve(factor, b, check_finite=False)
-        x = x + cho_solve(factor, b - A @ x, check_finite=False)
-        assert np.array_equal(_sym_solve(A, b), x)
+        F = np.empty((B, N, P))
+        for b in range(B):
+            rank = rng.integers(1, k + 1)
+            U = np.linalg.qr(rng.standard_normal((N, k)))[0]
+            V = np.linalg.qr(rng.standard_normal((P, k)))[0]
+            s = np.where(np.arange(k) < rank, rng.uniform(0.5, 2.0, k), 0.0)
+            F[b] = (U * s) @ V.T
+        y = rng.standard_normal(N)
+        thetas = fit_rf_stacked(F, y, [lam])[0]
+        for f, theta in zip(F, thetas):
+            if lam == 0.0:
+                ref = np.linalg.lstsq(f, y, rcond=np.sqrt(RIDGELESS_CUTOFF))[0]
+            else:
+                ref = np.linalg.solve(f.T @ f + lam * np.eye(P), f.T @ y)
+            assert np.linalg.norm(theta - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
 
-    def test_not_positive_definite_raises(self):
-        with pytest.raises(SingularGramError, match="2-th leading minor"):
-            _sym_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+    @pytest.mark.parametrize("N, P", [(5, 4), (4, 5)])
+    def test_fit_rf_is_the_one_draw_case(self, N, P):
+        rng = np.random.default_rng(6)
+        F = rng.standard_normal((3, N, P))
+        y = rng.standard_normal(N)
+        thetas = fit_rf_stacked(F, y, [0.0, 0.3])
+        for i, lam in enumerate([0.0, 0.3]):
+            for f, theta in zip(F, thetas[i]):
+                assert np.array_equal(fit_rf(f, y, lam).theta_hat, theta)

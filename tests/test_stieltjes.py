@@ -268,7 +268,13 @@ class TestMoments:
 
 
 class TestBatchedDraws:
-    """The chunked Wishart and hat-matrix loops equal per-trial reference loops bit for bit."""
+    """The chunked Wishart and hat-matrix loops equal per-trial reference loops.
+
+    Wishart spectra agree bit for bit.  The hat matrix takes the ``N x N`` dual
+    form for every shape and sums a chunk at a time, while the reference takes
+    the primal form when ``P <= N`` and adds one trial at a time, so the two
+    agree to rounding.
+    """
 
     @pytest.mark.parametrize("P, trials", [(5, 70), (50, 13), (200, 3)])
     def test_wishart_batch_equals_single_draws(self, P, trials):
@@ -307,4 +313,6 @@ class TestBatchedDraws:
                 acc += F @ np.linalg.solve(F.T @ F + lam * np.eye(P), F.T)
         acc /= trials
         ref = np.linalg.eigvalsh(0.5 * (acc + acc.T))[::-1]
-        assert np.array_equal(empirical_expected_A(spec, P, lam, trials, policy), ref)
+        # Eigenvalues lie in [0, 1] and each reference solve has condition
+        # number at most (max s^2 + lam) / lam, about 1e3 here.
+        assert np.max(np.abs(empirical_expected_A(spec, P, lam, trials, policy) - ref)) <= 1e-12
