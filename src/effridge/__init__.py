@@ -56,7 +56,6 @@ from .effective_ridge import (
 )
 from .stieltjes import (
     StieltjesSolution,
-    WishartSample,
     empirical_expected_A,
     empirical_stieltjes,
     expected_A_theoretical,

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import generate_clusters, generate_sinusoid, generate_spectrum, load_dataset_csv
+from .datasets import generate_clusters, generate_sinusoid, generate_spectrum, read_csv_table
 from .effective_ridge import SpectrumInput, calibrate_ridge, solve_effective_ridge, theta_norm_theory
 from .errors import (
     EffridgeError,
@@ -44,7 +44,6 @@ from .kernels import (
     gram_matrix,
     inv_kernel_norm_sq,
     spectral_decompose,
-    GramSpectrum,
 )
 from .montecarlo import (
     bias_variance_decompose,
@@ -217,10 +216,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check_descriptor("kernel", cfg.kernel, _KERNEL_KEYS)
     _check_numbers("gamma_grid", cfg.gamma_grid, lambda v: v > 0, "positive finite numbers")
     _check_numbers("p_grid", cfg.p_grid, lambda v: v > 0 and v == int(v), "positive integers")
-    _check_numbers("lambda_list", cfg.lambda_list, lambda v: v >= 0, "nonnegative finite numbers")
+    uses_p = cfg.experiment in ("stieltjes", "expected-a")
+    if uses_p:
+        # The spectral experiments evaluate at z = -lambda, which must stay off zero.
+        _check_numbers("lambda_list", cfg.lambda_list, lambda v: v > 0, "positive finite numbers")
+    else:
+        _check_numbers("lambda_list", cfg.lambda_list, lambda v: v >= 0, "nonnegative finite numbers")
     if not cfg.lambda_list:
         raise InvalidInputError("lambda_list must be nonempty")
-    uses_p = cfg.experiment in ("stieltjes", "expected-a")
     if not (cfg.p_grid if uses_p else cfg.gamma_grid):
         raise InvalidInputError("the experiment's grid (gamma_grid or p_grid) must be nonempty")
     if not (_is_int(cfg.trials) and cfg.trials >= 1):
@@ -287,10 +290,12 @@ def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
             seed=cfg.base_seed,
         )
     if kind == "csv":
-        data = load_dataset_csv(ds["path"])
+        table = read_csv_table(ds["path"])
         # Hold out the trailing rows as the test grid when requested, else test on the training rows.
+        # Checked before the Dataset exists: its duplicate-row check forms an n x n distance matrix.
         n_test = ds.get("n_test", 0)
-        _check_size("dataset.path", "the joint Gram", (data.n if n_test else 2 * data.n) ** 2)
+        _check_size("dataset.path", "the joint Gram", (len(table) if n_test else 2 * len(table)) ** 2)
+        data = Dataset(X=table[:, :-1], y=table[:, -1])
         if n_test:
             if n_test >= data.n:
                 raise InvalidInputError("n_test must leave at least one training row")
@@ -487,9 +492,9 @@ def _run_stieltjes(cfg: ExperimentConfig):
     for P in cfg.p_grid:
         P = int(P)
         # Drawn once per P and shared by every ridge.
-        samples = sample_wishart(d, P, SeedPolicy(cfg.base_seed), cfg.trials)
+        spectra = sample_wishart(d, P, SeedPolicy(cfg.base_seed), cfg.trials)
         for lam in cfg.lambda_list:
-            mean, var = stieltjes_moments(samples, complex(-lam, 0.0))
+            mean, var = stieltjes_moments(spectra, P, complex(-lam, 0.0))
             gamma = P / N
             with _row_context(P=P, ridge=lam):
                 eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
@@ -509,24 +514,24 @@ def _run_stieltjes(cfg: ExperimentConfig):
 def _run_expected_a(cfg: ExperimentConfig):
     d = np.sort(_resolve_spectrum(cfg))[::-1]
     N = d.size
-    spec = GramSpectrum(eigenvalues=d, eigenvectors=np.eye(N), trace_mean=float(np.mean(d)))
+    Ps = [int(P) for P in cfg.p_grid]
+    # Drawn once per P and shared by every ridge.
+    emps = [empirical_expected_A(d, P, cfg.lambda_list, cfg.trials, SeedPolicy(cfg.base_seed)) for P in Ps]
     rows = []
-    for lam in cfg.lambda_list:
-        for P in cfg.p_grid:
-            P = int(P)
+    for j, lam in enumerate(cfg.lambda_list):
+        for P, emp in zip(Ps, emps):
             gamma = P / N
             with _row_context(P=P, ridge=lam):
                 eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-                emp = empirical_expected_A(spec, P, lam, cfg.trials, SeedPolicy(cfg.base_seed, 0))
             theory = expected_A_theoretical(d, eff.lambda_tilde)
             for i in range(N):
                 row = _prefix(cfg, N, P, gamma, lam)
                 row.update(
                     idx=i + 1,
                     d=d[i],
-                    d_tilde=emp[i],
+                    d_tilde=emp[j][i],
                     d_theory=theory[i],
-                    abs_gap=abs(emp[i] - theory[i]),
+                    abs_gap=abs(emp[j][i] - theory[i]),
                 )
                 rows.append(row)
     return rows

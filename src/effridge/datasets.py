@@ -73,13 +73,12 @@ def generate_spectrum(kind: str, n: int) -> np.ndarray:
     raise InvalidInputError(f"unknown spectrum kind {kind!r}")
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Parse a dataset from CSV with header ``x_0,...,x_{d-1},y``.
+def read_csv_table(path) -> np.ndarray:
+    """Parse a CSV file with header ``x_0,...,x_{d-1},y`` into an ``(n, d + 1)`` array.
 
     Rows keep their file order.  Any malformed header, non-numeric or
     non-finite cell, or inconsistent column count raises
-    :class:`CsvParseError` with the offending 1-based line number; duplicate
-    rows are rejected like every other dataset.
+    :class:`CsvParseError` with the offending 1-based line number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
@@ -108,5 +107,10 @@ def load_dataset_csv(path) -> Dataset:
         rows.append(values)
     if not rows:
         raise CsvParseError("no data rows", line=2)
-    arr = np.asarray(rows, dtype=float)
-    return Dataset(X=arr[:, :d], y=arr[:, d])
+    return np.asarray(rows, dtype=float)
+
+
+def load_dataset_csv(path) -> Dataset:
+    """The dataset in a CSV file (see ``read_csv_table``); duplicate rows are rejected as in every dataset."""
+    table = read_csv_table(path)
+    return Dataset(X=table[:, :-1], y=table[:, -1])

@@ -11,54 +11,40 @@ the unique solution inside the cone spanned by ``1`` and ``-1/z`` for
 ``Re(z) < 0``.  On the negative real axis it is the reciprocal of the
 effective ridge: ``m_tilde(-lambda) = 1 / lambda_tilde(lambda, gamma)``.
 
+Sampling happens in the kernel eigenbasis: ``W`` is Gaussian, so only the
+kernel eigenvalues ``d`` matter, and each draw reduces to the ``N x N`` Gram
+``G = Y^T Y`` with ``Y = W diag(d / P)^{1/2}``.  One sampler yields these
+Grams for the Stieltjes transform, which reads their ``r = min(N, P)``
+eigenvalues ``s_i`` and counts the other ``P - r`` exact zeros in closed form,
+
+    m_P(z) = ((P - r) / (-z) + sum_{i<=r} 1 / (s_i - z)) / P,
+
+and for the averaged hat matrix ``A = F (F^T F + lambda I)^{-1} F^T``, read as
+``(G + lambda I)^{-1} G`` at every ridge and compared with its deterministic
+limit ``K (K + lambda_tilde I)^{-1}`` through the eigenvalues of both.
+
 Rate of concentration at ``z = -lambda``.  Resampling one feature is a
 rank-two change of ``F F^T``, so the Efron-Stein inequality gives the general
 bound ``Var m_P(-lambda) <= 2 / (P lambda^2)``.  This is only an upper bound.
-At fixed ``N`` with ``P >= N`` the ``P - N`` zero eigenvalues are
-deterministic, ``m_P(-lambda) = (1 - N/P)/lambda + (1/P) sum_{i<=N} 1/(s_i + lambda)``
-with ``s_i`` the eigenvalues of the ``N x N`` matrix
-``diag(d)^{1/2} (W^T W / P) diag(d)^{1/2}``, and to first order in
-``W^T W / P - I``
+At fixed ``N`` with ``P >= N`` only the ``N`` terms ``1/(s_i + lambda)`` of
+``m_P(-lambda)`` fluctuate, and to first order in ``W^T W / P - I``
 
     Var m_P(-lambda) ~= 2 * sum_i d_i^2 / (d_i + lambda)^4 / P^3,
 
 a ``P^-3`` decay; the unnormalized trace ``P m_P`` decays as ``P^-1``.
-
-The module also compares the averaged hat matrix
-``A = F (F^T F + lambda I)^{-1} F^T`` against its deterministic limit
-``K (K + lambda_tilde I)^{-1}`` through the eigenvalues of both.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .features import CHUNK_ELEMENTS, SeedPolicy, gaussian_features, normal_chunks
-from .kernels import GramSpectrum, sqrt_gram
+from .features import CHUNK_ELEMENTS, SeedPolicy, normal_chunks
 from .effective_ridge import RESIDUAL_TOL, SpectrumInput, solve_effective_ridge
 from .effective_ridge import _fixed_point_residual, _fixed_point_slope, _newton
-
-
-@dataclass(frozen=True)
-class WishartSample:
-    """Eigenvalues of one draw of ``F^T F`` plus the stream seed that produced it."""
-
-    eigenvalues: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        d = np.asarray(self.eigenvalues, dtype=float).ravel()
-        object.__setattr__(self, "eigenvalues", d)
-        dmax = float(np.max(d)) if d.size else 0.0
-        if np.any(d < -1e-10 * max(dmax, 1.0)):
-            raise InvalidInputError("Wishart eigenvalues must be nonnegative")
-
-    @property
-    def n_features(self) -> int:
-        return self.eigenvalues.size
 
 
 @dataclass(frozen=True)
@@ -78,50 +64,59 @@ class StieltjesSolution:
     in_cone: bool
 
 
-def sample_wishart(
-    kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy, trials: int | None = None
-) -> WishartSample | list[WishartSample]:
-    """Draw ``F^T F = (1/P) W diag(d) W^T`` and return its full spectrum.
+def _wishart_grams(
+    kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy, trials: int
+) -> Iterator[np.ndarray]:
+    """Stacked ``N x N`` Grams ``G = Y^T Y``, ``Y = W diag(d / P)^{1/2}``, of consecutive draws.
 
-    Only the kernel eigenvalues matter (Gaussian invariance under rotation),
-    so sampling happens in the eigenbasis: the nonzero spectrum of the P x P
-    matrix equals that of the small ``N x N`` Gram of ``(1/sqrt(P)) W sqrt(d)``,
-    padded with ``P - N`` zeros when overparameterized.
-
-    Without ``trials`` this returns the draw at ``policy``; with it, the list
-    of draws at ``policy`` shifted by ``0, ..., trials - 1``, computed a chunk
-    of stacked Grams at a time and equal to the single draws bit for bit.
+    The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
+    a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` Grams, which matters when ``P < N``.
     """
     d = np.asarray(kernel_eigenvalues, dtype=float).ravel()
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise InvalidInputError("kernel eigenvalues must be finite and nonnegative")
+    if d.size < 1 or np.any(d < 0) or not np.all(np.isfinite(d)):
+        raise InvalidInputError("kernel eigenvalues must be a nonempty array of finite nonnegative numbers")
     if P < 1:
         raise InvalidInputError("need at least one feature")
-    count = 1 if trials is None else trials
-    if count < 1:
+    if trials < 1:
         raise InvalidInputError("need at least one trial")
     N = d.size
     scale = np.sqrt(d / P)
-    # Stack no more N x N Grams than fit the chunk budget, which matters when P < N.
     step = max(1, CHUNK_ELEMENTS // (N * N))
-    samples = []
-    for t0, W in normal_chunks(policy, count, (P, N)):
+    for _, W in normal_chunks(policy, trials, (P, N)):
         for k in range(0, len(W), step):
             Y = W[k : k + step] * scale
-            S = Y.transpose(0, 2, 1) @ Y
-            spectra = np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, ::-1]
-            for b, evals in enumerate(np.maximum(spectra, 0.0), start=t0 + k):
-                out = np.concatenate([evals, np.zeros(P - N)]) if P >= N else evals[:P]
-                samples.append(WishartSample(eigenvalues=out, seed=policy.shifted(b).stream_seed()))
-    return samples[0] if trials is None else samples
+            yield Y.transpose(0, 2, 1) @ Y
 
 
-def empirical_stieltjes(sample: WishartSample, z: complex) -> complex:
-    """``m_P(z) = (1/P) sum_p 1 / (lambda_p - z)`` for one sampled spectrum."""
+def sample_wishart(kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
+    """Nonzero spectra of ``trials`` draws of ``F^T F = (1/P) W diag(d) W^T``.
+
+    Row ``t`` of the ``(trials, min(N, P))`` result holds the eigenvalues of
+    the draw at ``policy.shifted(t)``'s ``N x N`` Gram, descending, clamped at
+    zero and cut to ``P``; the other eigenvalues of ``F^T F`` are exact zeros.
+    """
+    spectra = [
+        np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1]
+        for G in _wishart_grams(kernel_eigenvalues, P, policy, trials)
+    ]
+    return np.maximum(np.concatenate(spectra), 0.0)[:, :P]
+
+
+def empirical_stieltjes(spectra: np.ndarray, P: int, z: complex) -> np.ndarray:
+    """``m_P(z) = (1/P) Tr (F^T F - z I)^{-1}`` of each draw, from its nonzero spectrum.
+
+    ``spectra`` holds ``r <= P`` eigenvalues per draw on its last axis, as
+    ``sample_wishart`` returns them; the other ``P - r`` eigenvalues are zero,
+    so ``m_P(z) = ((P - r) / (-z) + sum_i 1 / (s_i - z)) / P``.
+    """
     z = complex(z)
     if abs(z.imag) <= 1e-12 and z.real >= -1e-12:
         raise InvalidInputError("z must stay off the nonnegative real axis")
-    return complex(np.mean(1.0 / (sample.eigenvalues - z)))
+    s = np.asarray(spectra, dtype=float)
+    r = s.shape[-1]
+    if r > P:
+        raise InvalidInputError(f"a spectrum of {r} eigenvalues does not fit P = {P} features")
+    return ((P - r) / -z + np.sum(1.0 / (s - z), axis=-1)) / P
 
 
 def _cone_membership(m: complex, z: complex) -> bool:
@@ -197,47 +192,42 @@ def expected_A_theoretical(kernel_eigenvalues: np.ndarray, lambda_tilde: float) 
 
 
 def empirical_expected_A(
-    spec: GramSpectrum, P: int, lam: float, trials: int, policy: SeedPolicy
-) -> np.ndarray:
-    """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]``.
+    kernel_eigenvalues: np.ndarray, P: int, lams: list[float], trials: int, policy: SeedPolicy
+) -> list[np.ndarray]:
+    """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]`` per ridge.
 
-    Trials use consecutive stream seeds starting at ``policy`` and are drawn
-    a chunk at a time.  Whatever the shape, each draw's hat matrix is taken
-    in the ``N x N`` dual form ``(G + lam I)^{-1} G`` with ``G = F F^T``
-    (equal to ``G (G + lam I)^{-1}``); the chunks' sums are accumulated in
-    order, averaged, symmetrized, and eigendecomposed.
+    Trials use consecutive stream seeds starting at ``policy``, and each draw
+    serves every ridge of ``lams`` through its Gram ``G``: the hat matrix is
+    ``(G + lam I)^{-1} G`` in the kernel eigenbasis.  Per ridge, the stacks'
+    sums are accumulated in order, averaged, symmetrized and eigendecomposed.
     """
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    if lam <= 0:
-        raise InvalidInputError("ridge must be positive")
-    N = spec.n
-    root = sqrt_gram(spec)
-    acc = np.zeros((N, N))
-    for _, W in normal_chunks(policy, trials, (P, N)):
-        F = gaussian_features(root, W)
-        G = F @ F.transpose(0, 2, 1)
-        acc += np.sum(np.linalg.solve(G + lam * np.eye(N), G), axis=0)
+    if not all(lam > 0 for lam in lams):
+        raise InvalidInputError("ridges must be positive")
+    N = np.size(kernel_eigenvalues)
+    acc = np.zeros((len(lams), N, N))
+    for G in _wishart_grams(kernel_eigenvalues, P, policy, trials):
+        for a, lam in zip(acc, lams):
+            a += np.sum(np.linalg.solve(G + lam * np.eye(N), G), axis=0)
     acc /= trials
-    acc = 0.5 * (acc + acc.T)
-    return np.linalg.eigvalsh(acc)[::-1]
+    return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]
 
 
-def stieltjes_moments(samples: list[WishartSample], z: complex) -> tuple[complex, float]:
+def stieltjes_moments(spectra: np.ndarray, P: int, z: complex) -> tuple[complex, float]:
     """Mean and variance of ``m_P(z)`` over independent Wishart draws.
 
-    ``samples`` are the draws, e.g. ``sample_wishart`` at consecutive trial
-    indices; the caller draws them once and may evaluate several ``z``.
-    Variance is the scalar sample variance of the complex values,
-    ``mean(|m - mean|^2)`` with the ``1/(trials-1)`` normalization.
+    ``spectra`` are the draws' nonzero spectra, one per row, as
+    ``sample_wishart`` returns them; the caller draws them once and may
+    evaluate several ``z``.  Variance is the scalar sample variance of the
+    complex values, ``mean(|m - mean|^2)`` with the ``1/(trials-1)``
+    normalization.
 
     At ``z = -lambda`` the variance is at most ``2 / (P lambda^2)`` for any
     ``P``; with the kernel size ``N`` fixed and ``P >= N`` it is close to
     ``2 * sum_i d_i^2 / (d_i + lambda)^4 / P^3`` (see the module docstring).
     """
-    if len(samples) < 2:
-        raise InvalidInputError("need at least two trials for a variance")
-    vals = np.array([empirical_stieltjes(s, z) for s in samples])
+    if np.ndim(spectra) != 2 or len(spectra) < 2:
+        raise InvalidInputError("need the spectra of at least two draws for a variance")
+    vals = empirical_stieltjes(spectra, P, z)
     mean = complex(np.mean(vals))
-    var = float(np.sum(np.abs(vals - mean) ** 2) / (len(samples) - 1))
+    var = float(np.sum(np.abs(vals - mean) ** 2) / (len(vals) - 1))
     return mean, var

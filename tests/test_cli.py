@@ -172,6 +172,16 @@ class TestArtifacts:
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out" / "results.csv").exists()
 
+    def test_readme_library_example_runs(self, tmp_path):
+        # The README's library example runs verbatim, so the documented API cannot drift from the code.
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        (script,) = re.findall(r"^## Library example\n\n```python\n(.*?)^```$", text, re.M | re.S)
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_csv_round_trips_to_identical_values(self, tmp_path):
         _, artifacts = run_fast("solve", tmp_path)
         text = artifacts["results"].read_text()
@@ -323,9 +333,12 @@ class TestMainExitCodes:
             ("average-rf", {"lambda_list": [None]}, "lambda_list"),
             ("stieltjes", {"p_grid": [50, 2.5]}, "p_grid"),
             ("stieltjes", {"p_grid": [False]}, "p_grid"),
+            ("stieltjes", {"lambda_list": [1.0, 0]}, "lambda_list"),
+            ("expected-a", {"lambda_list": [0.0]}, "lambda_list"),
         ],
         ids=["gamma-string", "gamma-bool", "gamma-nan", "gamma-not-list", "negative-ridge",
-             "infinite-ridge", "ridge-null", "p-fraction", "p-bool"],
+             "infinite-ridge", "ridge-null", "p-fraction", "p-bool", "stieltjes-zero-ridge",
+             "expected-a-zero-ridge"],
     )
     def test_bad_grid_is_1(self, experiment, config, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -394,6 +407,27 @@ class TestMainExitCodes:
         assert code == 1
         assert "dataset.path" in err and "144 elements" in err
         assert "Traceback" not in err
+
+    def test_csv_is_capped_before_its_duplicate_row_check(self, tmp_path, capsys, monkeypatch):
+        # The Dataset's duplicate-row check forms an n x n distance matrix, so
+        # a file too large for the joint Gram must be refused before it.
+        import effridge.cli as cli
+        import effridge.kernels as kernels
+
+        distances = []
+        pairwise = kernels._pairwise_sq_dists
+        monkeypatch.setattr(kernels, "_pairwise_sq_dists", lambda *a: distances.append(a) or pairwise(*a))
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 35)
+        data = tmp_path / "data.csv"
+        data.write_text("x_0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(6)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "csv", "path": str(data), "n_test": 2}}))
+        code = main(["average-rf", "--config", str(path), "--trials", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "dataset.path" in err and "36 elements" in err
+        assert "Traceback" not in err
+        assert distances == []
 
     def test_io_error_is_2(self, tmp_path, capsys):
         # A path beneath a regular file cannot be created, whatever the privileges.

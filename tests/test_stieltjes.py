@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effridge import (
-    GramSpectrum,
     InvalidInputError,
     SeedPolicy,
     SpectrumInput,
-    WishartSample,
     empirical_expected_A,
     empirical_stieltjes,
     expected_A_theoretical,
@@ -22,57 +20,80 @@ from effridge.features import StreamSampler
 
 class TestEmpiricalStieltjes:
     def test_all_zero_eigenvalues(self):
-        s = WishartSample(eigenvalues=np.zeros(4), seed=0)
-        assert empirical_stieltjes(s, -1.0 + 0j) == pytest.approx(1.0)
+        # Stored zeros and zeros counted in closed form give the same transform.
+        assert empirical_stieltjes(np.zeros(4), 4, -1.0 + 0j) == pytest.approx(1.0)
+        assert empirical_stieltjes(np.zeros(0), 4, -1.0 + 0j) == pytest.approx(1.0)
 
     def test_two_point_spectrum(self):
-        s = WishartSample(eigenvalues=np.array([1.0, 3.0]), seed=0)
-        assert empirical_stieltjes(s, -1.0 + 0j) == pytest.approx(0.375)
+        assert empirical_stieltjes(np.array([1.0, 3.0]), 2, -1.0 + 0j) == pytest.approx(0.375)
 
     def test_distance_bound(self):
         rng = np.random.default_rng(0)
-        s = WishartSample(eigenvalues=rng.uniform(0, 5, size=10), seed=0)
+        s = rng.uniform(0, 5, size=10)
         for z in (-0.5 + 0j, -1 + 2j, 0.3 + 1j, 2 - 0.7j):
             # distance from z to the nonnegative real axis
             d_plus = abs(z.imag) if z.real >= 0 else abs(z)
-            m = empirical_stieltjes(s, z)
-            assert abs(m) <= 1.0 / d_plus + 1e-12
+            for P in (10, 25):
+                m = empirical_stieltjes(s, P, z)
+                assert abs(m) <= 1.0 / d_plus + 1e-12
 
     def test_rejects_nonnegative_real_axis(self):
-        s = WishartSample(eigenvalues=np.ones(2), seed=0)
+        s = np.ones(2)
         with pytest.raises(InvalidInputError):
-            empirical_stieltjes(s, 1.0 + 0j)
+            empirical_stieltjes(s, 2, 1.0 + 0j)
         with pytest.raises(InvalidInputError):
-            empirical_stieltjes(s, 0.0 + 0j)
+            empirical_stieltjes(s, 2, 0.0 + 0j)
         # strictly negative real axis is fine
-        empirical_stieltjes(s, -1e-6 + 0j)
+        empirical_stieltjes(s, 2, -1e-6 + 0j)
+
+    def test_rejects_more_eigenvalues_than_features(self):
+        with pytest.raises(InvalidInputError):
+            empirical_stieltjes(np.ones(3), 2, -1.0 + 0j)
+
+    @pytest.mark.parametrize("P", [3, 8, 50, 200])
+    def test_closed_form_zeros_equal_the_padded_mean(self, P):
+        # The transform over the full P x P spectrum, zero padding included.
+        d = generate_spectrum("exponential", 8)
+        spectra = sample_wishart(d, P, SeedPolicy(6), 20)
+        for z in (-1.0 + 0j, -0.3 + 0.8j):
+            got = empirical_stieltjes(spectra, P, z)
+            for s, m in zip(spectra, got):
+                ref = complex(np.mean(1.0 / (np.concatenate([s, np.zeros(P - s.size)]) - z)))
+                if P < d.size:
+                    assert m == ref
+                else:
+                    assert abs(m - ref) <= 1e-15 * abs(ref)
 
 
 class TestSampleWishart:
     def test_eigenvalue_count_and_sign(self):
         d = generate_spectrum("exponential", 6)
         for P in (3, 6, 11):
-            s = sample_wishart(d, P, SeedPolicy(0, 0))
-            assert s.n_features == P
-            assert np.all(s.eigenvalues >= 0)
+            s = sample_wishart(d, P, SeedPolicy(0, 0), 1)
+            assert s.shape == (1, min(6, P))
+            assert np.all(s >= 0)
 
     def test_matches_direct_construction(self):
         # same stream, explicit P x P matrix build
         d = np.array([2.0, 1.0, 0.5])
         P = 4
         policy = SeedPolicy(3, 1)
-        s = sample_wishart(d, P, policy)
+        (s,) = sample_wishart(d, P, policy, 1)
         W = StreamSampler(policy).normal((P, 3))
         M = (W * d) @ W.T / P
         direct = np.sort(np.linalg.eigvalsh(M))[::-1]
-        assert np.allclose(np.sort(s.eigenvalues)[::-1], np.maximum(direct, 0), atol=1e-10)
+        # The P - N = 1 remaining eigenvalue of the P x P matrix is zero.
+        assert np.allclose(np.concatenate([s, [0.0]]), np.maximum(direct, 0), atol=1e-10)
+
+    @pytest.mark.parametrize("d, P, trials", [([], 5, 2), ([1.0, -0.5], 5, 2), ([1.0], 0, 2), ([1.0], 5, 0)])
+    def test_rejects_bad_input(self, d, P, trials):
+        with pytest.raises(InvalidInputError):
+            sample_wishart(d, P, SeedPolicy(0), trials)
 
     def test_trace_statistic(self):
         # E[Tr F^T F] = N * mean(d)
         d = np.array([1.0, 0.5])
-        traces = [
-            np.sum(sample_wishart(d, 40, SeedPolicy(1, t)).eigenvalues) for t in range(300)
-        ]
+        traces = np.sum(sample_wishart(d, 40, SeedPolicy(1), 300), axis=1)
         assert np.mean(traces) == pytest.approx(np.sum(d), abs=0.05)
 
 
@@ -164,10 +185,7 @@ class TestTheoreticalStieltjes:
         d_base = generate_spectrum("polynomial", 40)
         for gamma, z in ((0.5, complex(-0.8, 0.9)), (2.0, complex(-0.2, -1.1))):
             P = int(round(gamma * 40))
-            vals = [
-                empirical_stieltjes(sample_wishart(d_base, P, SeedPolicy(21, t)), z)
-                for t in range(300)
-            ]
+            vals = empirical_stieltjes(sample_wishart(d_base, P, SeedPolicy(21), 300), P, z)
             mean = np.mean(vals)
             sol = theoretical_stieltjes(d_base, gamma, z)
             se = 3.0 * np.std(vals) / np.sqrt(len(vals))
@@ -192,39 +210,43 @@ class TestExpectedATheory:
 
 
 class TestEmpiricalExpectedA:
-    def _spec(self, d):
-        d = np.asarray(d, dtype=float)
-        return GramSpectrum(eigenvalues=d, eigenvectors=np.eye(d.size), trace_mean=float(np.mean(d)))
-
     def test_rank_bound_single_feature(self):
-        spec = self._spec([1.0, 0.5])
-        vals = empirical_expected_A(spec, P=1, lam=0.1, trials=1, policy=SeedPolicy(0, 0))
+        (vals,) = empirical_expected_A([1.0, 0.5], P=1, lams=[0.1], trials=1, policy=SeedPolicy(0, 0))
         assert vals.shape == (2,)
         assert abs(vals[1]) < 1e-12  # rank of A is at most P = 1
 
     def test_deterministic(self):
-        spec = self._spec(generate_spectrum("exponential", 4))
-        a = empirical_expected_A(spec, 8, 0.1, 20, SeedPolicy(5, 0))
-        b = empirical_expected_A(spec, 8, 0.1, 20, SeedPolicy(5, 0))
+        d = generate_spectrum("exponential", 4)
+        a = empirical_expected_A(d, 8, [0.1], 20, SeedPolicy(5, 0))
+        b = empirical_expected_A(d, 8, [0.1], 20, SeedPolicy(5, 0))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("P", [3, 8, 40])
+    def test_each_draw_serves_every_ridge(self, P):
+        d = generate_spectrum("exponential", 6)
+        both = empirical_expected_A(d, P, [0.1, 0.02], 30, SeedPolicy(4, 2))
+        for lam, vals in zip([0.1, 0.02], both):
+            (alone,) = empirical_expected_A(d, P, [lam], 30, SeedPolicy(4, 2))
+            assert np.array_equal(vals, alone)
+
+    def test_rejects_a_zero_ridge(self):
+        with pytest.raises(InvalidInputError):
+            empirical_expected_A([1.0, 0.5], 4, [0.1, 0.0], 2, SeedPolicy(0))
 
     def test_converges_to_theory_at_large_P(self):
         d = generate_spectrum("exponential", 5)
-        spec = self._spec(d)
         P = 200 * 5
         eff = solve_effective_ridge(SpectrumInput(d, P / 5, 0.05))
-        emp = empirical_expected_A(spec, P, 0.05, trials=100, policy=SeedPolicy(2, 0))
+        (emp,) = empirical_expected_A(d, P, [0.05], trials=100, policy=SeedPolicy(2, 0))
         assert np.max(np.abs(emp - expected_A_theoretical(d, eff.lambda_tilde))) < 0.02
 
     def test_primal_dual_forms_agree(self):
         d = generate_spectrum("polynomial", 6)
-        spec = self._spec(d)
-        a = empirical_expected_A(spec, P=6, lam=0.2, trials=5, policy=SeedPolicy(7, 0))
-        # P = 6 = N uses the primal path; compare against the dual evaluated by hand
+        (a,) = empirical_expected_A(d, P=6, lams=[0.2], trials=5, policy=SeedPolicy(7, 0))
+        # compare against the dual form evaluated by hand from the features
         from effridge import sample_gaussian_features
-        from effridge.kernels import sqrt_gram
 
-        root = sqrt_gram(spec)
+        root = np.diag(np.sqrt(d))
         acc = np.zeros((6, 6))
         for t in range(5):
             F = sample_gaussian_features(root, 6, 6, SeedPolicy(7, t)).train
@@ -237,11 +259,9 @@ class TestEmpiricalExpectedA:
     def test_off_diagonal_mean_shrinks_with_trials(self):
         # symmetry argument: E[A] is diagonal in the Gram eigenbasis
         d = generate_spectrum("exponential", 4)
-        spec = self._spec(d)
         from effridge import sample_gaussian_features
-        from effridge.kernels import sqrt_gram
 
-        root = sqrt_gram(spec)
+        root = np.diag(np.sqrt(d))
 
         def mean_offdiag(trials, seed):
             acc = np.zeros((4, 4))
@@ -261,8 +281,8 @@ class TestEmpiricalExpectedA:
 class TestMoments:
     def test_moments_deterministic_and_finite(self):
         d = generate_spectrum("exponential", 8)
-        m1, v1 = stieltjes_moments([sample_wishart(d, 12, SeedPolicy(1, t)) for t in range(25)], -1 + 0j)
-        m2, v2 = stieltjes_moments([sample_wishart(d, 12, SeedPolicy(1, t)) for t in range(25)], -1 + 0j)
+        m1, v1 = stieltjes_moments(sample_wishart(d, 12, SeedPolicy(1), 25), 12, -1 + 0j)
+        m2, v2 = stieltjes_moments(sample_wishart(d, 12, SeedPolicy(1), 25), 12, -1 + 0j)
         assert m1 == m2 and v1 == v2
         assert v1 > 0
 
@@ -270,10 +290,10 @@ class TestMoments:
 class TestBatchedDraws:
     """The chunked Wishart and hat-matrix loops equal per-trial reference loops.
 
-    Wishart spectra agree bit for bit.  The hat matrix takes the ``N x N`` dual
-    form for every shape and sums a chunk at a time, while the reference takes
-    the primal form when ``P <= N`` and adds one trial at a time, so the two
-    agree to rounding.
+    Wishart spectra agree bit for bit.  The hat matrix takes the ``N x N``
+    kernel-eigenbasis form for every shape and sums a stack at a time, while
+    the reference takes the primal form when ``P <= N`` and adds one trial at
+    a time, so the two agree to rounding.
     """
 
     @pytest.mark.parametrize("P, trials", [(5, 70), (50, 13), (200, 3)])
@@ -283,25 +303,20 @@ class TestBatchedDraws:
         policy = SeedPolicy(4, 2)
         batch = sample_wishart(d, P, policy, trials)
         assert len(batch) == trials
-        for t, sample in enumerate(batch):
+        for t, spectrum in enumerate(batch):
             W = StreamSampler(policy.shifted(t)).normal((P, 50))
             Y = W * np.sqrt(d / P)
             S = Y.T @ Y
             evals = np.maximum(np.linalg.eigvalsh(0.5 * (S + S.T))[::-1], 0.0)
-            ref = np.concatenate([evals, np.zeros(P - 50)]) if P >= 50 else evals[:P]
-            assert np.array_equal(sample.eigenvalues, ref)
-            assert sample.seed == policy.shifted(t).stream_seed()
-        single = sample_wishart(d, P, policy)
-        assert np.array_equal(single.eigenvalues, batch[0].eigenvalues) and single.seed == batch[0].seed
+            assert np.array_equal(spectrum, evals[:P])
+        (single,) = sample_wishart(d, P, policy, 1)
+        assert np.array_equal(single, batch[0])
 
     @pytest.mark.parametrize("P, trials", [(3, 40), (10, 40), (50, 40)])
     def test_expected_A_equals_per_trial_loop(self, P, trials):
-        from effridge.kernels import sqrt_gram
-
         d = generate_spectrum("exponential", 10)
-        spec = GramSpectrum(eigenvalues=d, eigenvectors=np.eye(10), trace_mean=float(np.mean(d)))
         lam, policy = 0.05, SeedPolicy(9, 1)
-        root = sqrt_gram(spec)
+        root = np.diag(np.sqrt(d))
         acc = np.zeros((10, 10))
         for t in range(trials):
             W = StreamSampler(policy.shifted(t)).normal((P, 10))
@@ -315,4 +330,5 @@ class TestBatchedDraws:
         ref = np.linalg.eigvalsh(0.5 * (acc + acc.T))[::-1]
         # Eigenvalues lie in [0, 1] and each reference solve has condition
         # number at most (max s^2 + lam) / lam, about 1e3 here.
-        assert np.max(np.abs(empirical_expected_A(spec, P, lam, trials, policy) - ref)) <= 1e-12
+        (emp,) = empirical_expected_A(d, P, [lam], trials, policy)
+        assert np.max(np.abs(emp - ref)) <= 1e-12
