@@ -28,21 +28,13 @@ from .kernels import (
     spectral_decompose,
     sqrt_gram,
 )
-from .features import (
-    FeatureMatrix,
-    SeedPolicy,
-    derive_stream_seed,
-    sample_gaussian_features,
-)
+from .features import SeedPolicy, derive_stream_seed
 from .predictors import (
     KRRModel,
-    RFModel,
     conditional_moments,
     fit_krr,
-    fit_rf,
     posterior_kernel_diag,
     predict_krr,
-    predict_rf,
 )
 from .effective_ridge import (
     EffectiveRidge,
@@ -71,7 +63,6 @@ from .montecarlo import (
     estimate_risk,
     monte_carlo_band,
     run_trials,
-    theta_norm_check,
 )
 from .datasets import (
     generate_clusters,

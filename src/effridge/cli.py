@@ -30,19 +30,15 @@ import numpy as np
 
 from .datasets import generate_clusters, generate_sinusoid, generate_spectrum, read_csv_table
 from .effective_ridge import SpectrumInput, calibrate_ridge, solve_effective_ridge, theta_norm_theory
-from .errors import (
-    EffridgeError,
-    InfeasibleTargetError,
-    InvalidInputError,
-    NumericError,
-    SingularGramError,
-)
+from .errors import EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
 from .features import MAX_ELEMENTS, SeedPolicy
 from .kernels import (
     Dataset,
+    GramSpectrum,
     KernelSpec,
     gram_matrix,
     inv_kernel_norm_sq,
+    range_mask,
     spectral_decompose,
 )
 from .montecarlo import (
@@ -217,8 +213,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_numbers("gamma_grid", cfg.gamma_grid, lambda v: v > 0, "positive finite numbers")
     _check_numbers("p_grid", cfg.p_grid, lambda v: v > 0 and v == int(v), "positive integers")
     uses_p = cfg.experiment in ("stieltjes", "expected-a")
-    if uses_p:
-        # The spectral experiments evaluate at z = -lambda, which must stay off zero.
+    if uses_p or cfg.experiment == "calibrate":
+        # The spectral experiments evaluate at z = -lambda, which must stay off zero,
+        # and calibrate reads each value as a target effective ridge, which is positive.
         _check_numbers("lambda_list", cfg.lambda_list, lambda v: v > 0, "positive finite numbers")
     else:
         _check_numbers("lambda_list", cfg.lambda_list, lambda v: v >= 0, "nonnegative finite numbers")
@@ -295,7 +292,8 @@ def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
         # Checked before the Dataset exists: its duplicate-row check forms an n x n distance matrix.
         n_test = ds.get("n_test", 0)
         _check_size("dataset.path", "the joint Gram", (len(table) if n_test else 2 * len(table)) ** 2)
-        data = Dataset(X=table[:, :-1], y=table[:, -1])
+        # Without held-out rows the training rows are the test grid, and their labels its true values.
+        data = Dataset(X=table[:, :-1], y=table[:, -1], f_star=None if n_test else table[:, -1])
         if n_test:
             if n_test >= data.n:
                 raise InvalidInputError("n_test must leave at least one training row")
@@ -332,12 +330,18 @@ def _feature_counts(cfg: ExperimentConfig, N: int) -> list[float]:
 
 @contextmanager
 def _row_context(**keys):
-    """Attach the grid point to numeric failures so the exit-3 diagnostic names the row."""
+    """Attach the grid point to a package error, keeping its type and so its exit code."""
     try:
         yield
-    except NumericError as exc:
+    except EffridgeError as exc:
         ctx = ", ".join(f"{k}={v}" for k, v in keys.items())
-        raise NumericError(f"{exc} [at {ctx}]") from exc
+        raise type(exc)(f"{exc} [at {ctx}]") from exc
+
+
+def _note_if_singular(spec: GramSpectrum, what: str) -> None:
+    """Note on stderr that the train Gram is numerically singular and which columns (``what``) use its pseudoinverse."""
+    if not np.all(range_mask(spec)):
+        print(f"note: Gram matrix numerically singular; {what}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +427,8 @@ def _sampled_points(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, ke
 def _run_average_rf(cfg: ExperimentConfig):
     data, test_X, kernel, spec, k_cross = _mc_theory_context(cfg)
     N = data.n
-    try:
-        q_norm_sq = inv_kernel_norm_sq(spec, data.y)
-    except SingularGramError:
-        q_norm_sq = inv_kernel_norm_sq(spec, data.y, pseudoinverse=True)
-        print(
-            "note: Gram matrix numerically singular; bound_scale columns use the "
-            "pseudoinverse label norm",
-            file=sys.stderr,
-        )
+    _note_if_singular(spec, "bound_scale columns use the pseudoinverse label norm")
+    q_norm_sq = inv_kernel_norm_sq(spec, data.y, pseudoinverse=True)
     rows = []
     for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
         g_actual = P / N
@@ -463,6 +460,7 @@ def _run_average_rf(cfg: ExperimentConfig):
 def _run_double_descent(cfg: ExperimentConfig):
     data, test_X, kernel, spec, k_cross = _mc_theory_context(cfg)
     N = data.n
+    _note_if_singular(spec, "variance_theory uses the pseudoinverse posterior variance")
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []
     for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
@@ -887,7 +885,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, EffridgeError) as exc:
+    except EffridgeError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 3
     for name, path in artifacts.items():

@@ -117,11 +117,13 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
     bit for bit.  ``B = max(1, CHUNK_ELEMENTS // (rows * cols))`` depends on
     the shape only; the last chunk holds the remaining trials.  ``rows`` is
-    the feature count P, and a draw above ``MAX_ELEMENTS`` normals raises
-    :class:`InvalidInputError`.
+    the feature count P; no features, or a draw above ``MAX_ELEMENTS``
+    normals, raises :class:`InvalidInputError`.
     """
     rows, cols = shape
     n = rows * cols
+    if rows < 1:
+        raise InvalidInputError("need at least one feature")
     if n > MAX_ELEMENTS:
         raise InvalidInputError(
             f"P = {rows}: one draw of shape ({rows}, {cols}) has {n} normals, "
@@ -136,37 +138,6 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
         yield t0, _box_muller(u)[:, :n].reshape(-1, rows, cols)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Sampled feature values on train and test points, already ``1/sqrt(P)`` scaled.
-
-    ``entries[i, j]`` is the j-th feature at point i divided by ``sqrt(P)``,
-    so the train block ``F`` satisfies ``E[F F^T] = K(X, X)``.
-    """
-
-    entries: np.ndarray
-    n_train: int
-    seed: int
-
-    def __post_init__(self):
-        if self.entries.ndim != 2:
-            raise InvalidInputError("feature matrix must be 2-D")
-        if not (0 <= self.n_train <= self.entries.shape[0]):
-            raise InvalidInputError("n_train out of range")
-
-    @property
-    def n_features(self) -> int:
-        return self.entries.shape[1]
-
-    @property
-    def train(self) -> np.ndarray:
-        return self.entries[: self.n_train]
-
-    @property
-    def test(self) -> np.ndarray:
-        return self.entries[self.n_train :]
-
-
 def gaussian_features(joint_sqrt: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Feature entries ``joint_sqrt @ W[b].T / sqrt(P)`` of every draw in a chunk ``W`` of shape (B, P, M).
 
@@ -174,26 +145,3 @@ def gaussian_features(joint_sqrt: np.ndarray, W: np.ndarray) -> np.ndarray:
     the single-draw product; one ``(M x M) @ (M x B*P)`` GEMM would not.
     """
     return np.matmul(joint_sqrt, W.transpose(0, 2, 1)) / np.sqrt(W.shape[1])
-
-
-def sample_gaussian_features(
-    joint_sqrt: np.ndarray, P: int, n_train: int, policy: SeedPolicy
-) -> FeatureMatrix:
-    """Draw ``(1/sqrt(P)) * joint_sqrt @ W^T`` with ``W`` standard normal of shape (P, M).
-
-    ``joint_sqrt`` is the symmetric PSD square root of the Gram matrix over all
-    train and test points jointly, computed once per experiment and reused
-    across trials.  This is the one-trial case of ``normal_chunks`` and
-    ``gaussian_features``.
-    """
-    if P < 1:
-        raise InvalidInputError("need at least one feature")
-    joint_sqrt = np.asarray(joint_sqrt, dtype=float)
-    M = joint_sqrt.shape[0]
-    if joint_sqrt.shape != (M, M):
-        raise InvalidInputError("joint_sqrt must be square")
-    if not (0 <= n_train <= M):
-        raise InvalidInputError("n_train exceeds the point count")
-    ((_, W),) = normal_chunks(policy, 1, (P, M))
-    entries = gaussian_features(joint_sqrt, W)[0]
-    return FeatureMatrix(entries=entries, n_train=n_train, seed=policy.stream_seed())

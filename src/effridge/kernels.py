@@ -218,6 +218,15 @@ def reconstruct(spec: GramSpectrum) -> np.ndarray:
     return (U * spec.eigenvalues) @ U.T
 
 
+def range_mask(spec: GramSpectrum) -> np.ndarray:
+    """Eigenvalues that span range(K): those above ``SINGULAR_FLOOR_REL`` times the largest.
+
+    The others count as zero; a spectrum that keeps them all is invertible.
+    """
+    d = spec.eigenvalues
+    return d > SINGULAR_FLOOR_REL * d.max(initial=0.0)
+
+
 def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray, pseudoinverse: bool = False) -> float:
     """Squared inverse-kernel norm of the labels, ``y^T K^{-1} y``.
 
@@ -233,24 +242,21 @@ def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray, pseudoinverse: bool = 
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the spectrum")
-    d = spec.eigenvalues
-    dmax = float(d[0]) if d.size else 0.0
-    keep = d > SINGULAR_FLOOR_REL * dmax
-    if dmax <= 0 or not np.all(keep):
-        if not pseudoinverse:
-            raise SingularGramError("spectrum has (near-)zero eigenvalues; K is not invertible")
-        if dmax <= 0:
-            return 0.0
+    keep = range_mask(spec)
+    if not (pseudoinverse or np.all(keep)):
+        raise SingularGramError("spectrum has (near-)zero eigenvalues; K is not invertible")
     w = spec.eigenvectors.T @ y
+    d = spec.eigenvalues
     return float(np.sum(w[keep] * w[keep] / d[keep]))
 
 
 def apply_inverse(spec: GramSpectrum, v: np.ndarray) -> np.ndarray:
-    """Apply ``K^{-1}`` through the eigendecomposition; rejects singular spectra."""
-    v = np.asarray(v, dtype=float)
-    d = spec.eigenvalues
-    dmax = float(d[0]) if d.size else 0.0
-    if dmax <= 0 or np.any(d <= SINGULAR_FLOOR_REL * dmax):
-        raise SingularGramError("spectrum has (near-)zero eigenvalues; K is not invertible")
+    """Apply ``K^{-1}`` through the eigendecomposition, or on a numerically singular spectrum the pseudoinverse.
+
+    The pseudoinverse acts on range(K) (see ``range_mask``) and maps the rest
+    to zero.  It divides only where an eigenvalue is kept, so an invertible
+    spectrum gets the bits of the plain inverse.
+    """
     U = spec.eigenvectors
-    return U @ ((U.T @ v).T / d).T
+    w = (U.T @ np.asarray(v, dtype=float)).T
+    return U @ np.divide(w, spec.eigenvalues, out=np.zeros_like(w), where=range_mask(spec)).T

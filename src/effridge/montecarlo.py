@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .effective_ridge import EffectiveRidge, theta_norm_theory
 from .errors import EffridgeError, InvalidInputError
 from .features import SeedPolicy, gaussian_features, normal_chunks
-from .kernels import Dataset, GramSpectrum, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
+from .kernels import Dataset, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf_stacked
 
 # Leading trials whose joint predictions TrialStats keeps as individual draws.
@@ -180,19 +179,6 @@ def compare_average_to_krr(stats: TrialStats, krr_predictions: np.ndarray) -> tu
         raise InvalidInputError("prediction vectors have different lengths")
     diff = stats.mean_prediction - krr_predictions
     return float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff**2)))
-
-
-def theta_norm_check(
-    stats: TrialStats, spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge
-) -> tuple[float, float, float]:
-    """Empirical mean squared parameter norm against its deterministic prediction.
-
-    Returns ``(empirical, theoretical, gap)`` where the theoretical value is
-    ``d(lt)/d(l) * y^T K (K + lt I)^{-2} y``; the gap shrinks like ``1/P``.
-    """
-    theoretical = theta_norm_theory(spec, y, eff)
-    empirical = stats.mean_theta_norm_sq
-    return empirical, theoretical, abs(empirical - theoretical)
 
 
 def monte_carlo_band(stats: TrialStats, sigmas: float = 3.0) -> np.ndarray:

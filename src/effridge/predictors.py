@@ -18,24 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, SingularGramError
-from .features import FeatureMatrix
-from .kernels import GramSpectrum, SINGULAR_FLOOR_REL, apply_inverse
+from .kernels import GramSpectrum, apply_inverse, range_mask
 
 RIDGELESS_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True)
-class RFModel:
-    """Fitted random-feature regression: parameters, ridge, and train predictions."""
-
-    theta_hat: np.ndarray
-    lam: float
-    train_predictions: np.ndarray
-    theta_norm_sq: float
-
-    @property
-    def n_features(self) -> int:
-        return self.theta_hat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -78,39 +63,6 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
     return np.array(thetas)
 
 
-def fit_rf(F_train: np.ndarray, y: np.ndarray, lam: float) -> RFModel:
-    """Minimize ``||F theta - y||^2 + lam * ||theta||^2`` in closed form.
-
-    For ``lam = 0`` returns the minimum-norm least-squares solution (relative
-    cutoff ``RIDGELESS_CUTOFF`` on the squared singular values); in the
-    overparameterized full-rank case this interpolates the labels.  This is
-    the one-draw case of ``fit_rf_stacked``.
-    """
-    F = np.asarray(F_train, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if F.ndim != 2 or F.shape[0] != y.shape[0]:
-        raise InvalidInputError("F_train and y have incompatible shapes")
-    if not np.all(np.isfinite(F)) or not np.all(np.isfinite(y)):
-        raise InvalidInputError("non-finite values in the fit inputs")
-    if lam < 0:
-        raise InvalidInputError("ridge must be nonnegative")
-    theta = fit_rf_stacked(F[None], y, [lam])[0, 0]
-    return RFModel(
-        theta_hat=theta,
-        lam=float(lam),
-        train_predictions=F @ theta,
-        theta_norm_sq=float(theta @ theta),
-    )
-
-
-def predict_rf(model: RFModel, F_eval: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted model on new feature rows: ``F_eval @ theta_hat``."""
-    F_eval = np.asarray(F_eval, dtype=float)
-    if F_eval.ndim != 2 or F_eval.shape[1] != model.n_features:
-        raise InvalidInputError("feature count mismatch between model and F_eval")
-    return F_eval @ model.theta_hat
-
-
 def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> KRRModel:
     """Solve ``(K + lam I) alpha = y`` through the Gram's spectrum: ``U diag(1 / (d + lam)) U^T y``.
 
@@ -122,11 +74,10 @@ def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> KRRModel:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the Gram")
-    d = spec.eigenvalues
-    if lam == 0.0 and not d[-1] > SINGULAR_FLOOR_REL * d[0]:
+    if lam == 0.0 and not np.all(range_mask(spec)):
         raise SingularGramError("ridgeless kernel regression on a numerically singular Gram")
     U = spec.eigenvectors
-    return KRRModel(coefficients=U @ ((U.T @ y) / (d + lam)), lam=float(lam))
+    return KRRModel(coefficients=U @ ((U.T @ y) / (spec.eigenvalues + lam)), lam=float(lam))
 
 
 def predict_krr(model: KRRModel, k_cross: np.ndarray) -> np.ndarray:
@@ -156,20 +107,17 @@ def posterior_kernel_diag(
 
 
 def conditional_moments(
-    F: FeatureMatrix, spec: GramSpectrum, k_cross: np.ndarray, model: RFModel
+    spec: GramSpectrum, k_cross: np.ndarray, train_predictions: np.ndarray, theta: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Mean and covariance scale of the predictor given the sampled features.
+    """Mean and covariance scale of the predictor given the sampled features on the training set.
 
-    Conditioned on the feature values on the training set, the predictor is a
-    Gaussian process with mean ``K(x, X) K(X, X)^{-1} yhat`` and covariance
-    ``(||theta_hat||^2 / P) * Ktilde(x, x')``; this returns the mean vector at
-    the rows of ``k_cross`` and the scalar ``||theta_hat||^2 / P``.
+    Conditioned on the feature values on the training set, the predictor with
+    parameters ``theta`` and train predictions ``yhat`` is a Gaussian process
+    with mean ``K(x, X) K(X, X)^{-1} yhat`` and covariance
+    ``(||theta||^2 / P) * Ktilde(x, x')``; this returns the mean vector at the
+    rows of ``k_cross`` and the scalar ``||theta||^2 / P``.
     """
-    if model.n_features != F.n_features:
-        raise InvalidInputError("model was not fitted on these features")
     k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
-    if k_cross.shape[1] != spec.n:
-        raise InvalidInputError("k_cross column count does not match the spectrum")
-    mean = k_cross @ apply_inverse(spec, model.train_predictions)
-    cov_scale = model.theta_norm_sq / F.n_features
-    return mean, float(cov_scale)
+    if k_cross.shape[1] != spec.n or len(train_predictions) != spec.n:
+        raise InvalidInputError("k_cross columns and train predictions must match the spectrum")
+    return k_cross @ apply_inverse(spec, train_predictions), float(theta @ theta / len(theta))

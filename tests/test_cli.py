@@ -38,6 +38,15 @@ def readme_columns():
     return table
 
 
+def sin_csv_config(tmp_path, rows=24, **descriptor):
+    """A config file whose dataset is a csv of ``sin(x)`` on ``rows`` points of [0, 6]."""
+    data = tmp_path / "data.csv"
+    data.write_text("x_0,y\n" + "".join(f"{x},{np.sin(x)}\n" for x in np.linspace(0, 6, rows)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset": {"type": "csv", "path": str(data), **descriptor}}))
+    return str(path)
+
+
 def run_fast(experiment, tmp_path, **overrides):
     base = dict(trials=8, output_dir=str(tmp_path / experiment))
     if experiment == "stieltjes":
@@ -260,6 +269,31 @@ class TestArtifacts:
         _, out_rows = parse_results_csv(artifacts["results"])
         assert out_rows[0]["N"] == 16.0  # 24 rows minus 8 held out
 
+    @pytest.mark.parametrize("experiment", ["average-rf", "predictor-fan"])
+    def test_csv_without_held_out_rows_tests_on_the_training_rows(self, experiment, tmp_path, capsys):
+        # The training rows are the test grid, and their labels its true values.
+        config = sin_csv_config(tmp_path, rows=6)
+        code = main([experiment, "--config", config, "--gamma", "2", "--lambda", "0.1", "--trials", "3",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        _, rows = parse_results_csv(tmp_path / "out" / "results.csv")
+        if experiment == "predictor-fan":
+            truths = {r["x"]: r["f_star"] for r in rows}
+            assert len(rows) == 12 and all(t == np.sin(x) for x, t in truths.items())
+        else:
+            assert rows[0]["N"] == 6.0 and rows[0]["krr_risk"] >= 0.0
+
+    def test_singular_train_gram_runs_with_a_note(self, tmp_path, capsys):
+        # 16 training points 0.26 apart at lengthscale 2 give a numerically singular Gram.
+        config = sin_csv_config(tmp_path, n_test=8)
+        for experiment, column in (("average-rf", "bound_scale"), ("double-descent", "variance_theory")):
+            code = main([experiment, "--config", config, "--gamma", "0.5,2", "--lambda", "0.1",
+                         "--trials", "3", "--out", str(tmp_path / experiment)])
+            err = capsys.readouterr().err
+            assert code == 0, err
+            (note,) = err.splitlines()
+            assert note.startswith("note: Gram matrix numerically singular; " + column)
+
     def test_svg_coordinates_stay_in_viewport(self, tmp_path):
         import re
 
@@ -335,10 +369,11 @@ class TestMainExitCodes:
             ("stieltjes", {"p_grid": [False]}, "p_grid"),
             ("stieltjes", {"lambda_list": [1.0, 0]}, "lambda_list"),
             ("expected-a", {"lambda_list": [0.0]}, "lambda_list"),
+            ("calibrate", {"lambda_list": [1.0, 0.0]}, "lambda_list"),
         ],
         ids=["gamma-string", "gamma-bool", "gamma-nan", "gamma-not-list", "negative-ridge",
              "infinite-ridge", "ridge-null", "p-fraction", "p-bool", "stieltjes-zero-ridge",
-             "expected-a-zero-ridge"],
+             "expected-a-zero-ridge", "calibrate-zero-target"],
     )
     def test_bad_grid_is_1(self, experiment, config, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -428,6 +463,24 @@ class TestMainExitCodes:
         assert "dataset.path" in err and "36 elements" in err
         assert "Traceback" not in err
         assert distances == []
+
+    def test_input_error_at_a_grid_point_names_it(self, tmp_path, capsys):
+        code = main(["double-descent", "--lambda", "0", "--gamma", "1", "--trials", "3",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "degenerate at gamma = 1 [at gamma=1.0, ridge=0.0, P=4]" in err
+        assert "Traceback" not in err
+
+    def test_singular_gram_error_at_a_grid_point_names_it(self, tmp_path, capsys):
+        # A ridgeless fit beyond the threshold has effective ridge 0, and this train Gram is singular.
+        config = sin_csv_config(tmp_path, n_test=8)
+        code = main(["average-rf", "--config", config, "--lambda", "0", "--gamma", "2", "--trials", "3",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerically singular Gram [at gamma=2.0, ridge=0.0, P=32]" in err
+        assert "Traceback" not in err
 
     def test_io_error_is_2(self, tmp_path, capsys):
         # A path beneath a regular file cannot be created, whatever the privileges.

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effridge import (
-    InvalidInputError,
-    SeedPolicy,
-    derive_stream_seed,
-    sample_gaussian_features,
-)
+from effridge import InvalidInputError, SeedPolicy, derive_stream_seed
 from effridge.features import (
     CHUNK_ELEMENTS,
     MAX_ELEMENTS,
@@ -64,29 +59,36 @@ class TestStreamSampler:
         assert z.shape == (3, 5)
 
 
+def feature_draws(root, P, trials, policy):
+    """Feature entries of ``trials`` consecutive draws from ``policy`` on, stacked on the first axis."""
+    chunks = normal_chunks(policy, trials, (P, root.shape[0]))
+    return np.concatenate([gaussian_features(root, W) for _, W in chunks])
+
+
 class TestGaussianFeatures:
     def test_shapes_and_split(self):
+        # The train block is the first rows of the joint root: the same features on the same points.
         root = np.eye(6)
-        F = sample_gaussian_features(root, P=4, n_train=4, policy=SeedPolicy(0, 0))
-        assert F.entries.shape == (6, 4)
-        assert F.train.shape == (4, 4)
-        assert F.test.shape == (2, 4)
+        ((_, W),) = normal_chunks(SeedPolicy(0, 0), 1, (4, 6))
+        F = gaussian_features(root, W)
+        assert F.shape == (1, 6, 4)
+        assert np.array_equal(gaussian_features(root[:4], W), F[:, :4])
 
     def test_rejects_zero_features(self):
-        with pytest.raises(InvalidInputError):
-            sample_gaussian_features(np.eye(2), P=0, n_train=1, policy=SeedPolicy(0, 0))
+        with pytest.raises(InvalidInputError, match="at least one feature"):
+            next(normal_chunks(SeedPolicy(0, 0), 1, (0, 2)))
 
     def test_bit_identical_for_same_policy(self):
         root = np.eye(3)
-        a = sample_gaussian_features(root, 5, 2, SeedPolicy(7, 3))
-        b = sample_gaussian_features(root, 5, 2, SeedPolicy(7, 3))
-        assert np.array_equal(a.entries, b.entries)
+        a = feature_draws(root, 5, 1, SeedPolicy(7, 3))
+        b = feature_draws(root, 5, 1, SeedPolicy(7, 3))
+        assert np.array_equal(a, b)
 
     def test_law_of_large_numbers_identity_gram(self):
         # with joint Gram = I, (1/P-normalized) F F^T estimates the identity
         M, P = 5, 100_000
-        F = sample_gaussian_features(np.eye(M), P, M, SeedPolicy(11, 0))
-        est = F.entries @ F.entries.T
+        (F,) = feature_draws(np.eye(M), P, 1, SeedPolicy(11, 0))
+        est = F @ F.T
         assert np.max(np.abs(est - np.eye(M))) < 0.02
 
     def test_covariance_matches_target_gram(self):
@@ -94,16 +96,13 @@ class TestGaussianFeatures:
         K = np.array([[1.0, 0.6], [0.6, 1.0]])
         w, V = np.linalg.eigh(K)
         root = (V * np.sqrt(w)) @ V.T
-        F = sample_gaussian_features(root, 200_000, 2, SeedPolicy(12, 0))
-        assert np.max(np.abs(F.entries @ F.entries.T - K)) < 0.02
+        (F,) = feature_draws(root, 200_000, 1, SeedPolicy(12, 0))
+        assert np.max(np.abs(F @ F.T - K)) < 0.02
 
     def test_entry_means_vanish_over_trials(self):
         # centered features: per-entry averages across trials go to zero
         trials = 900
-        acc = np.zeros((3, 2))
-        for t in range(trials):
-            acc += sample_gaussian_features(np.eye(3), 2, 3, SeedPolicy(13, t)).entries
-        acc /= trials
+        acc = feature_draws(np.eye(3), 2, trials, SeedPolicy(13, 0)).mean(axis=0)
         # entry std is 1/sqrt(P) = 0.71, so the mean carries 3/sqrt(trials) error
         assert np.max(np.abs(acc)) < 3.0 / np.sqrt(trials)
 
@@ -113,9 +112,7 @@ class TestGaussianFeatures:
         w, V = np.linalg.eigh(K)
         root = (V * np.sqrt(w)) @ V.T
         trials, P = 2000, 3
-        draws = np.array(
-            [sample_gaussian_features(root, P, 2, SeedPolicy(14, t)).entries for t in range(trials)]
-        )
+        draws = feature_draws(root, P, trials, SeedPolicy(14, 0))
         same_col = draws[:, :, 0]  # entries (0, 0) and (1, 0) across trials
         cov = np.cov(same_col.T, ddof=1) * P
         assert np.max(np.abs(cov - K)) < 3.0 / np.sqrt(trials) * P
@@ -131,8 +128,8 @@ class TestEmpiricalKernel:
         root = (V * np.sqrt(w)) @ V.T
         errs = []
         for P in (100, 1000, 10_000):
-            F = sample_gaussian_features(root, P, 8, SeedPolicy(8, 0))
-            errs.append(np.max(np.abs(F.entries @ F.entries.T - K)))
+            (F,) = feature_draws(root, P, 1, SeedPolicy(8, 0))
+            errs.append(np.max(np.abs(F @ F.T - K)))
         slope = np.polyfit(np.log([100, 1000, 10_000]), np.log(errs), 1)[0]
         assert -0.9 < slope < -0.2
 
@@ -175,13 +172,6 @@ class TestNormalChunks:
                 entries = gaussian_features(root, W)
                 for b in range(W.shape[0]):
                     assert np.array_equal(entries[b], (root @ W[b].T) / np.sqrt(P))
-
-    def test_sample_gaussian_features_is_the_contract_draw(self):
-        root = np.diag([1.0, 0.5, 0.25, 2.0])
-        policy = SeedPolicy(7, 3)
-        F = sample_gaussian_features(root, 5, 2, policy)
-        W = StreamSampler(policy).normal((5, 4))
-        assert np.array_equal(F.entries, (root @ W.T) / np.sqrt(5))
 
     def test_draw_above_the_limit_is_refused_before_sampling(self):
         # two normals over the limit; the refusal names P and the shape

@@ -15,7 +15,7 @@ from effridge import (
     spectral_decompose,
     sqrt_gram,
 )
-from effridge.kernels import reconstruct
+from effridge.kernels import apply_inverse, reconstruct
 
 
 def random_spd(n, seed):
@@ -173,6 +173,23 @@ class TestInvKernelNormSq:
         d = spec.eigenvalues
         assert q >= ysq / d[0] - 1e-9 * ysq
         assert q <= ysq / d[-1] + 1e-9 * ysq / d[-1]
+
+
+class TestApplyInverse:
+    def test_invertible_spectrum_gets_the_plain_inverse_bits(self):
+        spec = spectral_decompose(GramMatrix(random_spd(5, 3)))
+        V = np.random.default_rng(4).normal(size=(5, 3))
+        U, d = spec.eigenvectors, spec.eigenvalues
+        assert np.array_equal(apply_inverse(spec, V), U @ ((U.T @ V).T / d).T)
+        assert np.array_equal(apply_inverse(spec, V[:, 0]), U @ ((U.T @ V[:, 0]) / d))
+
+    def test_singular_spectrum_gets_the_pseudoinverse(self):
+        # rank two in three dimensions; the floor drops the zero eigenvalue
+        A = np.random.default_rng(5).normal(size=(3, 2))
+        K = A @ A.T
+        v = np.array([1.0, -2.0, 0.5])
+        assert np.allclose(apply_inverse(spectral_decompose(GramMatrix(K)), v), np.linalg.pinv(K) @ v,
+                           rtol=1e-10, atol=1e-12)
 
 
 class TestDataset:

@@ -15,7 +15,7 @@ from effridge import (
     run_trials,
     solve_effective_ridge,
     spectral_decompose,
-    theta_norm_check,
+    theta_norm_theory,
 )
 from effridge.montecarlo import _merge
 
@@ -214,22 +214,23 @@ class TestCompareAverageToKRR:
 
 
 class TestThetaNormCheck:
+    """The sampled mean of ||theta||^2 against its deterministic prediction, which ``theta_norm_theory`` gives."""
+
     def test_zero_labels(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
         zero_data = type(data)(X=data.X, y=np.zeros(4), f_star=data.f_star)
         stats = run_trials(zero_data, test_X, KERNEL, [4], [0.1], 5, 0)[4][0]
         spec = spectral_decompose(gram_matrix(KERNEL, data.X))
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 1.0, 0.1))
-        emp, theo, gap = theta_norm_check(stats, spec, np.zeros(4), eff)
-        assert emp == 0.0 and theo == 0.0 and gap == 0.0
+        emp, theo = stats.mean_theta_norm_sq, theta_norm_theory(spec, np.zeros(4), eff)
+        assert emp == 0.0 and theo == 0.0
 
     def test_equal_spectrum_frozen_value(self):
         from effridge import GramMatrix
 
         spec = spectral_decompose(GramMatrix(np.eye(2)))
         eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
-        _, _, stats = sinusoid_stats(trials=3)
-        _, theo, _ = theta_norm_check(stats, spec, np.ones(2), eff)
+        theo = theta_norm_theory(spec, np.ones(2), eff)
         assert theo == pytest.approx(2.2796489996607274, rel=1e-9)
 
     def test_empirical_approaches_theory(self):
@@ -239,7 +240,8 @@ class TestThetaNormCheck:
         P = 64
         stats = run_trials(data, test_X, KERNEL, [P], [0.5], 600, 0)[P][0]
         eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.5))
-        emp, theo, gap = theta_norm_check(stats, spec, data.y, eff)
+        theo = theta_norm_theory(spec, data.y, eff)
+        gap = abs(stats.mean_theta_norm_sq - theo)
         noise = 3 * np.sqrt(stats.var_theta_norm_sq / stats.trials)
         assert gap <= noise + 0.1 * theo
 

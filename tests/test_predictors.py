@@ -4,23 +4,41 @@ from hypothesis import given, settings, strategies as st
 
 from effridge import (
     GramMatrix,
-    InvalidInputError,
     KernelSpec,
     SeedPolicy,
     SingularGramError,
     conditional_moments,
     fit_krr,
-    fit_rf,
     generate_sinusoid,
     gram_matrix,
     posterior_kernel_diag,
     predict_krr,
-    predict_rf,
-    sample_gaussian_features,
+    run_trials,
     spectral_decompose,
     sqrt_gram,
 )
+from effridge.features import gaussian_features, normal_chunks
 from effridge.predictors import RIDGELESS_CUTOFF, fit_rf_stacked
+
+
+def fit_one(F, y, lam):
+    """Ridge parameters of one feature block: the one-draw, one-ridge case of the stacked fit."""
+    return fit_rf_stacked(F[None], y, [lam])[0, 0]
+
+
+def engine_run(lam, trials, y=None):
+    """``run_trials`` at P = 5 on four sinusoid points (labels ``y`` if given) and five test points.
+
+    Returns the data, the joint features of trial 0 and the run's stats.
+    """
+    data, test_X = generate_sinusoid(4, 5, seed=1)
+    if y is not None:
+        data = type(data)(X=data.X, y=y, f_star=data.f_star)
+    kernel = KernelSpec("rbf", 2.0)
+    stats = run_trials(data, test_X, kernel, [5], [lam], trials, 3)[5][0]
+    root = sqrt_gram(spectral_decompose(gram_matrix(kernel, np.vstack([data.X, test_X]))))
+    ((_, W),) = normal_chunks(SeedPolicy(3, 0), 1, (5, 9))
+    return data, gaussian_features(root, W)[0], stats
 
 
 class TestFitRF:
@@ -28,30 +46,25 @@ class TestFitRF:
         rng = np.random.default_rng(0)
         F = rng.normal(size=(3, 6))
         y = rng.normal(size=3)
-        model = fit_rf(F, y, 0.0)
-        assert np.max(np.abs(model.train_predictions - y)) < 1e-8
+        theta = fit_one(F, y, 0.0)
+        assert np.max(np.abs(F @ theta - y)) < 1e-8
 
     def test_huge_ridge_shrinks_to_zero(self):
         rng = np.random.default_rng(1)
         F = rng.normal(size=(4, 4))
         y = rng.normal(size=4)
-        model = fit_rf(F, y, 1e12)
-        assert np.linalg.norm(model.theta_hat) < 1e-9 * np.linalg.norm(F.T @ y)
+        theta = fit_one(F, y, 1e12)
+        assert np.linalg.norm(theta) < 1e-9 * np.linalg.norm(F.T @ y)
 
     def test_two_by_two_hand_solve(self):
-        model = fit_rf(np.eye(2), np.array([1.0, 2.0]), 1.0)
-        assert np.allclose(model.theta_hat, [0.5, 1.0], atol=1e-12)
-
-    def test_rejects_negative_ridge(self):
-        with pytest.raises(InvalidInputError):
-            fit_rf(np.eye(2), np.ones(2), -0.1)
+        theta = fit_one(np.eye(2), np.array([1.0, 2.0]), 1.0)
+        assert np.allclose(theta, [0.5, 1.0], atol=1e-12)
 
     def test_theta_norm_sq_field(self):
-        rng = np.random.default_rng(2)
-        F = rng.normal(size=(5, 3))
-        y = rng.normal(size=5)
-        model = fit_rf(F, y, 0.3)
-        assert model.theta_norm_sq == pytest.approx(float(model.theta_hat @ model.theta_hat), rel=1e-12)
+        # A one-trial run reports the squared norm of its one draw's fitted parameters.
+        data, F, stats = engine_run(0.3, 1)
+        theta = fit_one(F[:4], data.y, 0.3)
+        assert stats.mean_theta_norm_sq == pytest.approx(float(theta @ theta), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.floats(1e-6, 1e3), st.integers(0, 1000))
@@ -61,10 +74,10 @@ class TestFitRF:
         y = rng.normal(size=n)
         dual = F.T @ np.linalg.solve(F @ F.T + lam * np.eye(n), y)
         primal = np.linalg.solve(F.T @ F + lam * np.eye(p), F.T @ y)
-        model = fit_rf(F, y, lam)
+        theta = fit_one(F, y, lam)
         scale = max(np.linalg.norm(dual), 1e-30)
         assert np.linalg.norm(dual - primal) < 1e-8 * scale
-        assert np.linalg.norm(model.theta_hat - dual) < 1e-8 * scale
+        assert np.linalg.norm(theta - dual) < 1e-8 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(2, 8), st.floats(1e-4, 10.0), st.integers(0, 1000))
@@ -73,7 +86,7 @@ class TestFitRF:
         rng = np.random.default_rng(seed)
         F = rng.normal(size=(n, p))
         y = rng.normal(size=n)
-        model = fit_rf(F, y, lam)
+        theta = fit_one(F, y, lam)
         G = F @ F.T
         # evaluate the resolvent quadratic form in the eigenbasis of G, where
         # it is free of cancellation, so the oracle itself is accurate
@@ -81,35 +94,21 @@ class TestFitRF:
         w = np.where(w > 1e-12 * np.max(w), w, 0.0)  # exact zeros for rank junk
         c = V.T @ y
         expected = float(np.sum(w * c * c / (w + lam) ** 2))
-        assert model.theta_norm_sq == pytest.approx(expected, rel=1e-10, abs=1e-14)
+        assert float(theta @ theta) == pytest.approx(expected, rel=1e-10, abs=1e-14)
 
 
 class TestPredictRF:
+    """The trial engine predicts with ``root W^T theta / sqrt(P)``, never forming the joint feature block."""
+
     def test_train_consistency(self):
-        rng = np.random.default_rng(3)
-        F = rng.normal(size=(4, 5))
-        y = rng.normal(size=4)
-        model = fit_rf(F, y, 0.5)
-        assert np.array_equal(predict_rf(model, F), model.train_predictions)
+        data, F, stats = engine_run(0.5, 1, y=np.array([0.3, -1.0, 0.5, 2.0]))
+        theta = fit_one(F[:4], data.y, 0.5)
+        assert np.allclose(stats.mean_train_prediction, F[:4] @ theta, rtol=1e-12, atol=1e-14)
+        assert np.allclose(stats.mean_prediction, F[4:] @ theta, rtol=1e-12, atol=1e-14)
 
     def test_zero_parameters(self):
-        model = fit_rf(np.eye(2), np.zeros(2), 1.0)
-        assert np.allclose(predict_rf(model, np.random.default_rng(0).normal(size=(3, 2))), 0.0)
-
-    def test_rank_one_evaluation(self):
-        rng = np.random.default_rng(4)
-        F = rng.normal(size=(3, 4))
-        y = rng.normal(size=3)
-        model = fit_rf(F, y, 0.2)
-        u = rng.normal(size=5)
-        v = rng.normal(size=4)
-        F_eval = np.outer(u, v)
-        assert np.allclose(predict_rf(model, F_eval), u * float(v @ model.theta_hat))
-
-    def test_dimension_mismatch(self):
-        model = fit_rf(np.eye(2), np.ones(2), 1.0)
-        with pytest.raises(InvalidInputError):
-            predict_rf(model, np.zeros((3, 5)))
+        _, _, stats = engine_run(1.0, 3, y=np.zeros(4))
+        assert np.all(stats.samples == 0.0)
 
 
 class TestKRR:
@@ -160,30 +159,31 @@ class TestConditionalMoments:
         kernel = KernelSpec("rbf", 2.0)
         X_all = np.vstack([data.X, test_X])
         spec_all = spectral_decompose(gram_matrix(kernel, X_all))
-        feats = sample_gaussian_features(sqrt_gram(spec_all), P, data.n, SeedPolicy(seed, 0))
-        model = fit_rf(feats.train, data.y, lam)
+        ((_, W),) = normal_chunks(SeedPolicy(seed, 0), 1, (P, X_all.shape[0]))
+        F_train = gaussian_features(sqrt_gram(spec_all), W)[0, : data.n]
+        theta = fit_one(F_train, data.y, lam)
         spec = spectral_decompose(gram_matrix(kernel, data.X))
         k_cross = gram_matrix(kernel, test_X, data.X)
-        return data, test_X, kernel, spec, feats, model, k_cross
+        return data, test_X, kernel, spec, F_train, theta, k_cross
 
     def test_mean_at_training_points_is_yhat(self):
-        data, _, kernel, spec, feats, model, _ = self._setup()
+        data, _, kernel, spec, F_train, theta, _ = self._setup()
         k_self = gram_matrix(kernel, data.X).entries
-        mean, _ = conditional_moments(feats, spec, k_self, model)
-        assert np.max(np.abs(mean - model.train_predictions)) < 1e-8
+        mean, _ = conditional_moments(spec, k_self, F_train @ theta, theta)
+        assert np.max(np.abs(mean - F_train @ theta)) < 1e-8
 
     def test_zero_parameters_degenerate(self):
-        data, test_X, kernel, spec, feats, model, k_cross = self._setup()
-        zero_model = fit_rf(feats.train, np.zeros(data.n), 0.5)
-        _, cov_scale = conditional_moments(feats, spec, k_cross, zero_model)
+        data, test_X, kernel, spec, F_train, theta, k_cross = self._setup()
+        zero_theta = fit_one(F_train, np.zeros(data.n), 0.5)
+        _, cov_scale = conditional_moments(spec, k_cross, F_train @ zero_theta, zero_theta)
         assert cov_scale == 0.0
 
     def test_conditional_resampling_oracle(self):
         # given fixed features on the training set, resample the feature process
         # at test points from its Gaussian conditional; empirical mean and
         # variance of the resulting predictor match the stated moments
-        data, test_X, kernel, spec, feats, model, k_cross = self._setup(lam=0.1, P=6, seed=1)
-        mean, cov_scale = conditional_moments(feats, spec, k_cross, model)
+        data, test_X, kernel, spec, F_train, theta, k_cross = self._setup(lam=0.1, P=6, seed=1)
+        mean, cov_scale = conditional_moments(spec, k_cross, F_train @ theta, theta)
         ktilde = posterior_kernel_diag(spec, k_cross, 1.0)
 
         K_inv_cross = np.linalg.solve(gram_matrix(kernel, data.X).entries, k_cross.T)
@@ -194,13 +194,13 @@ class TestConditionalMoments:
         root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
 
         rng = np.random.default_rng(42)
-        P = feats.n_features
+        P = theta.size
         n_rep = 4000
         preds = np.empty((n_rep, test_X.shape[0]))
-        train_vals = np.sqrt(P) * feats.train  # feature values before 1/sqrt(P)
+        train_vals = np.sqrt(P) * F_train  # feature values before 1/sqrt(P)
         for r in range(n_rep):
             test_feats = cond_mean_map @ train_vals + root @ rng.normal(size=(test_X.shape[0], P))
-            preds[r] = (test_feats / np.sqrt(P)) @ model.theta_hat
+            preds[r] = (test_feats / np.sqrt(P)) @ theta
         emp_mean = preds.mean(axis=0)
         emp_var = preds.var(axis=0, ddof=1)
         theo_var = cov_scale * ktilde
@@ -220,10 +220,10 @@ class TestRidgelessUnbiasedness:
         root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
         P, trials = 16, 400
         acc = np.zeros((trials, test_X.shape[0]))
-        for t in range(trials):
-            feats = sample_gaussian_features(root, P, data.n, SeedPolicy(17, t))
-            model = fit_rf(feats.train, data.y, 0.0)
-            acc[t] = predict_rf(model, feats.test)
+        for t0, W in normal_chunks(SeedPolicy(17, 0), trials, (P, X_all.shape[0])):
+            F = gaussian_features(root, W)
+            thetas = fit_rf_stacked(F[:, : data.n], data.y, [0.0])[0]
+            acc[t0 : t0 + len(W)] = [f[data.n :] @ theta for f, theta in zip(F, thetas)]
         gram = gram_matrix(kernel, data.X)
         krr = fit_krr(spectral_decompose(gram), data.y, 0.0)
         krr_pred = predict_krr(krr, gram_matrix(kernel, test_X, data.X))
@@ -265,11 +265,11 @@ class TestStackedFit:
             assert np.linalg.norm(theta - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
 
     @pytest.mark.parametrize("N, P", [(5, 4), (4, 5)])
-    def test_fit_rf_is_the_one_draw_case(self, N, P):
+    def test_one_draw_equals_its_slice_of_a_stack(self, N, P):
         rng = np.random.default_rng(6)
         F = rng.standard_normal((3, N, P))
         y = rng.standard_normal(N)
         thetas = fit_rf_stacked(F, y, [0.0, 0.3])
         for i, lam in enumerate([0.0, 0.3]):
             for f, theta in zip(F, thetas[i]):
-                assert np.array_equal(fit_rf(f, y, lam).theta_hat, theta)
+                assert np.array_equal(fit_one(f, y, lam), theta)

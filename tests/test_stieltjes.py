@@ -243,13 +243,11 @@ class TestEmpiricalExpectedA:
     def test_primal_dual_forms_agree(self):
         d = generate_spectrum("polynomial", 6)
         (a,) = empirical_expected_A(d, P=6, lams=[0.2], trials=5, policy=SeedPolicy(7, 0))
-        # compare against the dual form evaluated by hand from the features
-        from effridge import sample_gaussian_features
-
+        # compare against the dual form evaluated by hand from the contract draws
         root = np.diag(np.sqrt(d))
         acc = np.zeros((6, 6))
         for t in range(5):
-            F = sample_gaussian_features(root, 6, 6, SeedPolicy(7, t)).train
+            F = root @ StreamSampler(SeedPolicy(7, t)).normal((6, 6)).T / np.sqrt(6)
             G = F @ F.T
             acc += np.linalg.solve(G + 0.2 * np.eye(6), G).T
         acc /= 5
@@ -259,14 +257,12 @@ class TestEmpiricalExpectedA:
     def test_off_diagonal_mean_shrinks_with_trials(self):
         # symmetry argument: E[A] is diagonal in the Gram eigenbasis
         d = generate_spectrum("exponential", 4)
-        from effridge import sample_gaussian_features
-
         root = np.diag(np.sqrt(d))
 
         def mean_offdiag(trials, seed):
             acc = np.zeros((4, 4))
             for t in range(trials):
-                F = sample_gaussian_features(root, 8, 4, SeedPolicy(seed, t)).train
+                F = root @ StreamSampler(SeedPolicy(seed, t)).normal((8, 4)).T / np.sqrt(8)
                 G = F @ F.T
                 acc += np.linalg.solve(G + 0.1 * np.eye(4), G).T
             acc /= trials
