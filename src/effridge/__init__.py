@@ -68,7 +68,6 @@ from .datasets import (
     generate_clusters,
     generate_sinusoid,
     generate_spectrum,
-    load_dataset_csv,
 )
 
 __version__ = "0.1.0"

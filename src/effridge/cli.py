@@ -31,10 +31,9 @@ import numpy as np
 from .datasets import generate_clusters, generate_sinusoid, generate_spectrum, read_csv_table
 from .effective_ridge import SpectrumInput, calibrate_ridge, solve_effective_ridge, theta_norm_theory
 from .errors import EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
-from .features import MAX_ELEMENTS, SeedPolicy
+from .features import MAX_ELEMENTS, SeedPolicy, check_draw
 from .kernels import (
     Dataset,
-    GramSpectrum,
     KernelSpec,
     gram_matrix,
     inv_kernel_norm_sq,
@@ -338,12 +337,6 @@ def _row_context(**keys):
         raise type(exc)(f"{exc} [at {ctx}]") from exc
 
 
-def _note_if_singular(spec: GramSpectrum, what: str) -> None:
-    """Note on stderr that the train Gram is numerically singular and which columns (``what``) use its pseudoinverse."""
-    if not np.all(range_mask(spec)):
-        print(f"note: Gram matrix numerically singular; {what}", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # Experiment implementations.  Each returns its rows; the key order of a row
 # is the CSV column order.
@@ -396,49 +389,51 @@ def _run_calibrate(cfg: ExperimentConfig):
     return rows
 
 
-def _sampled_data(cfg: ExperimentConfig):
-    """Training data, test grid and kernel of the experiments that sample features."""
+def _sampled_grid(cfg: ExperimentConfig):
+    """Training data, test grid, kernel and grid points ``(lam, P)``, ridge-major as the rows are written."""
     data, test_X = _resolve_data(cfg)
     if data.f_star is None or len(data.f_star) != test_X.shape[0]:
         raise InvalidInputError("dataset must carry true values on the test grid")
-    return data, test_X, _kernel_from(cfg)
+    Ps = [max(1, int(round(P))) for P in _feature_counts(cfg, data.n)]
+    return data, test_X, _kernel_from(cfg), [(lam, P) for lam in cfg.lambda_list for P in Ps]
 
 
-def _mc_theory_context(cfg: ExperimentConfig):
-    """Shared setup of the Monte Carlo experiments compared with kernel ridge regression."""
-    data, test_X, kernel = _sampled_data(cfg)
+def _sample(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, kernel: KernelSpec, points):
+    """The ``TrialStats`` of each grid point, in order; one ``run_trials`` call fits each draw at every point."""
+    stats = run_trials(data, test_X, kernel, [P for _, P in points], cfg.lambda_list, cfg.trials, cfg.base_seed)
+    return [stats[P][cfg.lambda_list.index(lam)] for lam, P in points]
+
+
+def _krr_points(cfg: ExperimentConfig, note: str):
+    """Data, train spectrum, cross kernel and ``(lam, P, eff, krr_pred, stats)`` per grid point, in row order.
+
+    Every point's effective ridge and KRR test predictions come before the
+    first draw, so a point that theory rejects fails at once.  A singular train
+    Gram gets a note naming the columns (``note``) that use its pseudoinverse.
+    """
+    data, test_X, kernel, points = _sampled_grid(cfg)
     spec = spectral_decompose(gram_matrix(kernel, data.X))
     k_cross = gram_matrix(kernel, test_X, data.X)
-    return data, test_X, kernel, spec, k_cross
-
-
-def _sampled_points(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, kernel: KernelSpec):
-    """``(lam, P, stats)`` per grid point, ridge-major as the rows are written.
-
-    One ``run_trials`` call fits each draw at every feature count and ridge.
-    """
-    Ps = [max(1, int(round(P))) for P in _feature_counts(cfg, data.n)]
-    stats = run_trials(data, test_X, kernel, Ps, cfg.lambda_list, cfg.trials, cfg.base_seed)
-    for i, lam in enumerate(cfg.lambda_list):
-        for P in Ps:
-            yield lam, P, stats[P][i]
+    theory = []
+    for lam, P in points:
+        with _row_context(gamma=P / data.n, ridge=lam, P=P):
+            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / data.n, lam))
+            theory.append((lam, P, eff, predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)))
+    if not np.all(range_mask(spec)):
+        print(f"note: Gram matrix numerically singular; {note}", file=sys.stderr)
+    stats = _sample(cfg, data, test_X, kernel, points)
+    return data, spec, k_cross, [(*point, s) for point, s in zip(theory, stats)]
 
 
 def _run_average_rf(cfg: ExperimentConfig):
-    data, test_X, kernel, spec, k_cross = _mc_theory_context(cfg)
+    data, spec, _, points = _krr_points(cfg, "bound_scale columns use the pseudoinverse label norm")
     N = data.n
-    _note_if_singular(spec, "bound_scale columns use the pseudoinverse label norm")
-    q_norm_sq = inv_kernel_norm_sq(spec, data.y, pseudoinverse=True)
+    q_norm_sq = inv_kernel_norm_sq(spec, data.y)
     rows = []
-    for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
-        g_actual = P / N
-        with _row_context(gamma=g_actual, ridge=lam, P=P):
-            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
-            krr = fit_krr(spec, data.y, eff.lambda_tilde)
-            krr_pred = predict_krr(krr, k_cross)
+    for lam, P, eff, krr_pred, stats in points:
         max_abs, rmse = compare_average_to_krr(stats, krr_pred)
         band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / cfg.trials))
-        row = _prefix(cfg, N, P, g_actual, lam)
+        row = _prefix(cfg, N, P, P / N, lam)
         # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
         row.update(
             lambda_tilde=eff.lambda_tilde,
@@ -458,19 +453,14 @@ def _run_average_rf(cfg: ExperimentConfig):
 
 
 def _run_double_descent(cfg: ExperimentConfig):
-    data, test_X, kernel, spec, k_cross = _mc_theory_context(cfg)
+    data, spec, k_cross, points = _krr_points(cfg, "variance_theory uses the pseudoinverse posterior variance")
     N = data.n
-    _note_if_singular(spec, "variance_theory uses the pseudoinverse posterior variance")
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []
-    for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
-        g_actual = P / N
-        with _row_context(gamma=g_actual, ridge=lam, P=P):
-            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, g_actual, lam))
-            krr_pred = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
+    for lam, P, eff, krr_pred, stats in points:
         report = bias_variance_decompose(stats, data.f_star)
         var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
-        row = _prefix(cfg, N, P, g_actual, lam)
+        row = _prefix(cfg, N, P, P / N, lam)
         row.update(
             lambda_tilde=eff.lambda_tilde,
             expected_risk=report.expected_risk,
@@ -483,27 +473,39 @@ def _run_double_descent(cfg: ExperimentConfig):
     return rows
 
 
+def _spectral_theory(cfg: ExperimentConfig, d: np.ndarray):
+    """Feature counts and each ``(P, lam)``'s effective ridge on ``d``, all checked before the first draw."""
+    Ps = [int(P) for P in cfg.p_grid]
+    effs = {}
+    for P in Ps:
+        check_draw((P, d.size))
+        for lam in cfg.lambda_list:
+            with _row_context(P=P, ridge=lam):
+                effs[P, lam] = solve_effective_ridge(SpectrumInput(d, P / d.size, lam))
+    return Ps, effs
+
+
 def _run_stieltjes(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
+    Ps, effs = _spectral_theory(cfg, d)
     rows = []
-    for P in cfg.p_grid:
-        P = int(P)
+    for P in Ps:
         # Drawn once per P and shared by every ridge.
         spectra = sample_wishart(d, P, SeedPolicy(cfg.base_seed), cfg.trials)
         for lam in cfg.lambda_list:
             mean, var = stieltjes_moments(spectra, P, complex(-lam, 0.0))
             gamma = P / N
-            with _row_context(P=P, ridge=lam):
-                eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-            m_tilde = 1.0 / eff.lambda_tilde
+            m_tilde = 1.0 / effs[P, lam].lambda_tilde
+            # The m-form of the fixed point, gamma = mean(d m / (1 + d m)) + gamma lam m, at m = m_tilde.
+            residual = gamma - np.mean(d * m_tilde / (1.0 + d * m_tilde)) - gamma * lam * m_tilde
             row = _prefix(cfg, N, P, gamma, lam)
             row.update(
                 m_p_mean=mean.real,
                 m_p_var=var,
                 m_tilde=m_tilde,
                 abs_gap=abs(mean - m_tilde),
-                recip_identity_err=abs(m_tilde * eff.lambda_tilde - 1.0),
+                recip_identity_err=abs(residual) / gamma,
             )
             rows.append(row)
     return rows
@@ -512,18 +514,15 @@ def _run_stieltjes(cfg: ExperimentConfig):
 def _run_expected_a(cfg: ExperimentConfig):
     d = np.sort(_resolve_spectrum(cfg))[::-1]
     N = d.size
-    Ps = [int(P) for P in cfg.p_grid]
+    Ps, effs = _spectral_theory(cfg, d)
     # Drawn once per P and shared by every ridge.
     emps = [empirical_expected_A(d, P, cfg.lambda_list, cfg.trials, SeedPolicy(cfg.base_seed)) for P in Ps]
     rows = []
     for j, lam in enumerate(cfg.lambda_list):
         for P, emp in zip(Ps, emps):
-            gamma = P / N
-            with _row_context(P=P, ridge=lam):
-                eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-            theory = expected_A_theoretical(d, eff.lambda_tilde)
+            theory = expected_A_theoretical(d, effs[P, lam].lambda_tilde)
             for i in range(N):
-                row = _prefix(cfg, N, P, gamma, lam)
+                row = _prefix(cfg, N, P, P / N, lam)
                 row.update(
                     idx=i + 1,
                     d=d[i],
@@ -536,14 +535,14 @@ def _run_expected_a(cfg: ExperimentConfig):
 
 
 def _run_predictor_fan(cfg: ExperimentConfig):
-    data, test_X, kernel = _sampled_data(cfg)
+    data, test_X, kernel, points = _sampled_grid(cfg)
     if data.dim != 1:
         raise InvalidInputError("predictor-fan needs one-dimensional inputs")
     N = data.n
     X_all = np.vstack([data.X, test_X])
     truths = np.concatenate([data.y, data.f_star])
     rows = []
-    for lam, P, stats in _sampled_points(cfg, data, test_X, kernel):
+    for (lam, P), stats in zip(points, _sample(cfg, data, test_X, kernel, points)):
         mean = np.concatenate([stats.mean_train_prediction, stats.mean_prediction])
         std = np.sqrt(np.concatenate([stats.var_train_prediction, stats.var_prediction]))
         for i in range(X_all.shape[0]):

@@ -108,9 +108,3 @@ def read_csv_table(path) -> np.ndarray:
     if not rows:
         raise CsvParseError("no data rows", line=2)
     return np.asarray(rows, dtype=float)
-
-
-def load_dataset_csv(path) -> Dataset:
-    """The dataset in a CSV file (see ``read_csv_table``); duplicate rows are rejected as in every dataset."""
-    table = read_csv_table(path)
-    return Dataset(X=table[:, :-1], y=table[:, -1])

@@ -110,6 +110,18 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
 
 
+def check_draw(shape: tuple[int, int]) -> None:
+    """Refuse, naming P, a draw of shape ``(P, cols)`` with no features or above ``MAX_ELEMENTS`` normals."""
+    rows, cols = shape
+    if rows < 1:
+        raise InvalidInputError("need at least one feature")
+    if rows * cols > MAX_ELEMENTS:
+        raise InvalidInputError(
+            f"P = {rows}: one draw of shape ({rows}, {cols}) has {rows * cols} normals, "
+            f"above the limit of {MAX_ELEMENTS}"
+        )
+
+
 def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
     """Standard normal draws of ``trials`` consecutive streams, a chunk at a time.
 
@@ -117,18 +129,12 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
     bit for bit.  ``B = max(1, CHUNK_ELEMENTS // (rows * cols))`` depends on
     the shape only; the last chunk holds the remaining trials.  ``rows`` is
-    the feature count P; no features, or a draw above ``MAX_ELEMENTS``
-    normals, raises :class:`InvalidInputError`.
+    the feature count P; a shape that ``check_draw`` refuses raises
+    :class:`InvalidInputError`.
     """
+    check_draw(shape)
     rows, cols = shape
     n = rows * cols
-    if rows < 1:
-        raise InvalidInputError("need at least one feature")
-    if n > MAX_ELEMENTS:
-        raise InvalidInputError(
-            f"P = {rows}: one draw of shape ({rows}, {cols}) has {n} normals, "
-            f"above the limit of {MAX_ELEMENTS}"
-        )
     size = max(1, CHUNK_ELEMENTS // n)
     pairs = (n + 1) // 2
     for t0 in range(0, trials, size):

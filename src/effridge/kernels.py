@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateRowError, InvalidInputError, NumericError, SingularGramError
+from .errors import DuplicateRowError, InvalidInputError, NumericError
 
 # Eigenvalues in [-EIG_CLAMP_REL * max(d), 0) are rounded up to zero; symmetric
 # eigensolvers routinely emit such values for PSD inputs.  Anything more
@@ -212,12 +212,6 @@ def sqrt_gram(spec: GramSpectrum) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def reconstruct(spec: GramSpectrum) -> np.ndarray:
-    """Rebuild the Gram matrix from its decomposition (testing aid)."""
-    U = spec.eigenvectors
-    return (U * spec.eigenvalues) @ U.T
-
-
 def range_mask(spec: GramSpectrum) -> np.ndarray:
     """Eigenvalues that span range(K): those above ``SINGULAR_FLOOR_REL`` times the largest.
 
@@ -227,24 +221,20 @@ def range_mask(spec: GramSpectrum) -> np.ndarray:
     return d > SINGULAR_FLOOR_REL * d.max(initial=0.0)
 
 
-def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray, pseudoinverse: bool = False) -> float:
-    """Squared inverse-kernel norm of the labels, ``y^T K^{-1} y``.
+def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray) -> float:
+    """Squared inverse-kernel norm of the labels, ``y^T K^{-1} y``, or ``y^T K^+ y`` on a singular spectrum.
 
-    Requires a strictly positive spectrum; computed in the eigenbasis as
-    ``sum_i (U^T y)_i^2 / d_i``.  The (unsquared) norm is the square root of
-    this value; both conventions appear in reported error bounds, so the
-    squared form is the primitive.
-
-    With ``pseudoinverse=True`` a numerically singular spectrum restricts the
-    sum to eigenvalues above the relative floor, giving ``y^T K^+ y``; the
-    true inverse norm is infinite unless the labels avoid the null space.
+    Computed in the eigenbasis as ``sum_i (U^T y)_i^2 / d_i`` over the
+    eigenvalues that span range(K) (see ``range_mask``), which is every one of
+    an invertible spectrum; on a singular one the true inverse norm is
+    infinite unless the labels avoid the null space.  The (unsquared) norm is
+    the square root of this value; both conventions appear in reported error
+    bounds, so the squared form is the primitive.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the spectrum")
     keep = range_mask(spec)
-    if not (pseudoinverse or np.all(keep)):
-        raise SingularGramError("spectrum has (near-)zero eigenvalues; K is not invertible")
     w = spec.eigenvectors.T @ y
     d = spec.eigenvalues
     return float(np.sum(w[keep] * w[keep] / d[keep]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EffridgeError, InvalidInputError
-from .features import SeedPolicy, gaussian_features, normal_chunks
+from .features import SeedPolicy, check_draw, gaussian_features, normal_chunks
 from .kernels import Dataset, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf_stacked
 
@@ -88,12 +88,12 @@ def run_trials(
     ridge of ``lams``.  The result maps each distinct ``P`` to one
     ``TrialStats`` per ridge, in order, each equal to that of a one-ridge,
     one-``P`` call.  Every feature count shares one joint Gram square root,
-    computed up front.
+    computed up front, once every ridge and every draw's size is checked.
     """
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     Ps = list(dict.fromkeys(Ps))
-    if len(Ps) == 0 or min(Ps) < 1:
+    if len(Ps) == 0:
         raise InvalidInputError("need at least one feature")
     if len(lams) == 0:
         raise InvalidInputError("need at least one ridge")
@@ -105,6 +105,8 @@ def run_trials(
         raise InvalidInputError("test points and training points have different dimension")
     N = dataset.n
     X_all = np.vstack([dataset.X, test_X])
+    for P in Ps:
+        check_draw((P, X_all.shape[0]))
     joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
     out = {}
     for P in Ps:

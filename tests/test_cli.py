@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,15 @@ from effridge.cli import (
     parse_results_csv,
     render_plots,
 )
+import effridge.cli
+import effridge.features
 from effridge.errors import InvalidInputError
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def no_trials(*args, **kwargs):
+    raise AssertionError("run_trials was called")
 
 
 def readme_columns():
@@ -234,6 +241,19 @@ class TestArtifacts:
             assert row["lambda_tilde"] == eff.lambda_tilde
             assert row["d_lambda_tilde"] == eff.d_lambda_tilde
             assert row["effective_dimension"] == eff.effective_dimension
+
+    def test_stieltjes_residual_sees_an_effective_ridge_error(self, tmp_path, monkeypatch):
+        # recip_identity_err is the residual of the m-form equation at m = 1 / lambda_tilde,
+        # so a relative error of 1e-9 in lambda_tilde shows up far above rounding.
+        _, artifacts = run_fast("stieltjes", tmp_path, lambda_list=[0.1, 1.0])
+        _, rows = parse_results_csv(artifacts["results"])
+        assert all(r["recip_identity_err"] <= 1e-12 for r in rows)
+        solve = effridge.cli.solve_effective_ridge
+        monkeypatch.setattr(effridge.cli, "solve_effective_ridge",
+                            lambda inp: replace(solve(inp), lambda_tilde=solve(inp).lambda_tilde * (1 + 1e-9)))
+        _, artifacts = run_fast("stieltjes", tmp_path, lambda_list=[0.1, 1.0], output_dir=str(tmp_path / "off"))
+        _, rows = parse_results_csv(artifacts["results"])
+        assert all(r["recip_identity_err"] > 1e-11 for r in rows)
 
     def test_double_descent_variance_peaks_at_threshold(self, tmp_path):
         cfg = load_config(
@@ -472,14 +492,52 @@ class TestMainExitCodes:
         assert "degenerate at gamma = 1 [at gamma=1.0, ridge=0.0, P=4]" in err
         assert "Traceback" not in err
 
-    def test_singular_gram_error_at_a_grid_point_names_it(self, tmp_path, capsys):
+    def test_singular_gram_error_at_a_grid_point_names_it(self, tmp_path, capsys, monkeypatch):
         # A ridgeless fit beyond the threshold has effective ridge 0, and this train Gram is singular.
+        monkeypatch.setattr(effridge.cli, "run_trials", no_trials)
         config = sin_csv_config(tmp_path, n_test=8)
         code = main(["average-rf", "--config", config, "--lambda", "0", "--gamma", "2", "--trials", "3",
                      "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
         assert "numerically singular Gram [at gamma=2.0, ridge=0.0, P=32]" in err
+        assert "Traceback" not in err
+
+    def test_grid_point_that_theory_rejects_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # Ridgeless at gamma = 1 has no effective ridge; that is known before the gamma = 0.5 point is sampled.
+        monkeypatch.setattr(effridge.cli, "run_trials", no_trials)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "clusters", "n": 100, "n_test": 100},
+                                    "kernel": {"kind": "rbf", "lengthscale": 5.0}}))
+        code = main(["double-descent", "--config", str(path), "--gamma", "0.5,1,2,4", "--lambda", "0",
+                     "--trials", "200", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "ridgeless effective ridge is degenerate at gamma = 1 [at gamma=1.0, ridge=0.0, P=100]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "experiment, grid, P",
+        [
+            ("average-rf", ["--gamma", "1,200000"], 800000),
+            ("double-descent", ["--gamma", "1,200000"], 800000),
+            ("predictor-fan", ["--gamma", "1,200000"], 800000),
+            ("stieltjes", ["--p", "10,2000000"], 2000000),
+            ("expected-a", ["--p", "10,7000000"], 7000000),
+        ],
+    )
+    def test_oversized_draw_later_in_the_grid_is_refused_before_any_draw(
+        self, experiment, grid, P, tmp_path, capsys, monkeypatch
+    ):
+        # Every draw builds its stream sampler first, so none may be built.
+        def no_stream(policy):
+            raise AssertionError("a feature draw was sampled")
+
+        monkeypatch.setattr(effridge.features, "StreamSampler", no_stream)
+        code = main([experiment, *grid, "--trials", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"P = {P}: one draw of shape ({P}," in err
         assert "Traceback" not in err
 
     def test_io_error_is_2(self, tmp_path, capsys):

@@ -3,13 +3,14 @@ import pytest
 
 from effridge import (
     CsvParseError,
+    Dataset,
     DuplicateRowError,
     InvalidInputError,
     generate_clusters,
     generate_sinusoid,
     generate_spectrum,
-    load_dataset_csv,
 )
+from effridge.datasets import read_csv_table
 
 
 class TestSinusoid:
@@ -83,39 +84,40 @@ class TestLoadCsv:
         return p
 
     def test_two_row_file(self, tmp_path):
-        ds = load_dataset_csv(self.write(tmp_path, "x_0,y\n0,1\n1,-1\n"))
-        assert ds.n == 2 and ds.dim == 1
-        assert np.array_equal(ds.y, [1.0, -1.0])
-        assert np.array_equal(ds.X.ravel(), [0.0, 1.0])
+        t = read_csv_table(self.write(tmp_path, "x_0,y\n0,1\n1,-1\n"))
+        assert t.shape == (2, 2)
+        assert np.array_equal(t[:, -1], [1.0, -1.0])
+        assert np.array_equal(t[:, 0], [0.0, 1.0])
 
     def test_row_order_preserved(self, tmp_path):
-        ds = load_dataset_csv(self.write(tmp_path, "x_0,y\n5,0\n1,1\n3,2\n"))
-        assert np.array_equal(ds.X.ravel(), [5.0, 1.0, 3.0])
+        t = read_csv_table(self.write(tmp_path, "x_0,y\n5,0\n1,1\n3,2\n"))
+        assert np.array_equal(t[:, 0], [5.0, 1.0, 3.0])
 
     def test_nan_cell_names_line(self, tmp_path):
         with pytest.raises(CsvParseError) as err:
-            load_dataset_csv(self.write(tmp_path, "x_0,y\n0,1\nnan,2\n"))
+            read_csv_table(self.write(tmp_path, "x_0,y\n0,1\nnan,2\n"))
         assert err.value.line == 3
 
     def test_duplicate_rows_rejected(self, tmp_path):
+        t = read_csv_table(self.write(tmp_path, "x_0,y\n1,0\n1,0\n"))
         with pytest.raises(DuplicateRowError):
-            load_dataset_csv(self.write(tmp_path, "x_0,y\n1,0\n1,0\n"))
+            Dataset(X=t[:, :-1], y=t[:, -1])
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(CsvParseError) as err:
-            load_dataset_csv(self.write(tmp_path, "a,b\n1,2\n"))
+            read_csv_table(self.write(tmp_path, "a,b\n1,2\n"))
         assert err.value.line == 1
 
     def test_inconsistent_column_count(self, tmp_path):
         with pytest.raises(CsvParseError) as err:
-            load_dataset_csv(self.write(tmp_path, "x_0,x_1,y\n1,2,3\n1,2\n"))
+            read_csv_table(self.write(tmp_path, "x_0,x_1,y\n1,2,3\n1,2\n"))
         assert err.value.line == 3
 
     def test_non_numeric_cell(self, tmp_path):
         with pytest.raises(CsvParseError) as err:
-            load_dataset_csv(self.write(tmp_path, "x_0,y\n1,2\nfoo,3\n"))
+            read_csv_table(self.write(tmp_path, "x_0,y\n1,2\nfoo,3\n"))
         assert err.value.line == 3
 
     def test_multidimensional(self, tmp_path):
-        ds = load_dataset_csv(self.write(tmp_path, "x_0,x_1,y\n0,1,0.5\n2,3,-0.5\n"))
-        assert ds.dim == 2
+        t = read_csv_table(self.write(tmp_path, "x_0,x_1,y\n0,1,0.5\n2,3,-0.5\n"))
+        assert t.shape == (2, 3)
