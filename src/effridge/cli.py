@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -286,11 +287,13 @@ def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
             seed=cfg.base_seed,
         )
     if kind == "csv":
-        table = read_csv_table(ds["path"])
         # Hold out the trailing rows as the test grid when requested, else test on the training rows.
-        # Checked before the Dataset exists: its duplicate-row check forms an n x n distance matrix.
+        # Checked before the Dataset exists, whose duplicate-row check forms an n x n distance matrix,
+        # and before the file is read past the first row too many.
         n_test = ds.get("n_test", 0)
-        _check_size("dataset.path", "the joint Gram", (len(table) if n_test else 2 * len(table)) ** 2)
+        copies = 1 if n_test else 2
+        table = read_csv_table(ds["path"], max_rows=math.isqrt(MAX_ELEMENTS) // copies + 1)
+        _check_size("dataset.path", "the joint Gram", (copies * len(table)) ** 2)
         # Without held-out rows the training rows are the test grid, and their labels its true values.
         data = Dataset(X=table[:, :-1], y=table[:, -1], f_star=None if n_test else table[:, -1])
         if n_test:

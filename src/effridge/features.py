@@ -11,8 +11,12 @@ with ``base_seed``; that seed keys a Philox4x64 counter-based generator, and
 uniforms/normals are produced from its raw 64-bit outputs by ``(r >> 11) *
 2^-53`` and the Box-Muller transform.  All three pieces are published, fixed
 algorithms, so identical seeds give bit-identical matrices on any platform.
-``normal_chunks`` stacks consecutive trials' streams into one Box-Muller call
-and returns, for each trial, the same bits as its own ``StreamSampler``.
+``StreamSampler`` draws one such stream.  ``normal_chunks`` draws many: it
+derives a chunk's stream seeds with a SplitMix64 vectorized over uint64,
+re-keys one Philox per trial by assigning its state (a fresh stream: the key,
+a zero counter, an empty buffer), writes the uniforms into one preallocated
+array and runs one Box-Muller over the chunk.  Each trial gets the same bits
+as its own ``StreamSampler``.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ CHUNK_ELEMENTS = 2**14
 MAX_ELEMENTS = 2**26
 
 
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer (Steele, Lea & Flood 2014)."""
-    x &= _MASK64
+def _mix64(x):
+    """SplitMix64 finalizer (Steele, Lea & Flood 2014) of a Python int or, elementwise, a uint64 array."""
+    x = x & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
@@ -93,21 +97,29 @@ class StreamSampler:
     def normal(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive uniform pairs."""
         n = int(np.prod(shape))
-        return _box_muller(self.uniform(2 * ((n + 1) // 2)))[:n].reshape(shape)
+        u = self.uniform(2 * ((n + 1) // 2))
+        return _box_muller(u, np.empty_like(u))[:n].reshape(shape)
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Normals from the uniforms on the last axis: its first half gives radii, its second half angles.
+def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Normals into ``out`` from the uniforms on the last axis of ``u``, which is overwritten.
 
-    Every operation is elementwise along that axis, so a stack of streams
-    gives the same bits as each stream on its own.
+    The first half of that axis gives radii, its second half angles.  Every
+    operation is elementwise along that axis, so a stack of streams gives the
+    same bits as each stream on its own.
     """
     pairs = u.shape[-1] // 2
-    u1, u2 = u[..., :pairs], u[..., pairs:]
-    # 1 - u1 lies in (0, 1], so the log is finite.
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = 2.0 * np.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    r, theta = u[..., :pairs], u[..., pairs:]
+    # 1 - u lies in (0, 1], so the log is finite.
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, theta, out=theta)
+    cos, sin = out[..., :pairs], out[..., pairs:]
+    np.multiply(r, np.cos(theta, out=cos), out=cos)
+    np.multiply(r, np.sin(theta, out=sin), out=sin)
+    return out
 
 
 def check_draw(shape: tuple[int, int]) -> None:
@@ -122,6 +134,18 @@ def check_draw(shape: tuple[int, int]) -> None:
         )
 
 
+def _stream_keys(policy: SeedPolicy, start: int, stop: int) -> np.ndarray:
+    """Philox keys ``[seed, _mix64(seed)]`` of the trials ``start`` to ``stop - 1`` of ``policy``, one per row.
+
+    The seeds are ``derive_stream_seed`` vectorized: uint64 arithmetic wraps
+    modulo 2^64, as the masked Python ints do.
+    """
+    first = (policy.base_seed + (policy.trial_index + start + 1) * _SPLITMIX_GAMMA) & _MASK64
+    states = np.uint64(first) + np.arange(stop - start, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
+    seeds = _mix64(states)
+    return np.stack([seeds, _mix64(seeds)], axis=1)
+
+
 def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> Iterator[tuple[int, np.ndarray]]:
     """Standard normal draws of ``trials`` consecutive streams, a chunk at a time.
 
@@ -131,17 +155,32 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     the shape only; the last chunk holds the remaining trials.  ``rows`` is
     the feature count P; a shape that ``check_draw`` refuses raises
     :class:`InvalidInputError`.
+
+    One Philox serves the whole call.  Each trial re-keys it with the key its
+    ``StreamSampler`` would use and a fresh state, and ``Generator.random``,
+    which computes ``(r >> 11) * 2^-53``, writes that trial's uniforms into
+    one row of a buffer shared by every chunk.  Each chunk's normals go to a
+    new array, so a yielded ``W`` is never overwritten.
     """
     check_draw(shape)
     rows, cols = shape
     n = rows * cols
     size = max(1, CHUNK_ELEMENTS // n)
     pairs = (n + 1) // 2
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # The state of a new Philox(key=key): a zero counter and an empty buffer.
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    u = np.empty((min(size, trials), 2 * pairs))
     for t0 in range(0, trials, size):
-        u = np.stack(
-            [StreamSampler(policy.shifted(t)).uniform(2 * pairs) for t in range(t0, min(t0 + size, trials))]
-        )
-        yield t0, _box_muller(u)[:, :n].reshape(-1, rows, cols)
+        keys = _stream_keys(policy, t0, min(t0 + size, trials))
+        for key, row in zip(keys.tolist(), u):
+            fresh["state"]["key"] = key
+            bitgen.state = fresh
+            gen.random(out=row)
+        chunk = u[: len(keys)]
+        yield t0, _box_muller(chunk, np.empty_like(chunk))[:, :n].reshape(-1, rows, cols)
 
 
 def gaussian_features(joint_sqrt: np.ndarray, W: np.ndarray) -> np.ndarray:

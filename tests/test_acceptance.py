@@ -177,7 +177,7 @@ def test_criterion_06_stieltjes_concentration():
     d = e.generate_spectrum("exponential", n)
     z = complex(-1.0, 0.0)
     Ps = (50, 100, 200, 400)
-    variances, gaps, residuals, recip_errs = [], [], [], []
+    variances, gaps, residuals, recip_errs, m_form_errs = [], [], [], [], []
     for P in Ps:
         vals = e.empirical_stieltjes(e.sample_wishart(d, P, e.SeedPolicy(0), 200), P, z).real
         sol = e.theoretical_stieltjes(d, P / n, z)
@@ -186,6 +186,10 @@ def test_criterion_06_stieltjes_concentration():
         gaps.append(abs(float(np.mean(vals)) - sol.m_tilde.real))
         residuals.append(sol.residual)
         recip_errs.append(abs(sol.m_tilde.real * eff.lambda_tilde - 1.0))
+        # The solver's root checked against the fixed point itself, in its m-form
+        # gamma = mean(d m / (1 + d m)) + gamma lam m at m = 1 / lambda_tilde.
+        gamma, m = P / n, 1.0 / eff.lambda_tilde
+        m_form_errs.append(abs(gamma - np.mean(d * m / (1.0 + d * m)) - gamma * 1.0 * m) / gamma)
     lp = np.log(Ps)
     # At fixed N with P >= N the P - N zero eigenvalues of F^T F are deterministic;
     # only N terms of the trace fluctuate, each with variance O(1/P).  Hence
@@ -199,13 +203,15 @@ def test_criterion_06_stieltjes_concentration():
         f"Var(P*m_P) slope {trace_var_slope:.2f} (required -1 +/- 0.3; Var(m_P) slope "
         f"{var_slope:.2f}, derived -3), mean-gap slope {gap_slope:.2f} (<= -0.8), "
         f"max residual {max(residuals):.1e} (< 1e-10), max reciprocal-identity err "
-        f"{max(recip_errs):.1e} (< 1e-10), {elapsed:.1f}s (< 60s)"
+        f"{max(recip_errs):.1e} (< 1e-10), max m-form residual at 1/lambda_tilde "
+        f"{max(m_form_errs):.1e} (< 1e-10), {elapsed:.1f}s (< 60s)"
     )
     ok = (
         -1.3 <= trace_var_slope <= -0.7
         and gap_slope <= -0.8
         and max(residuals) < 1e-10
         and max(recip_errs) < 1e-10
+        and max(m_form_errs) < 1e-10
         and elapsed < 60.0
     )
     _report(6, ok, detail)

@@ -463,6 +463,22 @@ class TestMainExitCodes:
         assert "dataset.path" in err and "144 elements" in err
         assert "Traceback" not in err
 
+    def test_csv_above_the_size_limit_is_refused_before_its_tail_is_parsed(self, tmp_path, capsys, monkeypatch):
+        # 5 rows fit (2 * 5)^2 = 100 <= 143; reading stops at the sixth, before the bad cell of the seventh.
+        import effridge.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_ELEMENTS", 143)
+        data = tmp_path / "data.csv"
+        data.write_text("x_0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(6)) + "6,bad\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "csv", "path": str(data)}}))
+        code = main(["average-rf", "--config", str(path), "--trials", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "dataset.path" in err and "144 elements" in err
+        assert "non-numeric" not in err and "line 8" not in err
+        assert "Traceback" not in err
+
     def test_csv_is_capped_before_its_duplicate_row_check(self, tmp_path, capsys, monkeypatch):
         # The Dataset's duplicate-row check forms an n x n distance matrix, so
         # a file too large for the joint Gram must be refused before it.
@@ -529,11 +545,11 @@ class TestMainExitCodes:
     def test_oversized_draw_later_in_the_grid_is_refused_before_any_draw(
         self, experiment, grid, P, tmp_path, capsys, monkeypatch
     ):
-        # Every draw builds its stream sampler first, so none may be built.
-        def no_stream(policy):
+        # Every draw derives its chunk's stream keys first, so none may be derived.
+        def no_stream(policy, start, stop):
             raise AssertionError("a feature draw was sampled")
 
-        monkeypatch.setattr(effridge.features, "StreamSampler", no_stream)
+        monkeypatch.setattr(effridge.features, "_stream_keys", no_stream)
         code = main([experiment, *grid, "--trials", "3", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1

@@ -118,6 +118,17 @@ class TestLoadCsv:
             read_csv_table(self.write(tmp_path, "x_0,y\n1,2\nfoo,3\n"))
         assert err.value.line == 3
 
+    def test_max_rows_stops_before_the_tail(self, tmp_path):
+        # Blank lines do not count; the bad cell after the second row is never parsed.
+        t = read_csv_table(self.write(tmp_path, "x_0,y\n0,1\n\n1,2\nfoo,3\n"), max_rows=2)
+        assert np.array_equal(t, [[0.0, 1.0], [1.0, 2.0]])
+
+    def test_line_endings_and_numbers_match_splitlines(self, tmp_path):
+        # CR, CRLF and form-feed line breaks; line 4 is the empty line the form feed ends.
+        with pytest.raises(CsvParseError) as err:
+            read_csv_table(self.write(tmp_path, "x_0,y\r0,1\r\n1,2\x0c\n2,x\n"))
+        assert err.value.line == 5
+
     def test_multidimensional(self, tmp_path):
         t = read_csv_table(self.write(tmp_path, "x_0,x_1,y\n0,1,0.5\n2,3,-0.5\n"))
         assert t.shape == (2, 3)

@@ -159,6 +159,22 @@ class TestNormalChunks:
         sizes = self._check(SeedPolicy(11, 4), 1100, (3, 5))
         assert sizes == [CHUNK_ELEMENTS // 15, 1100 - CHUNK_ELEMENTS // 15]
 
+    def test_largest_base_seed(self):
+        # base_seed 2^64 - 1: every stream seed's SplitMix64 state wraps modulo 2^64
+        sizes = self._check(SeedPolicy(2**64 - 1, 0), 20, (8, 104))
+        assert sizes == [19, 1]
+
+    def test_offset_policy_across_a_chunk_boundary(self):
+        sizes = self._check(SeedPolicy(9, 1000), 40, (8, 104))
+        assert sizes == [19, 19, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.integers(1, 3))
+    def test_chunk_streams_are_keyed_by_derive_stream_seed(self, base, offset, trials):
+        # The chunk's stream seeds are derived in bulk; each must key the stream
+        # that derive_stream_seed gives its own StreamSampler.
+        self._check(SeedPolicy(base, offset), trials, (1, 2))
+
     def test_draws_beyond_the_budget_come_one_per_chunk(self):
         sizes = self._check(SeedPolicy(2**63 + 5, 7), 3, (130, 127))
         assert sizes == [1, 1, 1]
