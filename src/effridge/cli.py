@@ -587,7 +587,7 @@ def format_number(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     f = float(v)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericError(f"refusing to write non-finite value {f!r}")
     return repr(f)
 

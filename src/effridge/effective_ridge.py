@@ -61,7 +61,8 @@ class EffectiveRidge:
 
     ``residual`` is the defining-equation residual at the returned root;
     ``effective_dimension`` equals ``sum_i d_i / (lambda_tilde + d_i)``, which
-    coincides with ``P (1 - lambda / lambda_tilde)``.
+    coincides with ``P (1 - lambda / lambda_tilde)``; ``iterations`` counts the
+    accepted Newton steps (0 where a closed form gives the root).
     """
 
     lambda_tilde: float
@@ -70,43 +71,55 @@ class EffectiveRidge:
     residual: float
     gamma: float
     lam: float
+    iterations: int
 
 
-def _fixed_point_residual(t: float | complex, d: np.ndarray, gamma: float, lam: float | complex):
-    """g(t) = t - lam - (t/gamma) * mean(d / (t + d)); the root is the effective ridge.
+def _quotient_sums(t: float | complex, d: np.ndarray):
+    """``sum(q)`` and ``sum(q / (t + d))`` with ``q = d / (t + d)``, as numpy scalars.
 
-    ``t`` and ``lam`` may be complex: with ``lam = -z`` the root is ``1 / m_tilde(z)``.
+    Every ``mean(d / (t + d))`` of this module comes from this one pass.  The
+    square ``d / (t + d)^2`` is taken as two divisions so it cannot underflow
+    for tiny ``t + d``.  ``t`` may be complex.
     """
-    return t - lam - (t / gamma) * np.mean(d / (t + d)).item()
+    s = t + d
+    q = d / s
+    return q.sum(), (q / s).sum()
 
 
-def _fixed_point_slope(t: float | complex, d: np.ndarray, gamma: float):
-    # g'(t) = 1 - (1/gamma) * mean(d/(t+d)) + (t/gamma) * mean(d/(t+d)^2); the
-    # square is taken as two divisions so it cannot underflow for tiny t + d.
-    s1 = np.mean(d / (t + d)).item()
-    s2 = np.mean(d / (t + d) / (t + d)).item()
-    return 1.0 - s1 / gamma + t * s2 / gamma
+def _fixed_point(t: float | complex, d: np.ndarray, gamma: float, lam: float | complex):
+    """``(g(t), g'(t), sum(d / (t + d)))`` for ``g(t) = t - lam - (t/gamma) mean(d / (t + d))``.
 
-
-def _newton(func, slope, t):
-    """Newton's method from ``t``; returns the iterate of least ``|func|`` and the step count.
-
-    Iterates until the residual stops shrinking, which leaves the root at
-    machine precision so downstream identities (derivative, effective
-    dimension, calibration round trips) inherit full accuracy.  No bracket is
-    needed: each real caller starts on the side of its root from which Newton
-    runs monotonically to it (a convex increasing function from above, a
-    concave increasing one from below).  Raises :class:`NumericError` if the
-    residual still shrinks after ``MAX_NEWTON_ITERS`` steps.
+    The root of ``g`` is the effective ridge, and ``1 / g'`` there its
+    derivative in ``lam``.  ``t`` and ``lam`` may be complex: with
+    ``lam = -z`` the root is ``1 / m_tilde(z)``.  The sums are divided as
+    ``np.mean`` divides them, so the means keep its bits.
     """
-    r = func(t)
+    s1, s2 = _quotient_sums(t, d)
+    m1, m2 = (s1 / d.size).item(), (s2 / d.size).item()
+    return t - lam - (t / gamma) * m1, 1.0 - m1 / gamma + t * m2 / gamma, s1.item()
+
+
+def _newton(func, t):
+    """Newton's method from ``t``, where ``func(t)`` returns ``(g(t), g'(t), ...)``.
+
+    Returns the iterate of least ``|g|``, ``func``'s values there, and the
+    accepted step count.  Iterates until the residual stops shrinking, which
+    leaves the root at machine precision so downstream identities (derivative,
+    effective dimension, calibration round trips) inherit full accuracy.  No
+    bracket is needed: each real caller starts on the side of its root from
+    which Newton runs monotonically to it (a convex increasing function from
+    above, a concave increasing one from below).  Raises
+    :class:`NumericError` if the residual still shrinks after
+    ``MAX_NEWTON_ITERS`` steps.
+    """
+    values = func(t)
     for steps in range(MAX_NEWTON_ITERS):
-        s = slope(t)
+        r, s = values[:2]
         t_next = t - r / s if s else t
-        r_next = func(t_next)
-        if not abs(r_next) < abs(r):
-            return t, steps
-        t, r = t_next, r_next
+        values_next = func(t_next)
+        if not abs(values_next[0]) < abs(r):
+            return t, values, steps
+        t, values = t_next, values_next
     raise NumericError(f"Newton iteration did not settle in {MAX_NEWTON_ITERS} steps: last iterate {t:.6e}")
 
 
@@ -115,53 +128,35 @@ def solve_effective_ridge(inp: SpectrumInput) -> EffectiveRidge:
 
     For ``lam > 0`` the residual ``g`` is convex, because ``t d / (t + d)``
     is concave, and nonnegative at the upper bound ``lam + T/gamma`` with
-    ``T`` the mean eigenvalue, so Newton started there falls monotonically to
-    the root.  For ``lam = 0`` the ridgeless limits apply:
+    ``T`` the mean eigenvalue (an all-zero spectrum starts on the root
+    ``lam``), so Newton started there falls monotonically to the root.  The
+    residual, derivative and effective dimension are read at the last
+    accepted iterate.  For ``lam = 0`` the ridgeless limits apply:
     zero in the overparameterized regime (gamma > 1), the positive root of
     ``gamma = mean(d / (t + d))`` in the underparameterized regime
     (gamma < 1), and no finite answer exactly at gamma = 1.
     """
-    d = inp.eigenvalues
-    gamma, lam = inp.gamma, inp.lam
-    T = inp.trace_mean
-
-    if lam == 0.0:
-        lt = ridgeless_limit(d, gamma)
-        if lt == 0.0:
+    d, gamma, lam = inp.eigenvalues, inp.gamma, inp.lam
+    if lam > 0.0:
+        start = lam + inp.trace_mean / gamma
+        lambda_tilde, values, iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), start)
+    else:
+        lambda_tilde, iterations = _ridgeless_newton(d, gamma)
+        if lambda_tilde == 0.0:
             # Overparameterized ridgeless: the defining equation is satisfied
             # identically at t = 0, with derivative gamma / (gamma - 1).
-            return EffectiveRidge(
-                lambda_tilde=0.0,
-                d_lambda_tilde=gamma / (gamma - 1.0),
-                effective_dimension=effective_dimension(d, 0.0),
-                residual=0.0,
-                gamma=gamma,
-                lam=0.0,
-            )
-        lambda_tilde = lt
-    elif T == 0.0:
-        # All-zero spectrum collapses the equation to t = lam.
-        lambda_tilde = lam
-    else:
-        lambda_tilde, _ = _newton(
-            lambda t: _fixed_point_residual(t, d, gamma, lam),
-            lambda t: _fixed_point_slope(t, d, gamma),
-            lam + T / gamma,
-        )
+            dimension = effective_dimension(d, 0.0)
+            return EffectiveRidge(0.0, gamma / (gamma - 1.0), dimension, 0.0, gamma, 0.0, iterations)
+        values = _fixed_point(lambda_tilde, d, gamma, 0.0)
 
-    residual = _fixed_point_residual(lambda_tilde, d, gamma, lam) if lambda_tilde > 0 else 0.0
-    if not abs(residual) < RESIDUAL_TOL * max(lambda_tilde, 1.0):
-        raise NumericError(
-            f"effective-ridge solve did not converge: residual {residual:.3e} at {lambda_tilde:.6e}"
-        )
-    return EffectiveRidge(
-        lambda_tilde=float(lambda_tilde),
-        d_lambda_tilde=effective_ridge_derivative(inp, lambda_tilde),
-        effective_dimension=effective_dimension(d, lambda_tilde),
-        residual=float(residual),
-        gamma=gamma,
-        lam=lam,
-    )
+    residual, slope, dimension = values
+    # g' > 0 at a root of g, so a nonpositive slope is a failed solve too.
+    if not (abs(residual) < RESIDUAL_TOL * max(lambda_tilde, 1.0) and slope > 0):
+        raise NumericError(f"effective-ridge solve did not converge: residual {residual:.3e}, "
+                           f"slope {slope:.3e} at {lambda_tilde:.6e}")
+    return EffectiveRidge(lambda_tilde=float(lambda_tilde), d_lambda_tilde=1.0 / slope,
+                          effective_dimension=dimension, residual=float(residual), gamma=gamma, lam=lam,
+                          iterations=iterations)
 
 
 def effective_ridge_derivative(inp: SpectrumInput, lambda_tilde: float) -> float:
@@ -175,16 +170,13 @@ def effective_ridge_derivative(inp: SpectrumInput, lambda_tilde: float) -> float
     at ``t = lambda_tilde``.  The denominator is positive whenever ``t``
     solves the equation, so a nonpositive value signals an inconsistent input.
     """
-    d = inp.eigenvalues
-    gamma = inp.gamma
+    d, gamma = inp.eigenvalues, inp.gamma
     if lambda_tilde < 0:
         raise InvalidInputError("lambda_tilde must be nonnegative")
     if lambda_tilde == 0.0:
-        positive = d > 0
-        s1 = float(np.mean(positive.astype(float)))
-        denom = 1.0 - s1 / gamma
+        denom = 1.0 - float(np.mean(d > 0)) / gamma
     else:
-        denom = _fixed_point_slope(lambda_tilde, d, gamma)
+        denom = _fixed_point(lambda_tilde, d, gamma, inp.lam)[1]
     if denom <= 0:
         raise NumericError("derivative denominator is nonpositive; lambda_tilde does not solve the fixed point")
     return 1.0 / denom
@@ -199,10 +191,9 @@ def effective_dimension(eigenvalues: np.ndarray, lambda_tilde: float) -> float:
     d = np.asarray(eigenvalues, dtype=float).ravel()
     if lambda_tilde < 0:
         raise InvalidInputError("lambda_tilde must be nonnegative")
-    positive = d > 0
-    out = np.zeros_like(d)
-    out[positive] = d[positive] / (lambda_tilde + d[positive])
-    return float(np.sum(out))
+    if lambda_tilde == 0.0:
+        return float(np.count_nonzero(d > 0))
+    return _quotient_sums(lambda_tilde, d)[0].item()
 
 
 def ridgeless_limit(eigenvalues: np.ndarray, gamma: float) -> float:
@@ -216,25 +207,33 @@ def ridgeless_limit(eigenvalues: np.ndarray, gamma: float) -> float:
     below; the root is checked on this equation, because the defining one at
     ``lam = 0`` is scaled by ``t`` and cannot see a wrong tiny root.
     """
-    d = np.asarray(eigenvalues, dtype=float).ravel()
+    return _ridgeless_newton(np.asarray(eigenvalues, dtype=float).ravel(), gamma)[0]
+
+
+def _ridgeless_newton(d: np.ndarray, gamma: float) -> tuple[float, int]:
+    """``ridgeless_limit`` and its Newton step count."""
     if not np.isfinite(gamma) or gamma <= 0:
         raise InvalidInputError("gamma must be positive")
     if gamma == 1.0:
         raise AtThresholdError("ridgeless effective ridge is degenerate at gamma = 1")
     if gamma > 1.0:
-        return 0.0
+        return 0.0, 0
     if d.size < 1 or np.any(d <= 0):
         raise InvalidInputError("underparameterized ridgeless limit needs a strictly positive spectrum")
-    residual = lambda t: gamma - np.mean(d / (t + d)).item()
+
+    def func(t):
+        s1, s2 = _quotient_sums(t, d)
+        return gamma - (s1 / d.size).item(), (s2 / d.size).item()
+
     # Analytic lower bound dmin * (1 - sqrt(gamma)) / sqrt(gamma), shrunk
     # slightly so the start sits below the root.
     lo = float(np.min(d)) * (1.0 - np.sqrt(gamma)) / np.sqrt(gamma) * (1.0 - 1e-9)
-    t, _ = _newton(residual, lambda t: np.mean(d / (t + d) / (t + d)).item(), lo)
-    if not abs(residual(t)) <= RESIDUAL_TOL * gamma:
+    t, (residual, _), steps = _newton(func, lo)
+    if not abs(residual) <= RESIDUAL_TOL * gamma:
         raise NumericError(
-            f"ridgeless effective ridge did not converge: residual {residual(t):.3e} at {t:.6e}"
+            f"ridgeless effective ridge did not converge: residual {residual:.3e} at {t:.6e}"
         )
-    return float(t)
+    return float(t), steps
 
 
 def calibrate_ridge(eigenvalues: np.ndarray, gamma: float, lambda_star: float) -> float:
@@ -252,7 +251,7 @@ def calibrate_ridge(eigenvalues: np.ndarray, gamma: float, lambda_star: float) -
         raise InvalidInputError("gamma must be positive")
     if not np.isfinite(lambda_star) or lambda_star <= 0:
         raise InvalidInputError("target effective ridge must be positive")
-    lam = lambda_star - (lambda_star / gamma) * float(np.mean(d / (lambda_star + d)))
+    lam = lambda_star - (lambda_star / gamma) * (_quotient_sums(lambda_star, d)[0] / d.size).item()
     if lam <= 0:
         raise InfeasibleTargetError(
             f"target {lambda_star:.6g} is below the ridgeless effective ridge for gamma={gamma:.6g}"

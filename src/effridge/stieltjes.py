@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .features import CHUNK_ELEMENTS, SeedPolicy, normal_chunks
-from .effective_ridge import RESIDUAL_TOL, SpectrumInput, solve_effective_ridge
-from .effective_ridge import _fixed_point_residual, _fixed_point_slope, _newton
+from .effective_ridge import RESIDUAL_TOL, SpectrumInput, _fixed_point, _newton, solve_effective_ridge
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,8 @@ class StieltjesSolution:
     ``in_cone`` records membership in the cone spanned by ``1`` and ``-1/z``
     where the fixed point is unique; ``residual`` is the relative residual
     ``|g(t)| / (|t| + |z|)`` of the equation solved for ``t = 1/m``,
-    ``g(t) = t + z - (t/gamma) mean(d / (t + d))``.
+    ``g(t) = t + z - (t/gamma) mean(d / (t + d))``; ``iterations`` counts the
+    accepted Newton steps, those of the real solver on the real axis.
     """
 
     z: complex
@@ -161,14 +161,11 @@ def theoretical_stieltjes(
 
     inp = SpectrumInput(eigenvalues=d, gamma=gamma, lam=-z.real)
     if z.imag == 0.0:
-        t, iterations = solve_effective_ridge(inp).lambda_tilde, 0
+        eff = solve_effective_ridge(inp)
+        t, g, iterations = eff.lambda_tilde, eff.residual, eff.iterations
     else:
-        t, iterations = _newton(
-            lambda t: _fixed_point_residual(t, d, gamma, -z),
-            lambda t: _fixed_point_slope(t, d, gamma),
-            -z + inp.trace_mean / gamma,
-        )
-    residual = abs(_fixed_point_residual(t, d, gamma, -z)) / (abs(t) + abs(z))
+        t, (g, *_), iterations = _newton(lambda t: _fixed_point(t, d, gamma, -z), -z + inp.trace_mean / gamma)
+    residual = abs(g) / (abs(t) + abs(z))
     if not residual < RESIDUAL_TOL:
         raise NumericError(
             f"Stieltjes fixed point did not converge at z={z}: residual {residual:.3e}"

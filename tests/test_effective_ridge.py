@@ -16,6 +16,7 @@ from effridge import (
     ridgeless_limit,
     solve_effective_ridge,
     spectral_decompose,
+    theoretical_stieltjes,
     theta_norm_theory,
 )
 
@@ -216,6 +217,130 @@ class TestRidgelessLimit:
             solve_effective_ridge(SpectrumInput(np.ones(5), 1.0, 0.1))
         with pytest.raises(NumericError):
             ridgeless_limit(generate_spectrum("polynomial", 20), 0.4)
+
+
+def textbook_residual(t, d, gamma, lam):
+    return t - lam - (t / gamma) * np.mean(d / (t + d)).item()
+
+
+def textbook_slope(t, d, gamma):
+    s1 = np.mean(d / (t + d)).item()
+    s2 = np.mean(d / (t + d) / (t + d)).item()
+    return 1.0 - s1 / gamma + t * s2 / gamma
+
+
+def textbook_newton(func, slope, t):
+    """Newton with a separate residual and slope pass per step; root and step count."""
+    r = func(t)
+    for steps in range(200):
+        s = slope(t)
+        t_next = t - r / s if s else t
+        r_next = func(t_next)
+        if not abs(r_next) < abs(r):
+            return t, steps
+        t, r = t_next, r_next
+    raise AssertionError("textbook Newton did not settle")
+
+
+def textbook_solve(d, gamma, lam):
+    """The solve's fields from separate three-quotient passes, and the Newton step count."""
+    if lam > 0:
+        lt, steps = textbook_newton(
+            lambda t: textbook_residual(t, d, gamma, lam), lambda t: textbook_slope(t, d, gamma),
+            lam + float(np.mean(d)) / gamma,
+        )
+    else:
+        lo = float(np.min(d)) * (1.0 - np.sqrt(gamma)) / np.sqrt(gamma) * (1.0 - 1e-9)
+        lt, steps = textbook_newton(
+            lambda t: gamma - np.mean(d / (t + d)).item(), lambda t: np.mean(d / (t + d) / (t + d)).item(), lo
+        )
+    positive = d > 0
+    out = np.zeros_like(d)
+    out[positive] = d[positive] / (lt + d[positive])
+    return dict(
+        lambda_tilde=lt,
+        d_lambda_tilde=1.0 / textbook_slope(lt, d, gamma),
+        effective_dimension=float(np.sum(out)),
+        residual=textbook_residual(lt, d, gamma, lam),
+        gamma=gamma,
+        lam=lam,
+    ), steps
+
+
+POLY_2000 = generate_spectrum("polynomial", 2000)
+WITH_ZEROS = np.r_[np.zeros(7), generate_spectrum("polynomial", 50), np.zeros(3)]
+SOLVE_CASES = [
+    (POLY_2000, 0.5, 1e-3),
+    (POLY_2000, 0.05, 1.0),
+    (POLY_2000, 2.0, 0.1),
+    (POLY_2000, 20.0, 1e-4),
+    (WITH_ZEROS, 0.8, 0.1),  # zero eigenvalues: the effective dimension's mask
+    (WITH_ZEROS, 3.0, 1e-4),
+    (POLY_2000, 0.4, 0.0),  # ridgeless, gamma < 1
+    (generate_spectrum("exponential", 1000), 0.9, 0.0),
+]
+
+
+class TestOnePassSolve:
+    """The one-quotient solve keeps the bits of the separate residual, slope and dimension passes."""
+
+    @pytest.mark.parametrize("d, gamma, lam", SOLVE_CASES)
+    def test_every_field_matches_textbook_passes(self, d, gamma, lam):
+        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        expected, _ = textbook_solve(d, gamma, lam)
+        assert {f: getattr(eff, f) for f in expected} == expected
+
+    @pytest.mark.parametrize("d, gamma, lam", SOLVE_CASES)
+    def test_iterations_are_the_newton_steps(self, d, gamma, lam):
+        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        assert eff.iterations == textbook_solve(d, gamma, lam)[1] > 0
+
+    def test_closed_forms_take_no_steps(self):
+        assert solve_effective_ridge(SpectrumInput(np.zeros(3), 2.0, 0.7)).iterations == 0
+        assert solve_effective_ridge(SpectrumInput(np.ones(4), 2.0, 0.0)).iterations == 0
+
+    @pytest.mark.parametrize(
+        "z, gamma",
+        [
+            (complex(-0.1, 0.3), 0.2),
+            (complex(-1e-3, -2.0), 2.0),
+            (complex(-0.01, 0.01), 0.2),
+            (complex(-2.0, 1e-4), 0.5),
+        ],
+    )
+    def test_complex_stieltjes_matches_textbook_passes(self, z, gamma):
+        d = POLY_2000
+        t, steps = textbook_newton(
+            lambda t: textbook_residual(t, d, gamma, -z), lambda t: textbook_slope(t, d, gamma),
+            -z + float(np.mean(d)) / gamma,
+        )
+        sol = theoretical_stieltjes(d, gamma, z)
+        assert sol.m_tilde == complex(1.0 / t)
+        assert sol.residual == abs(textbook_residual(t, d, gamma, -z)) / (abs(t) + abs(z))
+        assert sol.iterations == steps
+
+    def test_real_stieltjes_reports_solver_steps(self):
+        sol = theoretical_stieltjes(POLY_2000, 0.5, -1e-3)
+        eff = solve_effective_ridge(SpectrumInput(POLY_2000, 0.5, 1e-3))
+        assert sol.iterations == eff.iterations > 0
+        assert sol.m_tilde == complex(1.0 / eff.lambda_tilde)
+
+    @pytest.mark.parametrize("gamma, lam", [(0.5, 1e-3), (0.05, 1.0), (20.0, 1e-4)])
+    def test_one_quotient_pass_per_iterate(self, monkeypatch, gamma, lam):
+        import effridge.effective_ridge as er
+
+        calls = []
+        one_pass = er._quotient_sums
+        monkeypatch.setattr(er, "_quotient_sums", lambda t, d: calls.append(t) or one_pass(t, d))
+
+        def recomputed(*args):
+            raise AssertionError("the root's values are recomputed")
+
+        monkeypatch.setattr(er, "effective_dimension", recomputed)
+        monkeypatch.setattr(er, "effective_ridge_derivative", recomputed)
+        eff = er.solve_effective_ridge(SpectrumInput(POLY_2000, gamma, lam))
+        # the start, one per accepted step, and the rejected step
+        assert len(calls) == eff.iterations + 2
 
 
 class TestCalibrate:
