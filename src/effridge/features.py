@@ -12,11 +12,11 @@ uniforms/normals are produced from its raw 64-bit outputs by ``(r >> 11) *
 2^-53`` and the Box-Muller transform.  All three pieces are published, fixed
 algorithms, so identical seeds give bit-identical matrices on any platform.
 ``StreamSampler`` draws one such stream.  ``normal_chunks`` draws many: it
-derives a chunk's stream seeds with a SplitMix64 vectorized over uint64,
+derives the seeds of a block of chunks with a SplitMix64 over uint64 arrays,
 re-keys one Philox per trial by assigning its state (a fresh stream: the key,
 a zero counter, an empty buffer), writes the uniforms into one preallocated
-array and runs one Box-Muller over the chunk.  Each trial gets the same bits
-as its own ``StreamSampler``.
+array and runs one Box-Muller per chunk.  Each trial gets the same bits as
+its own ``StreamSampler``.
 """
 
 from __future__ import annotations
@@ -156,16 +156,19 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     the feature count P; a shape that ``check_draw`` refuses raises
     :class:`InvalidInputError`.
 
-    One Philox serves the whole call.  Each trial re-keys it with the key its
-    ``StreamSampler`` would use and a fresh state, and ``Generator.random``,
-    which computes ``(r >> 11) * 2^-53``, writes that trial's uniforms into
-    one row of a buffer shared by every chunk.  Each chunk's normals go to a
-    new array, so a yielded ``W`` is never overwritten.
+    One Philox serves the whole call.  The keys of the trials' own
+    ``StreamSampler`` are derived a block of whole chunks, about 4096 trials,
+    at a time.  Each trial re-keys the Philox with its key and a fresh state,
+    and ``Generator.random``, which computes ``(r >> 11) * 2^-53``, writes
+    that trial's uniforms into one row of a buffer shared by every chunk.
+    Each chunk's normals go to a new array, so a yielded ``W`` is never
+    overwritten.
     """
     check_draw(shape)
     rows, cols = shape
     n = rows * cols
     size = max(1, CHUNK_ELEMENTS // n)
+    block = size * max(1, 4096 // size)  # trials per key derivation: whole chunks
     pairs = (n + 1) // 2
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
@@ -174,12 +177,14 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     u = np.empty((min(size, trials), 2 * pairs))
     for t0 in range(0, trials, size):
-        keys = _stream_keys(policy, t0, min(t0 + size, trials))
-        for key, row in zip(keys.tolist(), u):
+        if t0 % block == 0:
+            keys = iter(_stream_keys(policy, t0, min(t0 + block, trials)).tolist())
+        chunk = u[: min(size, trials - t0)]
+        # Rows first: zip stops at the chunk's end without taking the next chunk's key.
+        for row, key in zip(chunk, keys):
             fresh["state"]["key"] = key
             bitgen.state = fresh
             gen.random(out=row)
-        chunk = u[: len(keys)]
         yield t0, _box_muller(chunk, np.empty_like(chunk))[:, :n].reshape(-1, rows, cols)
 
 

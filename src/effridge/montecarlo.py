@@ -65,8 +65,9 @@ def _merge(mean, m2, count: int, chunk: np.ndarray):
     pairwise one of Chan, Golub & LeVeque (1979).
     """
     n = len(chunk)
-    chunk_mean = np.mean(chunk, axis=0)
-    chunk_m2 = np.sum((chunk - chunk_mean) ** 2, axis=0)
+    chunk_mean = chunk.sum(axis=0) / n
+    dev = chunk - chunk_mean
+    chunk_m2 = np.square(dev, out=dev).sum(axis=0)
     delta = chunk_mean - mean
     total = count + n
     return mean + delta * (n / total), m2 + chunk_m2 + delta * delta * (count * n / total)
@@ -85,8 +86,9 @@ def run_trials(
 
     Trial ``t`` uses the stream derived from ``(base_seed, t)``; at each
     feature count ``P`` of ``Ps`` its one feature draw is fitted at every
-    ridge of ``lams``.  The result maps each distinct ``P`` to one
-    ``TrialStats`` per ridge, in order, each equal to that of a one-ridge,
+    ridge of ``lams``, and one broadcast product per chunk of draws gives the
+    joint predictions at all of them.  The result maps each distinct ``P`` to
+    one ``TrialStats`` per ridge, in order, each equal to that of a one-ridge,
     one-``P`` call.  Every feature count shares one joint Gram square root,
     computed up front, once every ridge and every draw's size is checked.
     """
@@ -118,13 +120,13 @@ def run_trials(
             except EffridgeError as exc:
                 raise type(exc)(f"P {P}, ridges {lams}, trials {t0}-{t0 + len(W) - 1}: {exc}") from exc
             # Joint predictions (draw, ridge, point) F_joint theta = root W^T theta / sqrt(P),
-            # which needs no joint feature block; one product per draw and ridge.
-            Wt = W.transpose(0, 2, 1)
-            joint = np.stack([(joint_root @ (Wt @ theta[:, :, None]))[:, :, 0] for theta in thetas], axis=1)
+            # which needs no joint feature block; one broadcast product over every ridge.
+            joint = (joint_root @ (W.transpose(0, 2, 1) @ thetas[..., None]))[..., 0].transpose(1, 0, 2)
             joint /= np.sqrt(P)
             joint_mean, joint_m2 = _merge(joint_mean, joint_m2, t0, joint)
             norm_mean, norm_m2 = _merge(norm_mean, norm_m2, t0, np.sum(thetas * thetas, axis=2).T)
-            kept.append(joint[: max(0, _FAN_SAMPLES - t0)])
+            if t0 < _FAN_SAMPLES:
+                kept.append(joint[: _FAN_SAMPLES - t0])
         var_joint, var_norm = (joint_m2 / (trials - 1), norm_m2 / (trials - 1)) if trials > 1 else (None, None)
         samples = np.concatenate(kept)
         out[P] = [

@@ -2,10 +2,11 @@
 
 A random-feature fit solves its ridge system on the Gram of the feature block's
 shorter side, ``F F^T`` (dual) or ``F^T F`` (primal), which agree by the
-push-through identity; one Gram per draw serves every ridge, each ridge one
-batched solve.  Ridgeless fits (``lambda = 0``) take the minimum-norm
-least-squares solution through the Gram's eigendecomposition, with a relative
-eigenvalue cutoff ``RIDGELESS_CUTOFF`` so the limit is deterministic.  Kernel
+push-through identity; one Gram per draw serves every ridge, and one batched
+solve every positive ridge.  Ridgeless fits (``lambda = 0``) take the
+minimum-norm least-squares solution through the Gram's eigendecomposition,
+with a relative eigenvalue cutoff ``RIDGELESS_CUTOFF`` so the limit is
+deterministic.  Kernel
 ridge regression is a spectral filter on the Gram's eigendecomposition
 ``K = U diag(d) U^T``, which every caller already holds:
 ``alpha = U diag(1 / (d + lambda)) U^T y``.
@@ -37,30 +38,31 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
     Returns ``theta`` of shape ``(len(lams), B, P)``.  Each draw's Gram on its
     shorter side, ``G = F F^T`` (N <= P) or ``F^T F`` (N > P), is formed once
     and serves every ridge: ``theta = F^T (G + lam I)^{-1} y`` or
-    ``(G + lam I)^{-1} F^T y``, one batched solve per ridge.  At ``lam = 0``
-    the inverse is the pseudoinverse ``U diag(1/e) U^T`` of ``G = U diag(e) U^T``
+    ``(G + lam I)^{-1} F^T y``.  One batched solve serves every positive
+    ridge and one batched ``eigh`` every zero ridge: at ``lam = 0`` the
+    inverse is the pseudoinverse ``U diag(1/e) U^T`` of ``G = U diag(e) U^T``
     with eigenvalues at or below ``RIDGELESS_CUTOFF`` times the largest
     counted as zero, which gives the minimum-norm least-squares solution.
-    The products are batched, one per draw, so a draw gets the same bits in
-    any stack.
+    The solves and products are batched, one per draw and ridge, so a draw
+    gets the same bits in any stack and with any other ridges.
     """
     Ft = F_train.transpose(0, 2, 1)
     tall = F_train.shape[1] > F_train.shape[2]
     G = Ft @ F_train if tall else F_train @ Ft
-    b = Ft @ y[:, None] if tall else y[:, None]
-    thetas = []
+    b = Ft @ y[:, None] if tall else y[None, :, None]
+    ridged = [lam for lam in lams if lam != 0.0]
     try:
-        for lam in lams:
-            if lam == 0.0:
-                e, U = np.linalg.eigh(G)
-                h = np.divide(1.0, e, out=np.zeros_like(e), where=e > RIDGELESS_CUTOFF * e[:, -1:])
-                z = U @ (h[:, :, None] * (U.transpose(0, 2, 1) @ b))
-            else:
-                z = np.linalg.solve(G + lam * np.eye(G.shape[-1]), b)
-            thetas.append((z if tall else Ft @ z)[:, :, 0])
+        # b[None] has the stack's rank: numpy before 2.0 reads one rank less as vectors.
+        if ridged or len(lams) == 0:
+            z = np.linalg.solve(G + np.multiply.outer(ridged, np.eye(G.shape[-1]))[:, None], b[None])
+        if len(ridged) < len(lams):
+            e, U = np.linalg.eigh(G)
+            h = np.divide(1.0, e, out=np.zeros_like(e), where=e > RIDGELESS_CUTOFF * e[:, -1:])
+            z0, solved = U @ (h[:, :, None] * (U.transpose(0, 2, 1) @ b)), iter(z if ridged else ())
+            z = np.array([z0 if lam == 0.0 else next(solved) for lam in lams])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"ridge fit failed: {exc}") from exc
-    return np.array(thetas)
+    return (z if tall else Ft @ z)[..., 0]
 
 
 def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> KRRModel:

@@ -195,16 +195,17 @@ def empirical_expected_A(
 
     Trials use consecutive stream seeds starting at ``policy``, and each draw
     serves every ridge of ``lams`` through its Gram ``G``: the hat matrix is
-    ``(G + lam I)^{-1} G`` in the kernel eigenbasis.  Per ridge, the stacks'
-    sums are accumulated in order, averaged, symmetrized and eigendecomposed.
+    ``(G + lam I)^{-1} G`` in the kernel eigenbasis, one batched solve per
+    stack for every ridge.  Per ridge, the stacks' sums are accumulated in
+    order, averaged, symmetrized and eigendecomposed.
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
     N = np.size(kernel_eigenvalues)
     acc = np.zeros((len(lams), N, N))
+    ridges = np.asarray(lams, dtype=float)[:, None, None, None] * np.eye(N)
     for G in _wishart_grams(kernel_eigenvalues, P, policy, trials):
-        for a, lam in zip(acc, lams):
-            a += np.sum(np.linalg.solve(G + lam * np.eye(N), G), axis=0)
+        acc += np.sum(np.linalg.solve(G + ridges, G[None]), axis=1)
     acc /= trials
     return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]
 

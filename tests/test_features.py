@@ -175,6 +175,12 @@ class TestNormalChunks:
         # that derive_stream_seed gives its own StreamSampler.
         self._check(SeedPolicy(base, offset), trials, (1, 2))
 
+    def test_more_trials_than_one_key_block(self):
+        # Keys are derived a block of whole 19-draw chunks at a time (4085 trials);
+        # 4111 trials run two chunks past the block, and 19 does not divide 4096.
+        sizes = self._check(SeedPolicy(17, 3), 4111, (8, 104))
+        assert sizes == [19] * 216 + [7]
+
     def test_draws_beyond_the_budget_come_one_per_chunk(self):
         sizes = self._check(SeedPolicy(2**63 + 5, 7), 3, (130, 127))
         assert sizes == [1, 1, 1]

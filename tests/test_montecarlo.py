@@ -55,6 +55,31 @@ class TestMoments:
         assert float(m2 / (len(values) - 1)) == pytest.approx(np.var(values, ddof=1), rel=1e-8, abs=1e-9)
 
 
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_same_bits_as_the_mean_and_squared_deviation_formula(self, layout):
+        # The formula _merge replaced; joint predictions arrive as a transposed view.
+        def reference(mean, m2, count, chunk):
+            n = len(chunk)
+            chunk_mean = np.mean(chunk, axis=0)
+            chunk_m2 = np.sum((chunk - chunk_mean) ** 2, axis=0)
+            delta = chunk_mean - mean
+            total = count + n
+            return mean + delta * (n / total), m2 + chunk_m2 + delta * delta * (count * n / total)
+
+        rng = np.random.default_rng(4)
+        got = want = (0.0, 0.0)
+        count = 0
+        for n in (19, 19, 1, 7):
+            if layout == "contiguous":
+                chunk = rng.standard_normal((n, 3, 104)) * 5.0 + 2.0
+            else:
+                chunk = (rng.standard_normal((3, n, 104)) * 5.0 + 2.0).transpose(1, 0, 2)
+            got, want = _merge(*got, count, chunk), reference(*want, count, chunk)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            count += n
+
+
 class TestRunTrials:
     def test_single_trial_has_no_variance(self):
         data, test_X, stats = sinusoid_stats(trials=1)
@@ -259,8 +284,9 @@ class TestRunTrialsRidges:
         [
             (8, [0.1, 1.0], 45),  # 19-draw chunks: 19 + 19 + 7
             (3, [0.0, 0.5], 12),
+            (8, [0.5, 0.0, 0.1], 45),  # a zero ridge between positive ones
         ],
-        ids=["8-lams0-45-gaussian", "3-lams1-12-gaussian"],
+        ids=["8-lams0-45-gaussian", "3-lams1-12-gaussian", "8-lams2-45-gaussian"],
     )
     def test_ridges_equal_one_ridge_calls(self, P, lams, trials):
         data, test_X = generate_sinusoid(4, 100, seed=1)

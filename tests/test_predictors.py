@@ -264,6 +264,20 @@ class TestStackedFit:
                 ref = np.linalg.solve(f.T @ f + lam * np.eye(P), f.T @ y)
             assert np.linalg.norm(theta - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
 
+    @pytest.mark.parametrize("N, P", [(6, 3), (3, 6)], ids=["tall", "wide"])
+    def test_mixed_ridges_equal_one_ridge_calls(self, N, P):
+        # Zero ridges between positive ones: the batched solve and the shared
+        # eigh must give each ridge the bits of its own call, in order.
+        rng = np.random.default_rng(8)
+        F = rng.standard_normal((4, N, P))
+        y = rng.standard_normal(N)
+        lams = [0.3, 0.0, 1.0, 0.0]
+        thetas = fit_rf_stacked(F, y, lams)
+        assert thetas.shape == (4, 4, P)
+        for lam, theta in zip(lams, thetas):
+            assert np.array_equal(fit_rf_stacked(F, y, [lam])[0], theta)
+        assert fit_rf_stacked(F, y, []).shape == (0, 4, P)
+
     @pytest.mark.parametrize("N, P", [(5, 4), (4, 5)])
     def test_one_draw_equals_its_slice_of_a_stack(self, N, P):
         rng = np.random.default_rng(6)

@@ -229,6 +229,16 @@ class TestEmpiricalExpectedA:
             (alone,) = empirical_expected_A(d, P, [lam], 30, SeedPolicy(4, 2))
             assert np.array_equal(vals, alone)
 
+    def test_three_ridges_equal_one_ridge_calls(self):
+        # P = 3, N = 6: chunks of 910 draws are cut into stacks of 455 Grams.
+        d = generate_spectrum("exponential", 6)
+        lams = [0.02, 0.5, 0.1]
+        joint = empirical_expected_A(d, 3, lams, 1000, SeedPolicy(6, 1))
+        assert len(joint) == len(lams)
+        for lam, vals in zip(lams, joint):
+            (alone,) = empirical_expected_A(d, 3, [lam], 1000, SeedPolicy(6, 1))
+            assert np.array_equal(vals, alone)
+
     def test_rejects_a_zero_ridge(self):
         with pytest.raises(InvalidInputError):
             empirical_expected_A([1.0, 0.5], 4, [0.1, 0.0], 2, SeedPolicy(0))
