@@ -38,7 +38,7 @@ from .predictors import (
 )
 from .effective_ridge import (
     EffectiveRidge,
-    SpectrumInput,
+    Spectrum,
     calibrate_ridge,
     effective_dimension,
     effective_ridge_derivative,

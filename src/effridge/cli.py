@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import generate_clusters, generate_sinusoid, generate_spectrum, read_csv_table
-from .effective_ridge import SpectrumInput, calibrate_ridge, solve_effective_ridge, theta_norm_theory
+from .effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge, theta_norm_theory
 from .errors import EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
 from .features import MAX_ELEMENTS, SeedPolicy, check_draw
 from .kernels import (
@@ -347,14 +347,14 @@ def _row_context(**keys):
 
 
 def _run_solve(cfg: ExperimentConfig):
-    d = _resolve_spectrum(cfg)
-    N = d.size
+    spectrum = Spectrum(_resolve_spectrum(cfg))
+    N = spectrum.n
     Ps = _feature_counts(cfg, N)
     rows = []
     for lam in cfg.lambda_list:
         for gamma, P in zip(cfg.gamma_grid, Ps):
             with _row_context(gamma=gamma, ridge=lam):
-                eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+                eff = solve_effective_ridge(spectrum, gamma, lam)
             row = _prefix(cfg, N, P, gamma, lam)
             row.update(
                 lambda_tilde=eff.lambda_tilde,
@@ -367,19 +367,19 @@ def _run_solve(cfg: ExperimentConfig):
 
 
 def _run_calibrate(cfg: ExperimentConfig):
-    d = _resolve_spectrum(cfg)
-    N = d.size
+    spectrum = Spectrum(_resolve_spectrum(cfg))
+    N = spectrum.n
     Ps = _feature_counts(cfg, N)
     rows = []
     for lam_star in cfg.lambda_list:
         for gamma, P in zip(cfg.gamma_grid, Ps):
             try:
-                lam = calibrate_ridge(d, gamma, lam_star)
+                lam = calibrate_ridge(spectrum, gamma, lam_star)
             except InfeasibleTargetError as exc:
                 print(f"note: skipping infeasible target: {exc}", file=sys.stderr)
                 continue
             with _row_context(gamma=gamma, target=lam_star):
-                eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+                eff = solve_effective_ridge(spectrum, gamma, lam)
             row = _prefix(cfg, N, P, gamma, lam)
             row.update(
                 lambda_star=lam_star,
@@ -417,10 +417,11 @@ def _krr_points(cfg: ExperimentConfig, note: str):
     data, test_X, kernel, points = _sampled_grid(cfg)
     spec = spectral_decompose(gram_matrix(kernel, data.X))
     k_cross = gram_matrix(kernel, test_X, data.X)
+    spectrum = Spectrum(spec.eigenvalues)
     theory = []
     for lam, P in points:
         with _row_context(gamma=P / data.n, ridge=lam, P=P):
-            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / data.n, lam))
+            eff = solve_effective_ridge(spectrum, P / data.n, lam)
             theory.append((lam, P, eff, predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)))
     if not np.all(range_mask(spec)):
         print(f"note: Gram matrix numerically singular; {note}", file=sys.stderr)
@@ -479,12 +480,13 @@ def _run_double_descent(cfg: ExperimentConfig):
 def _spectral_theory(cfg: ExperimentConfig, d: np.ndarray):
     """Feature counts and each ``(P, lam)``'s effective ridge on ``d``, all checked before the first draw."""
     Ps = [int(P) for P in cfg.p_grid]
+    spectrum = Spectrum(d)
     effs = {}
     for P in Ps:
-        check_draw((P, d.size))
+        check_draw((P, spectrum.n))
         for lam in cfg.lambda_list:
             with _row_context(P=P, ridge=lam):
-                effs[P, lam] = solve_effective_ridge(SpectrumInput(d, P / d.size, lam))
+                effs[P, lam] = solve_effective_ridge(spectrum, P / spectrum.n, lam)
     return Ps, effs
 
 
@@ -579,13 +581,12 @@ _RUNNERS = {
 
 
 def format_number(v) -> str:
-    """Shortest decimal that round-trips to the same value."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    """Shortest decimal that round-trips to the same value; booleans and integers as integers."""
+    if not isinstance(v, float):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer, np.bool_)):
+            return str(int(v))
     f = float(v)
     if not math.isfinite(f):
         raise NumericError(f"refusing to write non-finite value {f!r}")
@@ -625,27 +626,24 @@ def parse_results_csv(path) -> tuple[list[str], list[dict]]:
 # ---------------------------------------------------------------------------
 
 
-def _group_values(rows, key):
-    seen = []
+def _groups(rows, key) -> dict:
+    """The rows of each ``key`` value, in order of first appearance, from one pass."""
+    groups = {}
     for r in rows:
-        if r[key] not in seen:
-            seen.append(r[key])
-    return seen
+        groups.setdefault(r[key], []).append(r)
+    return groups
 
 
 def _series_by(rows, group_key, x_key, y_key, label_fmt, marker=False):
-    series = []
-    for g in _group_values(rows, group_key):
-        sub = [r for r in rows if r[group_key] == g]
-        series.append(
-            {
-                "label": label_fmt.format(g),
-                "x": [r[x_key] for r in sub],
-                "y": [r[y_key] for r in sub],
-                "marker": marker,
-            }
-        )
-    return series
+    return [
+        {
+            "label": label_fmt.format(g),
+            "x": [r[x_key] for r in sub],
+            "y": [r[y_key] for r in sub],
+            "marker": marker,
+        }
+        for g, sub in _groups(rows, group_key).items()
+    ]
 
 
 def _tag(v: float) -> str:
@@ -746,8 +744,7 @@ def _render_stieltjes(rows):
 
 def _render_expected_a(rows):
     plots = {}
-    for lam in _group_values(rows, "lambda"):
-        sub = [r for r in rows if r["lambda"] == lam]
+    for lam, sub in _groups(rows, "lambda").items():
         sampled = _series_by(sub, "P", "idx", "d_tilde", "sampled, P = {:.0f}", marker=True)
         limit = _series_by(sub, "P", "idx", "d_theory", "limit, P = {:.0f}")
         series = [s for pair in zip(sampled, limit) for s in pair]
@@ -762,13 +759,8 @@ def _render_expected_a(rows):
 
 def _render_predictor_fan(rows):
     plots = {}
-    lams = _group_values(rows, "lambda")
-    gammas = _group_values(rows, "gamma")
-    for lam in lams:
-        for gamma in gammas:
-            sub = [r for r in rows if r["lambda"] == lam and r["gamma"] == gamma]
-            if not sub:
-                continue
+    for lam, ridge_rows in _groups(rows, "lambda").items():
+        for sub in _groups(ridge_rows, "gamma").values():
             test = sorted((r for r in sub if r["role"] == 0), key=lambda r: r["x"])
             train = [r for r in sub if r["role"] == 1]
             n_samples = len([c for c in test[0] if c.startswith("sample_")])

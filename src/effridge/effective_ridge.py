@@ -15,7 +15,8 @@ handles the ridgeless limits on both sides of ``gamma = 1``, inverts the map
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,31 +29,38 @@ MAX_NEWTON_ITERS = 200
 RESIDUAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SpectrumInput:
-    """Gram eigenvalues together with the ratio gamma = P/N and the ridge."""
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Gram eigenvalues, checked once: nonempty, finite and nonnegative.
+
+    Every function here that reads a spectrum takes one, so a grid of solves
+    on the same eigenvalues checks them, and takes their mean, only when the
+    spectrum is built.  The eigenvalues are a read-only copy, which keeps them
+    as checked.
+    """
 
     eigenvalues: np.ndarray
-    gamma: float
-    lam: float
+    n: int = field(init=False)
+    trace_mean: float = field(init=False)
 
     def __post_init__(self):
-        d = np.asarray(self.eigenvalues, dtype=float).ravel()
-        object.__setattr__(self, "eigenvalues", d)
+        d = np.array(self.eigenvalues, dtype=float).ravel()
         if d.size < 1 or not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise InvalidInputError("eigenvalues must be finite and nonnegative")
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise InvalidInputError("gamma must be positive")
-        if not np.isfinite(self.lam) or self.lam < 0:
-            raise InvalidInputError("ridge must be nonnegative")
+            raise InvalidInputError("eigenvalues must be a nonempty array of finite nonnegative numbers")
+        d.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", d)
+        object.__setattr__(self, "n", d.size)
+        object.__setattr__(self, "trace_mean", float(np.mean(d)))
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
 
-    @property
-    def trace_mean(self) -> float:
-        return float(np.mean(self.eigenvalues))
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < math.inf:
+        raise InvalidInputError("gamma must be positive")
+
+
+def _check_lambda_tilde(lambda_tilde: float) -> None:
+    if not 0.0 <= lambda_tilde < math.inf:
+        raise InvalidInputError("lambda_tilde must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,8 @@ def _newton(func, t):
     raise NumericError(f"Newton iteration did not settle in {MAX_NEWTON_ITERS} steps: last iterate {t:.6e}")
 
 
-def solve_effective_ridge(inp: SpectrumInput) -> EffectiveRidge:
-    """Solve the defining fixed point for the effective ridge.
+def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> EffectiveRidge:
+    """Solve the defining fixed point for the effective ridge at ``gamma = P/N`` and ridge ``lam``.
 
     For ``lam > 0`` the residual ``g`` is convex, because ``t d / (t + d)``
     is concave, and nonnegative at the upper bound ``lam + T/gamma`` with
@@ -136,16 +144,19 @@ def solve_effective_ridge(inp: SpectrumInput) -> EffectiveRidge:
     ``gamma = mean(d / (t + d))`` in the underparameterized regime
     (gamma < 1), and no finite answer exactly at gamma = 1.
     """
-    d, gamma, lam = inp.eigenvalues, inp.gamma, inp.lam
+    _check_gamma(gamma)
+    if not 0.0 <= lam < math.inf:
+        raise InvalidInputError("ridge must be nonnegative")
+    d = spectrum.eigenvalues
     if lam > 0.0:
-        start = lam + inp.trace_mean / gamma
+        start = lam + spectrum.trace_mean / gamma
         lambda_tilde, values, iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), start)
     else:
-        lambda_tilde, iterations = _ridgeless_newton(d, gamma)
+        lambda_tilde, iterations = _ridgeless_newton(spectrum, gamma)
         if lambda_tilde == 0.0:
             # Overparameterized ridgeless: the defining equation is satisfied
             # identically at t = 0, with derivative gamma / (gamma - 1).
-            dimension = effective_dimension(d, 0.0)
+            dimension = effective_dimension(spectrum, 0.0)
             return EffectiveRidge(0.0, gamma / (gamma - 1.0), dimension, 0.0, gamma, 0.0, iterations)
         values = _fixed_point(lambda_tilde, d, gamma, 0.0)
 
@@ -159,7 +170,7 @@ def solve_effective_ridge(inp: SpectrumInput) -> EffectiveRidge:
                           iterations=iterations)
 
 
-def effective_ridge_derivative(inp: SpectrumInput, lambda_tilde: float) -> float:
+def effective_ridge_derivative(spectrum: Spectrum, gamma: float, lambda_tilde: float) -> float:
     """Closed-form derivative of the effective ridge with respect to the ridge.
 
     Differentiating the defining equation gives
@@ -167,36 +178,36 @@ def effective_ridge_derivative(inp: SpectrumInput, lambda_tilde: float) -> float
         d(lambda_tilde)/d(lambda)
             = 1 / (1 - (1/gamma) mean(d/(t+d)) + (t/gamma) mean(d/(t+d)^2))
 
-    at ``t = lambda_tilde``.  The denominator is positive whenever ``t``
-    solves the equation, so a nonpositive value signals an inconsistent input.
+    at ``t = lambda_tilde``, which does not involve the ridge itself.  The
+    denominator is positive whenever ``t`` solves the equation, so a
+    nonpositive value signals an inconsistent input.
     """
-    d, gamma = inp.eigenvalues, inp.gamma
-    if lambda_tilde < 0:
-        raise InvalidInputError("lambda_tilde must be nonnegative")
+    _check_gamma(gamma)
+    _check_lambda_tilde(lambda_tilde)
+    d = spectrum.eigenvalues
     if lambda_tilde == 0.0:
         denom = 1.0 - float(np.mean(d > 0)) / gamma
     else:
-        denom = _fixed_point(lambda_tilde, d, gamma, inp.lam)[1]
+        denom = _fixed_point(lambda_tilde, d, gamma, 0.0)[1]
     if denom <= 0:
         raise NumericError("derivative denominator is nonpositive; lambda_tilde does not solve the fixed point")
     return 1.0 / denom
 
 
-def effective_dimension(eigenvalues: np.ndarray, lambda_tilde: float) -> float:
+def effective_dimension(spectrum: Spectrum, lambda_tilde: float) -> float:
     """Effective dimension ``sum_i d_i / (lambda_tilde + d_i)``.
 
     Zero eigenvalues contribute nothing, including in the ridgeless limit
     ``lambda_tilde = 0`` where each positive eigenvalue contributes one.
     """
-    d = np.asarray(eigenvalues, dtype=float).ravel()
-    if lambda_tilde < 0:
-        raise InvalidInputError("lambda_tilde must be nonnegative")
+    _check_lambda_tilde(lambda_tilde)
+    d = spectrum.eigenvalues
     if lambda_tilde == 0.0:
         return float(np.count_nonzero(d > 0))
     return _quotient_sums(lambda_tilde, d)[0].item()
 
 
-def ridgeless_limit(eigenvalues: np.ndarray, gamma: float) -> float:
+def ridgeless_limit(spectrum: Spectrum, gamma: float) -> float:
     """Limit of the effective ridge as the explicit ridge vanishes.
 
     Overparameterized (gamma > 1): 0.  Underparameterized (gamma < 1): the
@@ -207,18 +218,18 @@ def ridgeless_limit(eigenvalues: np.ndarray, gamma: float) -> float:
     below; the root is checked on this equation, because the defining one at
     ``lam = 0`` is scaled by ``t`` and cannot see a wrong tiny root.
     """
-    return _ridgeless_newton(np.asarray(eigenvalues, dtype=float).ravel(), gamma)[0]
+    _check_gamma(gamma)
+    return _ridgeless_newton(spectrum, gamma)[0]
 
 
-def _ridgeless_newton(d: np.ndarray, gamma: float) -> tuple[float, int]:
-    """``ridgeless_limit`` and its Newton step count."""
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+def _ridgeless_newton(spectrum: Spectrum, gamma: float) -> tuple[float, int]:
+    """``ridgeless_limit`` and its Newton step count, for a checked ``gamma``."""
     if gamma == 1.0:
         raise AtThresholdError("ridgeless effective ridge is degenerate at gamma = 1")
     if gamma > 1.0:
         return 0.0, 0
-    if d.size < 1 or np.any(d <= 0):
+    d = spectrum.eigenvalues
+    if np.any(d <= 0):
         raise InvalidInputError("underparameterized ridgeless limit needs a strictly positive spectrum")
 
     def func(t):
@@ -236,7 +247,7 @@ def _ridgeless_newton(d: np.ndarray, gamma: float) -> tuple[float, int]:
     return float(t), steps
 
 
-def calibrate_ridge(eigenvalues: np.ndarray, gamma: float, lambda_star: float) -> float:
+def calibrate_ridge(spectrum: Spectrum, gamma: float, lambda_star: float) -> float:
     """Explicit ridge whose effective ridge equals the target ``lambda_star``.
 
     Inverts the defining equation directly:
@@ -246,11 +257,10 @@ def calibrate_ridge(eigenvalues: np.ndarray, gamma: float, lambda_star: float) -
     A nonpositive result means the target sits at or below the ridgeless
     effective ridge for this gamma and cannot be reached.
     """
-    d = np.asarray(eigenvalues, dtype=float).ravel()
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
-    if not np.isfinite(lambda_star) or lambda_star <= 0:
+    _check_gamma(gamma)
+    if not 0.0 < lambda_star < math.inf:
         raise InvalidInputError("target effective ridge must be positive")
+    d = spectrum.eigenvalues
     lam = lambda_star - (lambda_star / gamma) * (_quotient_sums(lambda_star, d)[0] / d.size).item()
     if lam <= 0:
         raise InfeasibleTargetError(

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .features import CHUNK_ELEMENTS, SeedPolicy, normal_chunks
-from .effective_ridge import RESIDUAL_TOL, SpectrumInput, _fixed_point, _newton, solve_effective_ridge
+from .effective_ridge import RESIDUAL_TOL, Spectrum, _check_gamma, _fixed_point, _newton, solve_effective_ridge
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,7 @@ def _cone_membership(m: complex, z: complex) -> bool:
     return u >= -slack and v * abs(w) >= -slack
 
 
-def theoretical_stieltjes(
-    kernel_eigenvalues: np.ndarray, gamma: float, z: complex
-) -> StieltjesSolution:
+def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> StieltjesSolution:
     """Solve the deterministic fixed point for ``m_tilde(z)`` with ``Re(z) < 0``.
 
     With ``t = 1 / m`` the fixed point is the effective-ridge equation
@@ -150,21 +148,17 @@ def theoretical_stieltjes(
     terms at the root, so the check holds at machine precision however small
     ``|z|`` is.  Points with ``Re(z) >= 0`` are rejected.
     """
-    d = np.asarray(kernel_eigenvalues, dtype=float).ravel()
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise InvalidInputError("kernel eigenvalues must be finite and nonnegative")
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise InvalidInputError("gamma must be positive")
+    _check_gamma(gamma)
     z = complex(z)
     if not z.real < 0:
         raise InvalidInputError("the fixed point is solved on Re(z) < 0 only")
 
-    inp = SpectrumInput(eigenvalues=d, gamma=gamma, lam=-z.real)
     if z.imag == 0.0:
-        eff = solve_effective_ridge(inp)
+        eff = solve_effective_ridge(spectrum, gamma, -z.real)
         t, g, iterations = eff.lambda_tilde, eff.residual, eff.iterations
     else:
-        t, (g, *_), iterations = _newton(lambda t: _fixed_point(t, d, gamma, -z), -z + inp.trace_mean / gamma)
+        d = spectrum.eigenvalues
+        t, (g, *_), iterations = _newton(lambda t: _fixed_point(t, d, gamma, -z), -z + spectrum.trace_mean / gamma)
     residual = abs(g) / (abs(t) + abs(z))
     if not residual < RESIDUAL_TOL:
         raise NumericError(

@@ -110,15 +110,17 @@ def line_plot(
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad
 
+    # Axis ends in plot coordinates, computed once per plot.
+    xa, xb = (math.log10(x_lo), math.log10(x_hi)) if logx else (x_lo, x_hi)
+    ya, yb = (math.log10(y_lo), math.log10(y_hi)) if logy else (y_lo, y_hi)
+
     def tx(v: float) -> float:
-        a, b = (math.log10(x_lo), math.log10(x_hi)) if logx else (x_lo, x_hi)
         u = (math.log10(v) if logx else v)
-        return MARGIN_L + (u - a) / (b - a) * (WIDTH - MARGIN_L - MARGIN_R)
+        return MARGIN_L + (u - xa) / (xb - xa) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def ty(v: float) -> float:
-        a, b = (math.log10(y_lo), math.log10(y_hi)) if logy else (y_lo, y_hi)
         u = (math.log10(v) if logy else v)
-        return HEIGHT - MARGIN_B - (u - a) / (b - a) * (HEIGHT - MARGIN_T - MARGIN_B)
+        return HEIGHT - MARGIN_B - (u - ya) / (yb - ya) * (HEIGHT - MARGIN_T - MARGIN_B)
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

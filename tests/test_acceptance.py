@@ -42,7 +42,7 @@ def solver_suite():
     out = []
     for i in range(1000):
         d, gamma, lam = _random_instance(rng, i)
-        eff = e.solve_effective_ridge(e.SpectrumInput(d, gamma, lam))
+        eff = e.solve_effective_ridge(e.Spectrum(d), gamma, lam)
         out.append((d, gamma, lam, eff))
     return out
 
@@ -60,7 +60,7 @@ def test_criterion_01_solver_residual_and_bounds(solver_suite):
             violations += 1
         # monotonicity in gamma, checked against a strictly larger ratio
         g2 = gamma * (1.0 + rng.uniform(0.1, 1.0))
-        lt2 = e.solve_effective_ridge(e.SpectrumInput(d, g2, lam)).lambda_tilde
+        lt2 = e.solve_effective_ridge(e.Spectrum(d), g2, lam).lambda_tilde
         if not lt2 < lt:
             violations += 1
         if gamma > 1 and not lt <= gamma / (gamma - 1.0) * lam + 1e-12:
@@ -79,15 +79,15 @@ def test_criterion_02_derivative_identity(solver_suite):
     worst = 0.0
     for d, gamma, lam, eff in solver_suite:
         h = 1e-6 * max(lam, 1e-2)
-        up = e.solve_effective_ridge(e.SpectrumInput(d, gamma, lam + h)).lambda_tilde
-        dn = e.solve_effective_ridge(e.SpectrumInput(d, gamma, lam - h)).lambda_tilde
+        up = e.solve_effective_ridge(e.Spectrum(d), gamma, lam + h).lambda_tilde
+        dn = e.solve_effective_ridge(e.Spectrum(d), gamma, lam - h).lambda_tilde
         fd = (up - dn) / (2 * h)
         worst = max(worst, abs(eff.d_lambda_tilde - fd) / fd)
     # the ridgeless limit is approached at rate lambda / min(d), so the check
     # needs a spectrum whose smallest eigenvalue dwarfs lambda = 1e-8
     d20 = np.random.default_rng(3).uniform(0.05, 3.0, size=20)
-    lim_over = e.solve_effective_ridge(e.SpectrumInput(d20, 2.0, 1e-8)).d_lambda_tilde
-    lim_large = e.solve_effective_ridge(e.SpectrumInput(d20, 2.0, 5e5)).d_lambda_tilde
+    lim_over = e.solve_effective_ridge(e.Spectrum(d20), 2.0, 1e-8).d_lambda_tilde
+    lim_large = e.solve_effective_ridge(e.Spectrum(d20), 2.0, 5e5).d_lambda_tilde
     ok = worst < 1e-6 and abs(lim_over - 2.0) < 1e-4 and abs(lim_large - 1.0) < 1e-4
     _report(
         2,
@@ -108,7 +108,7 @@ def test_criterion_03_effective_dimension(solver_suite):
         n = int(rng.integers(2, 60))
         d = rng.uniform(0.05, 3.0, size=n)
         gamma = rng.uniform(0.1, 0.95)
-        eff = e.solve_effective_ridge(e.SpectrumInput(d, gamma, 0.0))
+        eff = e.solve_effective_ridge(e.Spectrum(d), gamma, 0.0)
         P = gamma * n
         worst_ridgeless = max(worst_ridgeless, abs(eff.effective_dimension - P) / P)
     ok = worst < 1e-9 and worst_ridgeless < 1e-9
@@ -129,9 +129,9 @@ def test_criterion_04_calibration_round_trip():
         gamma = 10.0 ** rng.uniform(-1, 1)
         lam = 10.0 ** rng.uniform(-4, 1)
         # a feasible target is any value in the image of the forward map
-        lam_star = e.solve_effective_ridge(e.SpectrumInput(d, gamma, lam)).lambda_tilde
-        lam_back = e.calibrate_ridge(d, gamma, lam_star)
-        lt = e.solve_effective_ridge(e.SpectrumInput(d, gamma, lam_back)).lambda_tilde
+        lam_star = e.solve_effective_ridge(e.Spectrum(d), gamma, lam).lambda_tilde
+        lam_back = e.calibrate_ridge(e.Spectrum(d), gamma, lam_star)
+        lt = e.solve_effective_ridge(e.Spectrum(d), gamma, lam_back).lambda_tilde
         worst = max(worst, abs(lt - lam_star) / lam_star)
         count += 1
     infeasible_raises = 0
@@ -139,9 +139,9 @@ def test_criterion_04_calibration_round_trip():
         n = int(rng.integers(2, 40))
         d = rng.uniform(0.2, 3.0, size=n)
         gamma = rng.uniform(0.1, 0.8)
-        low_target = 0.5 * e.ridgeless_limit(d, gamma)
+        low_target = 0.5 * e.ridgeless_limit(e.Spectrum(d), gamma)
         try:
-            e.calibrate_ridge(d, gamma, low_target)
+            e.calibrate_ridge(e.Spectrum(d), gamma, low_target)
         except e.InfeasibleTargetError:
             infeasible_raises += 1
     ok = worst < 1e-10 and infeasible_raises == 20
@@ -159,7 +159,7 @@ def test_criterion_05_hat_matrix_eigenvalues():
     d = e.generate_spectrum("exponential", n)
     gaps = []
     for P in (10, 50, 200):
-        eff = e.solve_effective_ridge(e.SpectrumInput(d, P / n, lam))
+        eff = e.solve_effective_ridge(e.Spectrum(d), P / n, lam)
         (emp,) = e.empirical_expected_A(d, P, [lam], trials=500, policy=e.SeedPolicy(0, 0))
         gaps.append(float(np.max(np.abs(emp - d / (d + eff.lambda_tilde)))))
     elapsed = time.monotonic() - t0
@@ -180,8 +180,8 @@ def test_criterion_06_stieltjes_concentration():
     variances, gaps, residuals, recip_errs, m_form_errs = [], [], [], [], []
     for P in Ps:
         vals = e.empirical_stieltjes(e.sample_wishart(d, P, e.SeedPolicy(0), 200), P, z).real
-        sol = e.theoretical_stieltjes(d, P / n, z)
-        eff = e.solve_effective_ridge(e.SpectrumInput(d, P / n, 1.0))
+        sol = e.theoretical_stieltjes(e.Spectrum(d), P / n, z)
+        eff = e.solve_effective_ridge(e.Spectrum(d), P / n, 1.0)
         variances.append(float(np.var(vals, ddof=1)))
         gaps.append(abs(float(np.mean(vals)) - sol.m_tilde.real))
         residuals.append(sol.residual)
@@ -226,7 +226,7 @@ def _agreement_grid(data, test_X, kernel, trials, seed):
         for gamma in (0.5, 1.0, 2.0, 4.0):
             P = max(1, round(gamma * data.n))
             stats = e.run_trials(data, test_X, kernel, [P], [lam], trials, seed)[P][0]
-            eff = e.solve_effective_ridge(e.SpectrumInput(spec.eigenvalues, P / data.n, lam))
+            eff = e.solve_effective_ridge(e.Spectrum(spec.eigenvalues), P / data.n, lam)
             pred = e.predict_krr(e.fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
             _, rmse = e.compare_average_to_krr(stats, pred)
             band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / trials))
@@ -251,7 +251,7 @@ def test_criterion_07_average_predictor_agreement():
         max_abs = []
         for P in (4, 8):
             stats = e.run_trials(sdata, stest, KERNEL_SIN, [P], [0.1], 6000, 100 + rep)[P][0]
-            eff = e.solve_effective_ridge(e.SpectrumInput(spec.eigenvalues, P / 4, 0.1))
+            eff = e.solve_effective_ridge(e.Spectrum(spec.eigenvalues), P / 4, 0.1)
             pred = e.predict_krr(e.fit_krr(spec, sdata.y, eff.lambda_tilde), k_cross)
             max_abs.append(e.compare_average_to_krr(stats, pred)[0])
         wins += max_abs[1] < max_abs[0]
@@ -283,7 +283,7 @@ def test_criterion_09_parameter_norm_rate():
         data, test_X = e.generate_sinusoid(n, 5, seed=1)
         stats = e.run_trials(data, test_X, KERNEL_SIN, [P], [lam], 300, 3)[P][0]
         spec = e.spectral_decompose(e.gram_matrix(KERNEL_SIN, data.X))
-        eff = e.solve_effective_ridge(e.SpectrumInput(spec.eigenvalues, P / n, lam))
+        eff = e.solve_effective_ridge(e.Spectrum(spec.eigenvalues), P / n, lam)
         gaps.append(abs(stats.mean_theta_norm_sq - e.theta_norm_theory(spec, data.y, eff)))
     slope = float(np.polyfit(np.log([20, 80, 320]), np.log(gaps), 1)[0])
     _report(9, slope <= -0.5, f"theta-norm gap slope {slope:.2f} (<= -0.5) over P in (20, 80, 320)")
@@ -305,8 +305,8 @@ def test_criterion_10_double_descent():
 
     # scalar derivative check against a central finite difference of the solver
     lam0, h = 1e-4, 1e-8
-    up = e.solve_effective_ridge(e.SpectrumInput(np.ones(10), 1.0, lam0 + h)).lambda_tilde
-    dn = e.solve_effective_ridge(e.SpectrumInput(np.ones(10), 1.0, lam0 - h)).lambda_tilde
+    up = e.solve_effective_ridge(e.Spectrum(np.ones(10)), 1.0, lam0 + h).lambda_tilde
+    dn = e.solve_effective_ridge(e.Spectrum(np.ones(10)), 1.0, lam0 - h).lambda_tilde
     fd = (up - dn) / (2 * h)
     ok = peak_ridgeless and ratio_ridge < 2.0 and abs(fd - 50.50) <= 0.05
     _report(

@@ -26,7 +26,9 @@ from effridge.cli import (
 )
 import effridge.cli
 import effridge.features
-from effridge.errors import InvalidInputError
+from effridge.datasets import generate_spectrum
+from effridge.effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge
+from effridge.errors import InfeasibleTargetError, InvalidInputError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,6 +54,15 @@ def sin_csv_config(tmp_path, rows=24, **descriptor):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset": {"type": "csv", "path": str(data), **descriptor}}))
     return str(path)
+
+
+@pytest.fixture
+def spectrum_checks(monkeypatch):
+    """Every ``Spectrum`` whose eigenvalues get checked, in order."""
+    checks = []
+    check = Spectrum.__post_init__
+    monkeypatch.setattr(Spectrum, "__post_init__", lambda self: checks.append(self) or check(self))
+    return checks
 
 
 def run_fast(experiment, tmp_path, **overrides):
@@ -135,6 +146,80 @@ class TestFormatNumber:
 
         with pytest.raises(NumericError):
             format_number(float("nan"))
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.1, "0.1"),
+            (-0.0, "-0.0"),
+            (1e-300, "1e-300"),
+            (np.float64(1 / 3), "0.3333333333333333"),
+            (np.float32(0.1), "0.10000000149011612"),
+            (7, "7"),
+            (np.int64(-3), "-3"),
+            (True, "1"),
+            (False, "0"),
+            (np.bool_(True), "1"),
+            ("average-rf", "average-rf"),
+        ],
+    )
+    def test_pinned_outputs(self, value, text):
+        assert format_number(value) == text
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (float("inf"), "inf"),
+            (-float("inf"), "-inf"),
+            (float("nan"), "nan"),
+            (np.float64("-inf"), "-inf"),
+            (np.float32("nan"), "nan"),
+        ],
+    )
+    def test_pinned_errors(self, value, shown):
+        from effridge.errors import NumericError
+
+        with pytest.raises(NumericError, match=f"^refusing to write non-finite value {shown}$"):
+            format_number(value)
+
+
+def quadratic_series_by(rows, group_key, x_key, y_key, label_fmt, marker=False):
+    """The first-seen groups, each filtered from all rows: O(rows x groups)."""
+    seen = []
+    for r in rows:
+        if r[group_key] not in seen:
+            seen.append(r[group_key])
+    series = []
+    for g in seen:
+        sub = [r for r in rows if r[group_key] == g]
+        series.append(
+            {
+                "label": label_fmt.format(g),
+                "x": [r[x_key] for r in sub],
+                "y": [r[y_key] for r in sub],
+                "marker": marker,
+            }
+        )
+    return series
+
+
+class TestSeriesBy:
+    def test_interleaved_groups_with_signed_zeros(self):
+        keys = [0.5, -0.0, 0.5, 0.0, 1.0, -0.0, 1.0, 0.0, 0.5]
+        rows = [{"lambda": k, "gamma": float(i), "m": i * 0.1} for i, k in enumerate(keys)]
+        # A group's label is its first-seen key, so -0.0 or 0.0 depending on the row order.
+        for order, labels in ((rows, ["ridge 0.5", "ridge -0.0", "ridge 1.0"]),
+                              (rows[::-1], ["ridge 0.5", "ridge 0.0", "ridge 1.0"])):
+            new = effridge.cli._series_by(order, "lambda", "gamma", "m", "ridge {}", marker=True)
+            assert repr(new) == repr(quadratic_series_by(order, "lambda", "gamma", "m", "ridge {}", marker=True))
+            assert [s["label"] for s in new] == labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, 2.5, 400.0]), max_size=40))
+    def test_matches_the_quadratic_definition(self, keys):
+        rows = [{"P": k, "idx": float(i), "d": -float(i)} for i, k in enumerate(keys)]
+        new = effridge.cli._series_by(rows, "P", "idx", "d", "P = {:.0f}")
+        assert repr(new) == repr(quadratic_series_by(rows, "P", "idx", "d", "P = {:.0f}"))
 
 
 class TestArtifacts:
@@ -231,13 +316,11 @@ class TestArtifacts:
                 assert (tmp_path / experiment / name).read_text() == svg
 
     def test_solve_rows_match_module(self, tmp_path):
-        from effridge import SpectrumInput, generate_spectrum, solve_effective_ridge
-
         _, artifacts = run_fast("solve", tmp_path)
         _, rows = parse_results_csv(artifacts["results"])
         d = generate_spectrum("exponential", 20)
         for row in rows:
-            eff = solve_effective_ridge(SpectrumInput(d, row["gamma"], row["lambda"]))
+            eff = solve_effective_ridge(Spectrum(d), row["gamma"], row["lambda"])
             assert row["lambda_tilde"] == eff.lambda_tilde
             assert row["d_lambda_tilde"] == eff.d_lambda_tilde
             assert row["effective_dimension"] == eff.effective_dimension
@@ -250,7 +333,7 @@ class TestArtifacts:
         assert all(r["recip_identity_err"] <= 1e-12 for r in rows)
         solve = effridge.cli.solve_effective_ridge
         monkeypatch.setattr(effridge.cli, "solve_effective_ridge",
-                            lambda inp: replace(solve(inp), lambda_tilde=solve(inp).lambda_tilde * (1 + 1e-9)))
+                            lambda *args: replace(solve(*args), lambda_tilde=solve(*args).lambda_tilde * (1 + 1e-9)))
         _, artifacts = run_fast("stieltjes", tmp_path, lambda_list=[0.1, 1.0], output_dir=str(tmp_path / "off"))
         _, rows = parse_results_csv(artifacts["results"])
         assert all(r["recip_identity_err"] > 1e-11 for r in rows)
@@ -327,6 +410,44 @@ class TestArtifacts:
                     for pair in points.split():
                         x, y = map(float, pair.split(","))
                         assert -1 <= x <= 721 and -1 <= y <= 481
+
+    @pytest.mark.parametrize("experiment", ["solve", "calibrate", "average-rf", "double-descent", "stieltjes",
+                                            "expected-a"])
+    def test_spectrum_is_checked_once_per_experiment(self, experiment, tmp_path, spectrum_checks):
+        run_fast(experiment, tmp_path)
+        assert len(spectrum_checks) == 1
+
+    def test_solve_grid_rows_equal_per_point_solves(self, tmp_path, spectrum_checks):
+        _, artifacts = run_fast("solve", tmp_path, gamma_grid=[0.25, 0.5, 1.0, 2.0, 4.0],
+                                lambda_list=[1e-3, 1e-2, 0.1, 1.0])
+        assert len(spectrum_checks) == 1
+        _, rows = parse_results_csv(artifacts["results"])
+        assert len(rows) == 20
+        fresh = Spectrum(generate_spectrum("exponential", 20))
+        for row in rows:
+            eff = solve_effective_ridge(fresh, row["gamma"], row["lambda"])
+            assert (row["lambda_tilde"], row["d_lambda_tilde"], row["effective_dimension"], row["residual"]) == (
+                eff.lambda_tilde, eff.d_lambda_tilde, eff.effective_dimension, abs(eff.residual))
+
+    def test_calibrate_grid_rows_equal_per_point_calibrations(self, tmp_path, spectrum_checks):
+        _, artifacts = run_fast("calibrate", tmp_path, gamma_grid=[0.25, 0.5, 1.0, 2.0, 4.0],
+                                lambda_list=[0.05, 0.1, 0.5, 1.0, 2.0])
+        assert len(spectrum_checks) == 1
+        _, rows = parse_results_csv(artifacts["results"])
+        fresh = Spectrum(generate_spectrum("exponential", 20))
+        feasible = 0
+        for lam_star in [0.05, 0.1, 0.5, 1.0, 2.0]:
+            for gamma in [0.25, 0.5, 1.0, 2.0, 4.0]:
+                try:
+                    calibrate_ridge(fresh, gamma, lam_star)
+                    feasible += 1
+                except InfeasibleTargetError:
+                    pass
+        assert 0 < len(rows) == feasible < 25
+        for row in rows:
+            lam = calibrate_ridge(fresh, row["gamma"], row["lambda_star"])
+            assert row["lambda"] == lam
+            assert row["roundtrip_lambda_tilde"] == solve_effective_ridge(fresh, row["gamma"], lam).lambda_tilde
 
     def test_calibrate_skips_infeasible(self, tmp_path, capsys):
         cfg = load_config(

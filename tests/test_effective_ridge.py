@@ -8,7 +8,7 @@ from effridge import (
     InfeasibleTargetError,
     InvalidInputError,
     NumericError,
-    SpectrumInput,
+    Spectrum,
     calibrate_ridge,
     effective_dimension,
     effective_ridge_derivative,
@@ -44,8 +44,8 @@ def fd_derivative(d, gamma, lam, h=None):
     """Independent oracle: central finite difference of the solver."""
     if h is None:
         h = 1e-6 * max(lam, 1e-2)
-    up = solve_effective_ridge(SpectrumInput(d, gamma, lam + h)).lambda_tilde
-    dn = solve_effective_ridge(SpectrumInput(d, gamma, lam - h)).lambda_tilde
+    up = solve_effective_ridge(Spectrum(d), gamma, lam + h).lambda_tilde
+    dn = solve_effective_ridge(Spectrum(d), gamma, lam - h).lambda_tilde
     return (up - dn) / (2 * h)
 
 
@@ -60,12 +60,12 @@ def random_spectrum(rng, kind, n):
 
 class TestSolve:
     def test_zero_spectrum_collapses(self):
-        eff = solve_effective_ridge(SpectrumInput(np.zeros(3), 2.0, 0.7))
+        eff = solve_effective_ridge(Spectrum(np.zeros(3)), 2.0, 0.7)
         assert eff.lambda_tilde == 0.7
         assert eff.effective_dimension == 0.0
 
     def test_equal_spectrum_quadratic(self):
-        eff = solve_effective_ridge(SpectrumInput(np.ones(5), 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(np.ones(5)), 1.0, 0.1)
         assert eff.lambda_tilde == pytest.approx(EQUAL_LT_G1_L01, rel=1e-14)
         assert eff.lambda_tilde == pytest.approx(0.3701562118716424, rel=1e-12)
         # bisection oracle agrees
@@ -74,28 +74,28 @@ class TestSolve:
         )
 
     def test_ridgeless_underparameterized_closed_form(self):
-        eff = solve_effective_ridge(SpectrumInput(np.ones(4), 0.5, 0.0))
+        eff = solve_effective_ridge(Spectrum(np.ones(4)), 0.5, 0.0)
         assert eff.lambda_tilde == pytest.approx(1.0, rel=1e-12)
         assert eff.lam == 0.0
 
     def test_ridgeless_overparameterized_is_zero(self):
-        eff = solve_effective_ridge(SpectrumInput(np.ones(4), 2.0, 0.0))
+        eff = solve_effective_ridge(Spectrum(np.ones(4)), 2.0, 0.0)
         assert eff.lambda_tilde == 0.0
         assert eff.d_lambda_tilde == pytest.approx(2.0)
 
     def test_overparameterized_ridge_bound(self):
         rng = np.random.default_rng(0)
         d = rng.uniform(0.1, 2.0, size=12)
-        eff = solve_effective_ridge(SpectrumInput(d, 2.0, 0.05))
+        eff = solve_effective_ridge(Spectrum(d), 2.0, 0.05)
         assert eff.lambda_tilde <= 0.05 * 2.0 / (2.0 - 1.0) + 1e-15
 
     def test_threshold_rejected(self):
         with pytest.raises(AtThresholdError):
-            solve_effective_ridge(SpectrumInput(np.ones(3), 1.0, 0.0))
+            solve_effective_ridge(Spectrum(np.ones(3)), 1.0, 0.0)
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(InvalidInputError):
-            SpectrumInput(np.ones(3), 1.0, -0.1)
+            solve_effective_ridge(Spectrum(np.ones(3)), 1.0, -0.1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -107,7 +107,7 @@ class TestSolve:
     def test_bracketing_and_residual(self, n, gamma, lam, seed):
         rng = np.random.default_rng(seed)
         d = rng.uniform(0.0, 4.0, size=n)
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         T = float(np.mean(d))
         assert lam < eff.lambda_tilde + 1e-300
         if T > 0:
@@ -118,23 +118,81 @@ class TestSolve:
     def test_monotone_in_gamma(self):
         d = random_spectrum(np.random.default_rng(1), "exponential", 20)
         gammas = np.linspace(0.2, 5.0, 15)
-        lts = [solve_effective_ridge(SpectrumInput(d, g, 0.3)).lambda_tilde for g in gammas]
+        lts = [solve_effective_ridge(Spectrum(d), g, 0.3).lambda_tilde for g in gammas]
         assert all(a > b for a, b in zip(lts, lts[1:]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: calibrate_ridge(Spectrum(np.array([NAN, 2.0])), 1.0, 0.5),
+            id="calibrate-nan-eigenvalue",
+        ),
+        pytest.param(lambda: calibrate_ridge(Spectrum(np.array([])), 1.0, 0.5), id="calibrate-empty"),
+        pytest.param(
+            lambda: effective_dimension(Spectrum(np.array([-0.5, 1.0])), 0.3),
+            id="dimension-negative-eigenvalue",
+        ),
+        pytest.param(
+            lambda: ridgeless_limit(Spectrum(np.array([NAN, 1.0])), 0.5),
+            id="ridgeless-nan-eigenvalue",
+        ),
+        pytest.param(
+            lambda: theoretical_stieltjes(Spectrum(np.array([np.inf, 1.0])), 0.5, -0.1 + 0.2j),
+            id="stieltjes-inf-eigenvalue",
+        ),
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.zeros(0)), 2.0, 0.1), id="solve-empty"),
+        pytest.param(
+            lambda: effective_ridge_derivative(Spectrum(np.ones(3)), 0.5, NAN),
+            id="derivative-nan-lambda-tilde",
+        ),
+        pytest.param(
+            lambda: effective_ridge_derivative(Spectrum(np.ones(3)), NAN, 0.4),
+            id="derivative-nan-gamma",
+        ),
+        pytest.param(lambda: effective_dimension(Spectrum(np.ones(3)), NAN), id="dimension-nan-lambda-tilde"),
+        pytest.param(
+            lambda: effective_dimension(Spectrum(np.ones(3)), np.inf),
+            id="dimension-inf-lambda-tilde",
+        ),
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), np.inf, 0.1), id="solve-inf-gamma"),
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), 1.0, NAN), id="solve-nan-ridge"),
+        pytest.param(lambda: calibrate_ridge(Spectrum(np.ones(3)), NAN, 0.5), id="calibrate-nan-gamma"),
+        pytest.param(lambda: ridgeless_limit(Spectrum(np.ones(3)), -1.0), id="ridgeless-negative-gamma"),
+    ],
+)
+def test_malformed_input_is_an_input_error(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_spectrum_keeps_its_checked_eigenvalues():
+    d = np.array([[2.0, 1.0], [0.5, 0.0]])
+    spectrum = Spectrum(d)
+    d[0, 0] = NAN
+    assert spectrum.eigenvalues.tolist() == [2.0, 1.0, 0.5, 0.0]
+    assert (spectrum.n, spectrum.trace_mean) == (4, 0.875)
+    with pytest.raises(ValueError):
+        spectrum.eigenvalues[0] = -1.0
 
 
 class TestDerivative:
     def test_overparameterized_ridgeless_limit(self):
         d = random_spectrum(np.random.default_rng(2), "uniform", 10)
-        eff = solve_effective_ridge(SpectrumInput(d, 2.0, 1e-8))
+        eff = solve_effective_ridge(Spectrum(d), 2.0, 1e-8)
         assert eff.d_lambda_tilde == pytest.approx(2.0, abs=1e-4)
 
     def test_large_ridge_limit(self):
         d = random_spectrum(np.random.default_rng(3), "uniform", 10)
-        eff = solve_effective_ridge(SpectrumInput(d, 10.0, 1e5))
+        eff = solve_effective_ridge(Spectrum(d), 10.0, 1e5)
         assert eff.d_lambda_tilde == pytest.approx(1.0, abs=1e-4)
 
     def test_equal_spectrum_value(self):
-        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         assert eff.d_lambda_tilde == pytest.approx(2.139824499830364, rel=1e-10)
         assert eff.d_lambda_tilde == pytest.approx(fd_derivative(np.ones(2), 1.0, 0.1), rel=1e-7)
 
@@ -143,25 +201,24 @@ class TestDerivative:
     def test_matches_finite_differences(self, n, gamma, lam, seed):
         rng = np.random.default_rng(seed)
         d = rng.uniform(0.01, 3.0, size=n)
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         assert eff.d_lambda_tilde == pytest.approx(fd_derivative(d, gamma, lam), rel=1e-6)
 
     def test_rejects_inconsistent_lambda_tilde(self):
-        inp = SpectrumInput(np.ones(3), 0.2, 0.1)
         with pytest.raises(Exception):
-            effective_ridge_derivative(inp, 0.0)
+            effective_ridge_derivative(Spectrum(np.ones(3)), 0.2, 0.0)
 
 
 class TestEffectiveDimension:
     def test_infinite_ridge_kills_dimension(self):
         d = np.ones(5)
-        assert effective_dimension(d, 1e12) < 1e-9 * 5
+        assert effective_dimension(Spectrum(d), 1e12) < 1e-9 * 5
 
     def test_identity_with_feature_count(self):
         N, gamma, lam = 2, 1.0, 0.1
-        eff = solve_effective_ridge(SpectrumInput(np.ones(N), gamma, lam))
+        eff = solve_effective_ridge(Spectrum(np.ones(N)), gamma, lam)
         P = gamma * N
-        lhs = effective_dimension(np.ones(N), eff.lambda_tilde)
+        lhs = effective_dimension(Spectrum(np.ones(N)), eff.lambda_tilde)
         rhs = P * (1 - lam / eff.lambda_tilde)
         assert lhs == pytest.approx(1.4596875762567152, rel=1e-10)
         assert abs(lhs - rhs) < 1e-9 * P
@@ -169,7 +226,7 @@ class TestEffectiveDimension:
     def test_ridgeless_underparameterized_equals_P(self):
         d = random_spectrum(np.random.default_rng(4), "polynomial", 20)
         gamma = 0.4
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, 0.0))
+        eff = solve_effective_ridge(Spectrum(d), gamma, 0.0)
         P = gamma * 20
         assert abs(eff.effective_dimension - P) < 1e-9 * P
 
@@ -178,35 +235,35 @@ class TestEffectiveDimension:
     def test_never_exceeds_min_N_P(self, n, gamma, lam, seed):
         rng = np.random.default_rng(seed)
         d = rng.uniform(0.01, 4.0, size=n)
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         assert eff.effective_dimension <= min(n, gamma * n) + 1e-9 * n
 
 
 class TestRidgelessLimit:
     def test_overparameterized(self):
-        assert ridgeless_limit(np.ones(3), 2.0) == 0.0
+        assert ridgeless_limit(Spectrum(np.ones(3)), 2.0) == 0.0
 
     def test_equal_spectrum(self):
-        assert ridgeless_limit(np.ones(3), 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert ridgeless_limit(Spectrum(np.ones(3)), 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_lower_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             d = rng.uniform(0.05, 2.0, size=10)
             gamma = rng.uniform(0.1, 0.9)
-            lt0 = ridgeless_limit(d, gamma)
+            lt0 = ridgeless_limit(Spectrum(d), gamma)
             assert lt0 >= np.min(d) * (1 - np.sqrt(gamma)) / np.sqrt(gamma) - 1e-12
 
     def test_threshold(self):
         with pytest.raises(AtThresholdError):
-            ridgeless_limit(np.ones(3), 1.0)
+            ridgeless_limit(Spectrum(np.ones(3)), 1.0)
 
     @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.95])
     def test_spectrum_spanning_hundreds_of_decades(self, gamma):
         # d_min = exp(-499.5) ~ 1.2e-217: the root sits far below most
         # eigenvalues and (t + d)^2 underflows near the start
         d = generate_spectrum("exponential", 1000)
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, 0.0))
+        eff = solve_effective_ridge(Spectrum(d), gamma, 0.0)
         assert eff.effective_dimension == pytest.approx(gamma * 1000, rel=1e-9)
 
     def test_unsettled_newton_raises(self, monkeypatch):
@@ -214,9 +271,9 @@ class TestRidgelessLimit:
 
         monkeypatch.setattr(er, "MAX_NEWTON_ITERS", 1)
         with pytest.raises(NumericError):
-            solve_effective_ridge(SpectrumInput(np.ones(5), 1.0, 0.1))
+            solve_effective_ridge(Spectrum(np.ones(5)), 1.0, 0.1)
         with pytest.raises(NumericError):
-            ridgeless_limit(generate_spectrum("polynomial", 20), 0.4)
+            ridgeless_limit(Spectrum(generate_spectrum("polynomial", 20)), 0.4)
 
 
 def textbook_residual(t, d, gamma, lam):
@@ -286,18 +343,18 @@ class TestOnePassSolve:
 
     @pytest.mark.parametrize("d, gamma, lam", SOLVE_CASES)
     def test_every_field_matches_textbook_passes(self, d, gamma, lam):
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         expected, _ = textbook_solve(d, gamma, lam)
         assert {f: getattr(eff, f) for f in expected} == expected
 
     @pytest.mark.parametrize("d, gamma, lam", SOLVE_CASES)
     def test_iterations_are_the_newton_steps(self, d, gamma, lam):
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         assert eff.iterations == textbook_solve(d, gamma, lam)[1] > 0
 
     def test_closed_forms_take_no_steps(self):
-        assert solve_effective_ridge(SpectrumInput(np.zeros(3), 2.0, 0.7)).iterations == 0
-        assert solve_effective_ridge(SpectrumInput(np.ones(4), 2.0, 0.0)).iterations == 0
+        assert solve_effective_ridge(Spectrum(np.zeros(3)), 2.0, 0.7).iterations == 0
+        assert solve_effective_ridge(Spectrum(np.ones(4)), 2.0, 0.0).iterations == 0
 
     @pytest.mark.parametrize(
         "z, gamma",
@@ -314,14 +371,14 @@ class TestOnePassSolve:
             lambda t: textbook_residual(t, d, gamma, -z), lambda t: textbook_slope(t, d, gamma),
             -z + float(np.mean(d)) / gamma,
         )
-        sol = theoretical_stieltjes(d, gamma, z)
+        sol = theoretical_stieltjes(Spectrum(d), gamma, z)
         assert sol.m_tilde == complex(1.0 / t)
         assert sol.residual == abs(textbook_residual(t, d, gamma, -z)) / (abs(t) + abs(z))
         assert sol.iterations == steps
 
     def test_real_stieltjes_reports_solver_steps(self):
-        sol = theoretical_stieltjes(POLY_2000, 0.5, -1e-3)
-        eff = solve_effective_ridge(SpectrumInput(POLY_2000, 0.5, 1e-3))
+        sol = theoretical_stieltjes(Spectrum(POLY_2000), 0.5, -1e-3)
+        eff = solve_effective_ridge(Spectrum(POLY_2000), 0.5, 1e-3)
         assert sol.iterations == eff.iterations > 0
         assert sol.m_tilde == complex(1.0 / eff.lambda_tilde)
 
@@ -338,23 +395,23 @@ class TestOnePassSolve:
 
         monkeypatch.setattr(er, "effective_dimension", recomputed)
         monkeypatch.setattr(er, "effective_ridge_derivative", recomputed)
-        eff = er.solve_effective_ridge(SpectrumInput(POLY_2000, gamma, lam))
+        eff = er.solve_effective_ridge(Spectrum(POLY_2000), gamma, lam)
         # the start, one per accepted step, and the rejected step
         assert len(calls) == eff.iterations + 2
 
 
 class TestCalibrate:
     def test_inverse_of_solver_example(self):
-        lam = calibrate_ridge(np.ones(2), 1.0, EQUAL_LT_G1_L01)
+        lam = calibrate_ridge(Spectrum(np.ones(2)), 1.0, EQUAL_LT_G1_L01)
         assert lam == pytest.approx(0.1, rel=1e-10)
 
     def test_infinite_features_limit(self):
-        lam = calibrate_ridge(np.ones(4), 1e9, 0.42)
+        lam = calibrate_ridge(Spectrum(np.ones(4)), 1e9, 0.42)
         assert lam == pytest.approx(0.42, rel=1e-6)
 
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleTargetError):
-            calibrate_ridge(np.ones(3), 0.5, 0.5)  # ridgeless limit is 1.0
+            calibrate_ridge(Spectrum(np.ones(3)), 0.5, 0.5)  # ridgeless limit is 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 30), st.floats(0.2, 8.0), st.floats(1e-3, 5.0), st.integers(0, 10_000))
@@ -362,26 +419,26 @@ class TestCalibrate:
         rng = np.random.default_rng(seed)
         d = rng.uniform(0.01, 3.0, size=n)
         try:
-            lam = calibrate_ridge(d, gamma, lam_star)
+            lam = calibrate_ridge(Spectrum(d), gamma, lam_star)
         except InfeasibleTargetError:
             # infeasible iff the target cannot exceed the ridgeless limit
             if gamma < 1:
-                assert lam_star <= ridgeless_limit(d, gamma) + 1e-12
+                assert lam_star <= ridgeless_limit(Spectrum(d), gamma) + 1e-12
             return
-        eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
+        eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         assert eff.lambda_tilde == pytest.approx(lam_star, rel=1e-10)
 
 
 class TestVarianceTerm:
     def test_zero_labels(self):
         spec = spectral_decompose(GramMatrix(np.eye(2)))
-        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         assert theta_norm_theory(spec, np.zeros(2), eff) * 0.5 / 2 == 0.0
 
     def test_equal_spectrum_composition(self):
         # composition of the solved ridge, its derivative, and the quadratic form
         spec = spectral_decompose(GramMatrix(np.eye(2)))
-        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         val = theta_norm_theory(spec, np.ones(2), eff) * 0.5 / 2
         lt = EQUAL_LT_G1_L01
         deriv = fd_derivative(np.ones(2), 1.0, 0.1)
@@ -391,6 +448,6 @@ class TestVarianceTerm:
 
     def test_theta_norm_theory_scalar(self):
         spec = spectral_decompose(GramMatrix(np.eye(2)))
-        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         val = theta_norm_theory(spec, np.ones(2), eff)
         assert val == pytest.approx(2.2796489996607274, rel=1e-9)

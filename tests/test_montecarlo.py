@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from effridge import (
     InvalidInputError,
     KernelSpec,
-    SpectrumInput,
+    Spectrum,
     bias_variance_decompose,
     compare_average_to_krr,
     estimate_risk,
@@ -122,7 +122,7 @@ class TestRunTrials:
         gram = gram_matrix(KERNEL, data.X)
         k_cross = gram_matrix(KERNEL, test_X, data.X)
         spec = spectral_decompose(gram)
-        eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 25.0, 1e-4))
+        eff = solve_effective_ridge(Spectrum(spec.eigenvalues), 25.0, 1e-4)
         pred_eff = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
         pred_zero = predict_krr(fit_krr(spec, data.y, 0.0), k_cross)
         band = monte_carlo_band(stats)
@@ -143,7 +143,7 @@ class TestRunTrials:
         for lam in (0.1, 0.5):
             P = 16
             stats = run_trials(data, test_X, KERNEL, [P], [lam], 1500, 0)[P][0]
-            eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, lam))
+            eff = solve_effective_ridge(Spectrum(spec.eigenvalues), P / 4, lam)
             theory = theta_norm_theory(spec, data.y, eff) / P * ktilde
             assert np.all(stats.var_prediction >= 0.5 * theory)
 
@@ -231,7 +231,7 @@ class TestCompareAverageToKRR:
             gaps = []
             for P in (4, 8):
                 stats = run_trials(data, test_X, KERNEL, [P], [0.1], 3000, 100 + rep)[P][0]
-                eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.1))
+                eff = solve_effective_ridge(Spectrum(spec.eigenvalues), P / 4, 0.1)
                 krr_pred = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
                 gaps.append(compare_average_to_krr(stats, krr_pred)[0])
             wins += gaps[1] < gaps[0]
@@ -246,7 +246,7 @@ class TestThetaNormCheck:
         zero_data = type(data)(X=data.X, y=np.zeros(4), f_star=data.f_star)
         stats = run_trials(zero_data, test_X, KERNEL, [4], [0.1], 5, 0)[4][0]
         spec = spectral_decompose(gram_matrix(KERNEL, data.X))
-        eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(spec.eigenvalues), 1.0, 0.1)
         emp, theo = stats.mean_theta_norm_sq, theta_norm_theory(spec, np.zeros(4), eff)
         assert emp == 0.0 and theo == 0.0
 
@@ -254,7 +254,7 @@ class TestThetaNormCheck:
         from effridge import GramMatrix
 
         spec = spectral_decompose(GramMatrix(np.eye(2)))
-        eff = solve_effective_ridge(SpectrumInput(np.ones(2), 1.0, 0.1))
+        eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         theo = theta_norm_theory(spec, np.ones(2), eff)
         assert theo == pytest.approx(2.2796489996607274, rel=1e-9)
 
@@ -264,7 +264,7 @@ class TestThetaNormCheck:
         spec = spectral_decompose(gram)
         P = 64
         stats = run_trials(data, test_X, KERNEL, [P], [0.5], 600, 0)[P][0]
-        eff = solve_effective_ridge(SpectrumInput(spec.eigenvalues, P / 4, 0.5))
+        eff = solve_effective_ridge(Spectrum(spec.eigenvalues), P / 4, 0.5)
         theo = theta_norm_theory(spec, data.y, eff)
         gap = abs(stats.mean_theta_norm_sq - theo)
         noise = 3 * np.sqrt(stats.var_theta_norm_sq / stats.trials)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from effridge import (
     InvalidInputError,
     SeedPolicy,
-    SpectrumInput,
+    Spectrum,
     empirical_expected_A,
     empirical_stieltjes,
     expected_A_theoretical,
@@ -99,28 +99,28 @@ class TestSampleWishart:
 
 class TestTheoreticalStieltjes:
     def test_equal_spectrum_real_ray(self):
-        sol = theoretical_stieltjes(np.ones(6), 1.0, -0.1 + 0j)
+        sol = theoretical_stieltjes(Spectrum(np.ones(6)), 1.0, -0.1 + 0j)
         assert sol.m_tilde.real == pytest.approx(2.7015621187164243, rel=1e-10)
         assert sol.m_tilde.imag == 0.0
         assert sol.in_cone
 
     def test_zero_spectrum(self):
         for z in (-0.5 + 0j, -1 + 1j):
-            sol = theoretical_stieltjes(np.zeros(3), 1.5, z)
+            sol = theoretical_stieltjes(Spectrum(np.zeros(3)), 1.5, z)
             assert sol.m_tilde == pytest.approx(-1.0 / z)
 
     def test_reciprocal_of_effective_ridge(self):
         d = generate_spectrum("polynomial", 12)
         for lam, gamma in ((0.05, 0.5), (1.0, 2.0), (0.3, 1.0)):
-            eff = solve_effective_ridge(SpectrumInput(d, gamma, lam))
-            sol = theoretical_stieltjes(d, gamma, complex(-lam, 0))
+            eff = solve_effective_ridge(Spectrum(d), gamma, lam)
+            sol = theoretical_stieltjes(Spectrum(d), gamma, complex(-lam, 0))
             assert sol.m_tilde.real * eff.lambda_tilde == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_nonnegative_real_part(self):
         with pytest.raises(InvalidInputError):
-            theoretical_stieltjes(np.ones(3), 1.0, 0.5 + 1j)
+            theoretical_stieltjes(Spectrum(np.ones(3)), 1.0, 0.5 + 1j)
         with pytest.raises(InvalidInputError):
-            theoretical_stieltjes(np.ones(3), 1.0, 0.0 + 1j)
+            theoretical_stieltjes(Spectrum(np.ones(3)), 1.0, 0.0 + 1j)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -134,7 +134,7 @@ class TestTheoreticalStieltjes:
         rng = np.random.default_rng(seed)
         d = rng.uniform(0.0, 3.0, size=n)
         z = complex(re, im)
-        sol = theoretical_stieltjes(d, gamma, z)
+        sol = theoretical_stieltjes(Spectrum(d), gamma, z)
         assert sol.residual < 1e-10
         assert sol.in_cone
         T = float(np.mean(d))
@@ -145,7 +145,7 @@ class TestTheoreticalStieltjes:
         d = generate_spectrum("exponential", 10)
         gamma = 1.3
         z = complex(-0.4, 0.8)
-        sol = theoretical_stieltjes(d, gamma, z)
+        sol = theoretical_stieltjes(Spectrum(d), gamma, z)
 
         def f(m):
             return -(1.0 / z) * (1.0 - np.mean(d * m / (1.0 + d * m)) / gamma)
@@ -163,7 +163,7 @@ class TestTheoreticalStieltjes:
         # gamma = mean(d m / (1 + d m)) - gamma z m at the returned point
         d = np.array([0.3, 1.2, 2.2])
         gamma, z = 0.7, complex(-1.5, 0.6)
-        m = theoretical_stieltjes(d, gamma, z).m_tilde
+        m = theoretical_stieltjes(Spectrum(d), gamma, z).m_tilde
         lhs = np.mean(d * m / (1 + d * m)) - gamma * z * m
         assert lhs == pytest.approx(gamma, abs=1e-9)
 
@@ -173,7 +173,7 @@ class TestTheoreticalStieltjes:
         # does not grow like 1/|z|.
         d = np.array([0.3, 1.2, 2.2])
         gamma = 0.5
-        sol = theoretical_stieltjes(d, gamma, z)
+        sol = theoretical_stieltjes(Spectrum(d), gamma, z)
         assert sol.in_cone
         m = sol.m_tilde
         lhs = np.mean(d * m / (1 + d * m)) - gamma * z * m
@@ -187,7 +187,7 @@ class TestTheoreticalStieltjes:
             P = int(round(gamma * 40))
             vals = empirical_stieltjes(sample_wishart(d_base, P, SeedPolicy(21), 300), P, z)
             mean = np.mean(vals)
-            sol = theoretical_stieltjes(d_base, gamma, z)
+            sol = theoretical_stieltjes(Spectrum(d_base), gamma, z)
             se = 3.0 * np.std(vals) / np.sqrt(len(vals))
             assert abs(mean - sol.m_tilde) <= se + 2.0 / P
 
@@ -203,7 +203,7 @@ class TestExpectedATheory:
 
     def test_exponential_spectrum_formula(self):
         d = generate_spectrum("exponential", 10)
-        eff = solve_effective_ridge(SpectrumInput(d, 2.0, 0.01))
+        eff = solve_effective_ridge(Spectrum(d), 2.0, 0.01)
         vals = expected_A_theoretical(d, eff.lambda_tilde)
         assert np.allclose(vals, d / (d + eff.lambda_tilde))
         assert np.all(np.diff(vals) <= 0)
@@ -246,7 +246,7 @@ class TestEmpiricalExpectedA:
     def test_converges_to_theory_at_large_P(self):
         d = generate_spectrum("exponential", 5)
         P = 200 * 5
-        eff = solve_effective_ridge(SpectrumInput(d, P / 5, 0.05))
+        eff = solve_effective_ridge(Spectrum(d), P / 5, 0.05)
         (emp,) = empirical_expected_A(d, P, [0.05], trials=100, policy=SeedPolicy(2, 0))
         assert np.max(np.abs(emp - expected_A_theoretical(d, eff.lambda_tilde))) < 0.02
 
