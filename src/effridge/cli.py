@@ -478,7 +478,7 @@ def _run_double_descent(cfg: ExperimentConfig):
 
 
 def _spectral_theory(cfg: ExperimentConfig, d: np.ndarray):
-    """Feature counts and each ``(P, lam)``'s effective ridge on ``d``, all checked before the first draw."""
+    """``d``'s checked spectrum, the feature counts and each ``(P, lam)``'s effective ridge, before the first draw."""
     Ps = [int(P) for P in cfg.p_grid]
     spectrum = Spectrum(d)
     effs = {}
@@ -487,17 +487,17 @@ def _spectral_theory(cfg: ExperimentConfig, d: np.ndarray):
         for lam in cfg.lambda_list:
             with _row_context(P=P, ridge=lam):
                 effs[P, lam] = solve_effective_ridge(spectrum, P / spectrum.n, lam)
-    return Ps, effs
+    return spectrum, Ps, effs
 
 
 def _run_stieltjes(cfg: ExperimentConfig):
     d = _resolve_spectrum(cfg)
     N = d.size
-    Ps, effs = _spectral_theory(cfg, d)
+    spectrum, Ps, effs = _spectral_theory(cfg, d)
     rows = []
     for P in Ps:
         # Drawn once per P and shared by every ridge.
-        spectra = sample_wishart(d, P, SeedPolicy(cfg.base_seed), cfg.trials)
+        spectra = sample_wishart(spectrum, P, SeedPolicy(cfg.base_seed), cfg.trials)
         for lam in cfg.lambda_list:
             mean, var = stieltjes_moments(spectra, P, complex(-lam, 0.0))
             gamma = P / N
@@ -519,13 +519,13 @@ def _run_stieltjes(cfg: ExperimentConfig):
 def _run_expected_a(cfg: ExperimentConfig):
     d = np.sort(_resolve_spectrum(cfg))[::-1]
     N = d.size
-    Ps, effs = _spectral_theory(cfg, d)
+    spectrum, Ps, effs = _spectral_theory(cfg, d)
     # Drawn once per P and shared by every ridge.
-    emps = [empirical_expected_A(d, P, cfg.lambda_list, cfg.trials, SeedPolicy(cfg.base_seed)) for P in Ps]
+    emps = [empirical_expected_A(spectrum, P, cfg.lambda_list, cfg.trials, SeedPolicy(cfg.base_seed)) for P in Ps]
     rows = []
     for j, lam in enumerate(cfg.lambda_list):
         for P, emp in zip(Ps, emps):
-            theory = expected_A_theoretical(d, effs[P, lam].lambda_tilde)
+            theory = expected_A_theoretical(spectrum, effs[P, lam].lambda_tilde)
             for i in range(N):
                 row = _prefix(cfg, N, P, P / N, lam)
                 row.update(

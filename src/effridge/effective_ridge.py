@@ -113,7 +113,10 @@ def _newton(func, t):
     Returns the iterate of least ``|g|``, ``func``'s values there, and the
     accepted step count.  Iterates until the residual stops shrinking, which
     leaves the root at machine precision so downstream identities (derivative,
-    effective dimension, calibration round trips) inherit full accuracy.  No
+    effective dimension, calibration round trips) inherit full accuracy.  A
+    step that leaves ``t`` where it is (it rounds away, or ``g`` or ``g'`` is
+    zero) also stops the run, without evaluating ``func`` again: ``func`` is
+    pure, so it would give the same values, and the step would be rejected.  No
     bracket is needed: each real caller starts on the side of its root from
     which Newton runs monotonically to it (a convex increasing function from
     above, a concave increasing one from below).  Raises
@@ -124,6 +127,8 @@ def _newton(func, t):
     for steps in range(MAX_NEWTON_ITERS):
         r, s = values[:2]
         t_next = t - r / s if s else t
+        if t_next == t:
+            return t, values, steps
         values_next = func(t_next)
         if not abs(values_next[0]) < abs(r):
             return t, values, steps

@@ -36,6 +36,7 @@ a ``P^-3`` decay; the unnormalized trace ``P m_P`` decays as ``P^-1``.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -64,17 +65,22 @@ class StieltjesSolution:
     in_cone: bool
 
 
+def _checked(kernel_eigenvalues: Spectrum | np.ndarray) -> Spectrum:
+    """``kernel_eigenvalues`` as a checked :class:`Spectrum`; one that already is one is not checked again."""
+    if isinstance(kernel_eigenvalues, Spectrum):
+        return kernel_eigenvalues
+    return Spectrum(kernel_eigenvalues)
+
+
 def _wishart_grams(
-    kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy, trials: int
+    kernel_eigenvalues: Spectrum | np.ndarray, P: int, policy: SeedPolicy, trials: int
 ) -> Iterator[np.ndarray]:
     """Stacked ``N x N`` Grams ``G = Y^T Y``, ``Y = W diag(d / P)^{1/2}``, of consecutive draws.
 
     The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
     a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` Grams, which matters when ``P < N``.
     """
-    d = np.asarray(kernel_eigenvalues, dtype=float).ravel()
-    if d.size < 1 or np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise InvalidInputError("kernel eigenvalues must be a nonempty array of finite nonnegative numbers")
+    d = _checked(kernel_eigenvalues).eigenvalues
     if P < 1:
         raise InvalidInputError("need at least one feature")
     if trials < 1:
@@ -88,7 +94,7 @@ def _wishart_grams(
             yield Y.transpose(0, 2, 1) @ Y
 
 
-def sample_wishart(kernel_eigenvalues: np.ndarray, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
+def sample_wishart(kernel_eigenvalues: Spectrum | np.ndarray, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
     """Nonzero spectra of ``trials`` draws of ``F^T F = (1/P) W diag(d) W^T``.
 
     Row ``t`` of the ``(trials, min(N, P))`` result holds the eigenvalues of
@@ -174,16 +180,16 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
     )
 
 
-def expected_A_theoretical(kernel_eigenvalues: np.ndarray, lambda_tilde: float) -> np.ndarray:
+def expected_A_theoretical(kernel_eigenvalues: Spectrum | np.ndarray, lambda_tilde: float) -> np.ndarray:
     """Eigenvalues ``d_i / (d_i + lambda_tilde)`` of ``K (K + lambda_tilde I)^{-1}``, descending."""
-    d = np.sort(np.asarray(kernel_eigenvalues, dtype=float).ravel())[::-1]
-    if lambda_tilde <= 0:
-        raise InvalidInputError("lambda_tilde must be positive")
+    if not 0.0 < lambda_tilde < math.inf:
+        raise InvalidInputError("lambda_tilde must be finite and positive")
+    d = np.sort(_checked(kernel_eigenvalues).eigenvalues)[::-1]
     return d / (d + lambda_tilde)
 
 
 def empirical_expected_A(
-    kernel_eigenvalues: np.ndarray, P: int, lams: list[float], trials: int, policy: SeedPolicy
+    kernel_eigenvalues: Spectrum | np.ndarray, P: int, lams: list[float], trials: int, policy: SeedPolicy
 ) -> list[np.ndarray]:
     """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]`` per ridge.
 
@@ -195,10 +201,11 @@ def empirical_expected_A(
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
-    N = np.size(kernel_eigenvalues)
+    spectrum = _checked(kernel_eigenvalues)
+    N = spectrum.n
     acc = np.zeros((len(lams), N, N))
     ridges = np.asarray(lams, dtype=float)[:, None, None, None] * np.eye(N)
-    for G in _wishart_grams(kernel_eigenvalues, P, policy, trials):
+    for G in _wishart_grams(spectrum, P, policy, trials):
         acc += np.sum(np.linalg.solve(G + ridges, G[None]), axis=1)
     acc /= trials
     return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]

@@ -221,12 +221,16 @@ def _agreement_grid(data, test_X, kernel, trials, seed):
     gram = e.gram_matrix(kernel, data.X)
     spec = e.spectral_decompose(gram)
     k_cross = e.gram_matrix(kernel, test_X, data.X)
+    lams = [0.1, 1.0]
+    Ps = {gamma: max(1, round(gamma * data.n)) for gamma in (0.5, 1.0, 2.0, 4.0)}
+    # One call: each trial's draw at each P serves both ridges.
+    runs = e.run_trials(data, test_X, kernel, list(Ps.values()), lams, trials, seed)
+    spectrum = e.Spectrum(spec.eigenvalues)
     failures = []
-    for lam in (0.1, 1.0):
-        for gamma in (0.5, 1.0, 2.0, 4.0):
-            P = max(1, round(gamma * data.n))
-            stats = e.run_trials(data, test_X, kernel, [P], [lam], trials, seed)[P][0]
-            eff = e.solve_effective_ridge(e.Spectrum(spec.eigenvalues), P / data.n, lam)
+    for j, lam in enumerate(lams):
+        for gamma, P in Ps.items():
+            stats = runs[P][j]
+            eff = e.solve_effective_ridge(spectrum, P / data.n, lam)
             pred = e.predict_krr(e.fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
             _, rmse = e.compare_average_to_krr(stats, pred)
             band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / trials))

@@ -396,8 +396,37 @@ class TestOnePassSolve:
         monkeypatch.setattr(er, "effective_dimension", recomputed)
         monkeypatch.setattr(er, "effective_ridge_derivative", recomputed)
         eff = er.solve_effective_ridge(Spectrum(POLY_2000), gamma, lam)
-        # the start, one per accepted step, and the rejected step
-        assert len(calls) == eff.iterations + 2
+        # the start, one per accepted step, and the rejected step only if it moved the iterate
+        t = eff.lambda_tilde
+        moved = t - textbook_residual(t, POLY_2000, gamma, lam) / textbook_slope(t, POLY_2000, gamma) != t
+        assert len(calls) == eff.iterations + 1 + moved
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_effective_ridge(Spectrum(POLY_2000), 0.5, 1e-3),
+            lambda: ridgeless_limit(Spectrum(POLY_2000), 0.5),
+            lambda: theoretical_stieltjes(Spectrum(POLY_2000), 0.2, complex(-0.1, 0.3)),
+        ],
+        ids=["positive-ridge", "ridgeless", "complex-stieltjes"],
+    )
+    def test_no_newton_run_evaluates_one_point_twice(self, monkeypatch, solve):
+        import effridge.effective_ridge as er
+        import effridge.stieltjes as st
+
+        runs = []
+        newton = er._newton
+
+        def recorded(func, t):
+            points = []
+            runs.append(points)
+            return newton(lambda t: points.append(t) or func(t), t)
+
+        monkeypatch.setattr(er, "_newton", recorded)
+        monkeypatch.setattr(st, "_newton", recorded)
+        solve()
+        assert len(runs) == 1
+        assert len(set(runs[0])) == len(runs[0]) > 2
 
 
 class TestCalibrate:

@@ -90,6 +90,10 @@ class TestSampleWishart:
         with pytest.raises(InvalidInputError):
             sample_wishart(d, P, SeedPolicy(0), trials)
 
+    def test_checked_spectrum_gives_the_array_draws(self):
+        d = generate_spectrum("exponential", 6)
+        assert np.array_equal(sample_wishart(Spectrum(d), 4, SeedPolicy(2), 3), sample_wishart(d, 4, SeedPolicy(2), 3))
+
     def test_trace_statistic(self):
         # E[Tr F^T F] = N * mean(d)
         d = np.array([1.0, 0.5])
@@ -207,6 +211,15 @@ class TestExpectedATheory:
         vals = expected_A_theoretical(d, eff.lambda_tilde)
         assert np.allclose(vals, d / (d + eff.lambda_tilde))
         assert np.all(np.diff(vals) <= 0)
+
+    @pytest.mark.parametrize(
+        "d, lambda_tilde",
+        [([np.nan, 1.0], 0.5), ([-0.5, 1.0], 0.3), ([], 0.5), ([1.0], np.nan)],
+        ids=["nan-eigenvalue", "negative-eigenvalue", "empty", "nan-lambda-tilde"],
+    )
+    def test_rejects_bad_input(self, d, lambda_tilde):
+        with pytest.raises(InvalidInputError):
+            expected_A_theoretical(np.array(d), lambda_tilde)
 
 
 class TestEmpiricalExpectedA:
