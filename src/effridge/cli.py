@@ -306,16 +306,15 @@ def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
     raise InvalidInputError(f"experiment {cfg.experiment!r} needs a data-backed dataset, not {kind!r}")
 
 
-def _resolve_spectrum(cfg: ExperimentConfig) -> np.ndarray:
-    """Eigenvalues for theory-side experiments: direct decay laws or a dataset's Gram."""
+def _resolve_spectrum(cfg: ExperimentConfig) -> Spectrum:
+    """The checked, descending eigenvalues of theory-side experiments: a decay law or a dataset's Gram."""
     ds = cfg.dataset
     if ds["type"] == "spectrum":
         n = ds.get("n", 20)
         _check_size("dataset.n", "a spectrum", n)
-        return generate_spectrum(ds.get("kind", "exponential"), n)
+        return Spectrum(generate_spectrum(ds.get("kind", "exponential"), n))
     data, _ = _resolve_data(cfg)
-    spec = spectral_decompose(gram_matrix(_kernel_from(cfg), data.X))
-    return spec.eigenvalues
+    return Spectrum(spectral_decompose(gram_matrix(_kernel_from(cfg), data.X)).eigenvalues)
 
 
 def _prefix(cfg: ExperimentConfig, N, P, gamma, lam):
@@ -347,7 +346,7 @@ def _row_context(**keys):
 
 
 def _run_solve(cfg: ExperimentConfig):
-    spectrum = Spectrum(_resolve_spectrum(cfg))
+    spectrum = _resolve_spectrum(cfg)
     N = spectrum.n
     Ps = _feature_counts(cfg, N)
     rows = []
@@ -367,7 +366,7 @@ def _run_solve(cfg: ExperimentConfig):
 
 
 def _run_calibrate(cfg: ExperimentConfig):
-    spectrum = Spectrum(_resolve_spectrum(cfg))
+    spectrum = _resolve_spectrum(cfg)
     N = spectrum.n
     Ps = _feature_counts(cfg, N)
     rows = []
@@ -477,10 +476,10 @@ def _run_double_descent(cfg: ExperimentConfig):
     return rows
 
 
-def _spectral_theory(cfg: ExperimentConfig, d: np.ndarray):
-    """``d``'s checked spectrum, the feature counts and each ``(P, lam)``'s effective ridge, before the first draw."""
+def _spectral_theory(cfg: ExperimentConfig):
+    """The checked spectrum, the feature counts and each ``(P, lam)``'s effective ridge, before the first draw."""
     Ps = [int(P) for P in cfg.p_grid]
-    spectrum = Spectrum(d)
+    spectrum = _resolve_spectrum(cfg)
     effs = {}
     for P in Ps:
         check_draw((P, spectrum.n))
@@ -491,9 +490,8 @@ def _spectral_theory(cfg: ExperimentConfig, d: np.ndarray):
 
 
 def _run_stieltjes(cfg: ExperimentConfig):
-    d = _resolve_spectrum(cfg)
-    N = d.size
-    spectrum, Ps, effs = _spectral_theory(cfg, d)
+    spectrum, Ps, effs = _spectral_theory(cfg)
+    d, N = spectrum.eigenvalues, spectrum.n
     rows = []
     for P in Ps:
         # Drawn once per P and shared by every ridge.
@@ -517,9 +515,8 @@ def _run_stieltjes(cfg: ExperimentConfig):
 
 
 def _run_expected_a(cfg: ExperimentConfig):
-    d = np.sort(_resolve_spectrum(cfg))[::-1]
-    N = d.size
-    spectrum, Ps, effs = _spectral_theory(cfg, d)
+    spectrum, Ps, effs = _spectral_theory(cfg)
+    d, N = spectrum.eigenvalues, spectrum.n
     # Drawn once per P and shared by every ridge.
     emps = [empirical_expected_A(spectrum, P, cfg.lambda_list, cfg.trials, SeedPolicy(cfg.base_seed)) for P in Ps]
     rows = []
@@ -650,111 +647,60 @@ def _tag(v: float) -> str:
     return format_number(v).replace(".", "p").replace("-", "m")
 
 
-def _render_solve(rows):
-    plots = {}
-    for metric, logy in (
-        ("lambda_tilde", True),
-        ("d_lambda_tilde", True),
-        ("effective_dimension", False),
-    ):
-        plots[f"plot_{metric}.svg"] = line_plot(
-            _series_by(rows, "lambda", "gamma", metric, "ridge {}"),
-            title=f"{metric} vs gamma",
-            xlabel="gamma = P/N",
-            ylabel=metric,
-            logx=True,
-            logy=logy,
-        )
-    return plots
+# Each experiment's plot files, each drawn by ``_draw`` from ``(x column, group column, blocks,
+# title, x label, y label, log x, log y)``.  A block is a list of layers ``(y column, label
+# format, marker)``; each layer gives one series per group.
+_GAMMA = "gamma = P/N"
+_PLOTS = {
+    "solve": {
+        f"plot_{y}.svg": ("gamma", "lambda", [[(y, "ridge {}", False)]], f"{y} vs gamma", _GAMMA, y, True, logy)
+        for y, logy in (("lambda_tilde", True), ("d_lambda_tilde", True), ("effective_dimension", False))
+    },
+    "calibrate": {
+        "plot_calibrated_ridge.svg": ("gamma", "lambda_star", [[("lambda", "target {}", True)]],
+                                      "explicit ridge reaching each target effective ridge", _GAMMA,
+                                      "calibrated ridge", True, True),
+    },
+    "average-rf": {
+        "plot_risk.svg": ("gamma", "lambda", [[("rf_mean_risk", "mean-RF risk, ridge {}", True),
+                                               ("krr_risk", "KRR risk at eff. ridge {}", False)]],
+                          "test risk: mean sampled predictor vs matched kernel predictor", _GAMMA,
+                          "mean squared error", True, True),
+        "plot_agreement.svg": ("gamma", "lambda", [[("mean_rf_vs_krr_rmse", "rmse, ridge {}", True)],
+                                                   [("mc_band_rmse", "3 sigma band, ridge {}", False)]],
+                               "mean predictor vs kernel predictor discrepancy", _GAMMA,
+                               "rmse over the test grid", True, True),
+    },
+    "double-descent": {
+        f"plot_{y}.svg": ("gamma", "lambda", [[(y, "ridge {}", True)]], f"{y} vs gamma", _GAMMA, y, True, True)
+        for y in ("expected_risk", "mean_variance", "risk_of_mean")
+    },
+    "stieltjes": {
+        "plot_mp_variance.svg": ("P", "lambda", [[("m_p_var", "z = -{}", True)]],
+                                 "variance of the empirical Stieltjes transform", "P", "var m_P", True, True),
+        "plot_mp_mean_gap.svg": ("P", "lambda", [[("abs_gap", "z = -{}", True)]],
+                                 "mean of m_P vs deterministic limit", "P", "|mean m_P - m_tilde|", True, True),
+    },
+}
 
 
-def _render_calibrate(rows):
-    return {
-        "plot_calibrated_ridge.svg": line_plot(
-            _series_by(rows, "lambda_star", "gamma", "lambda", "target {}", marker=True),
-            title="explicit ridge reaching each target effective ridge",
-            xlabel="gamma = P/N",
-            ylabel="calibrated ridge",
-            logx=True,
-            logy=True,
-        )
-    }
-
-
-def _render_average_rf(rows):
-    rf = _series_by(rows, "lambda", "gamma", "rf_mean_risk", "mean-RF risk, ridge {}", marker=True)
-    krr = _series_by(rows, "lambda", "gamma", "krr_risk", "KRR risk at eff. ridge {}")
-    risk_series = [s for pair in zip(rf, krr) for s in pair]
-    agreement = _series_by(rows, "lambda", "gamma", "mean_rf_vs_krr_rmse", "rmse, ridge {}", marker=True)
-    agreement += _series_by(rows, "lambda", "gamma", "mc_band_rmse", "3 sigma band, ridge {}")
-    return {
-        "plot_risk.svg": line_plot(
-            risk_series,
-            title="test risk: mean sampled predictor vs matched kernel predictor",
-            xlabel="gamma = P/N",
-            ylabel="mean squared error",
-            logx=True,
-            logy=True,
-        ),
-        "plot_agreement.svg": line_plot(
-            agreement,
-            title="mean predictor vs kernel predictor discrepancy",
-            xlabel="gamma = P/N",
-            ylabel="rmse over the test grid",
-            logx=True,
-            logy=True,
-        ),
-    }
-
-
-def _render_double_descent(rows):
-    plots = {}
-    for metric in ("expected_risk", "mean_variance", "risk_of_mean"):
-        plots[f"plot_{metric}.svg"] = line_plot(
-            _series_by(rows, "lambda", "gamma", metric, "ridge {}", marker=True),
-            title=f"{metric} vs gamma",
-            xlabel="gamma = P/N",
-            ylabel=metric,
-            logx=True,
-            logy=True,
-        )
-    return plots
-
-
-def _render_stieltjes(rows):
-    return {
-        "plot_mp_variance.svg": line_plot(
-            _series_by(rows, "lambda", "P", "m_p_var", "z = -{}", marker=True),
-            title="variance of the empirical Stieltjes transform",
-            xlabel="P",
-            ylabel="var m_P",
-            logx=True,
-            logy=True,
-        ),
-        "plot_mp_mean_gap.svg": line_plot(
-            _series_by(rows, "lambda", "P", "abs_gap", "z = -{}", marker=True),
-            title="mean of m_P vs deterministic limit",
-            xlabel="P",
-            ylabel="|mean m_P - m_tilde|",
-            logx=True,
-            logy=True,
-        ),
-    }
+def _draw(rows, x, group, blocks, title, xlabel, ylabel, logx=False, logy=False) -> str:
+    """One plot: the blocks one after another, the layers of a block alternating group by group."""
+    series = []
+    for layers in blocks:
+        per_layer = [_series_by(rows, group, x, y, label, marker) for y, label, marker in layers]
+        series += [s for per_group in zip(*per_layer) for s in per_group]
+    return line_plot(series, title=title, xlabel=xlabel, ylabel=ylabel, logx=logx, logy=logy)
 
 
 def _render_expected_a(rows):
-    plots = {}
-    for lam, sub in _groups(rows, "lambda").items():
-        sampled = _series_by(sub, "P", "idx", "d_tilde", "sampled, P = {:.0f}", marker=True)
-        limit = _series_by(sub, "P", "idx", "d_theory", "limit, P = {:.0f}")
-        series = [s for pair in zip(sampled, limit) for s in pair]
-        plots[f"plot_hat_eigenvalues_ridge_{_tag(lam)}.svg"] = line_plot(
-            series,
-            title=f"eigenvalues of the averaged hat matrix, ridge {lam}",
-            xlabel="eigenvalue index",
-            ylabel="eigenvalue",
-        )
-    return plots
+    layers = [("d_tilde", "sampled, P = {:.0f}", True), ("d_theory", "limit, P = {:.0f}", False)]
+    return {
+        f"plot_hat_eigenvalues_ridge_{_tag(lam)}.svg": _draw(
+            sub, "idx", "P", [layers], f"eigenvalues of the averaged hat matrix, ridge {lam}",
+            "eigenvalue index", "eigenvalue")
+        for lam, sub in _groups(rows, "lambda").items()
+    }
 
 
 def _render_predictor_fan(rows):
@@ -801,20 +747,13 @@ def _render_predictor_fan(rows):
     return plots
 
 
-_RENDERERS = {
-    "solve": _render_solve,
-    "calibrate": _render_calibrate,
-    "average-rf": _render_average_rf,
-    "double-descent": _render_double_descent,
-    "stieltjes": _render_stieltjes,
-    "expected-a": _render_expected_a,
-    "predictor-fan": _render_predictor_fan,
-}
-
-
 def render_plots(experiment: str, rows: list[dict]) -> dict[str, str]:
     """SVG documents keyed by filename, computed from parsed results rows only."""
-    return _RENDERERS[experiment](rows)
+    if experiment == "expected-a":
+        return _render_expected_a(rows)
+    if experiment == "predictor-fan":
+        return _render_predictor_fan(rows)
+    return {name: _draw(rows, *spec) for name, spec in _PLOTS[experiment].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -842,36 +781,41 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
     return artifacts
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+def _number_list(kind):
+    """An argparse type: comma-separated ``kind`` values, so an empty flag is a bad value."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="effridge",
         description="Random-feature regression experiments: effective-ridge theory vs Monte Carlo.",
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--gamma", help="comma-separated gamma grid override")
-    parser.add_argument("--p", dest="p_grid", help="comma-separated feature-count grid override")
-    parser.add_argument("--lambda", dest="lambda_list", help="comma-separated ridge list override")
+    parser.add_argument("--gamma", dest="gamma_grid", metavar="GAMMA", type=_number_list(float),
+                        help="comma-separated gamma grid override")
+    parser.add_argument("--p", dest="p_grid", type=_number_list(int),
+                        help="comma-separated feature-count grid override")
+    parser.add_argument("--lambda", dest="lambda_list", type=_number_list(float),
+                        help="comma-separated ridge list override")
     parser.add_argument("--trials", type=int, help="Monte Carlo trials override")
-    parser.add_argument("--seed", type=int, help="base seed override")
-    parser.add_argument("--out", help="output directory override")
-    args = parser.parse_args(argv)
+    parser.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base seed override")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory override")
 
     try:
-        overrides = dict(
-            gamma_grid=[float(v) for v in args.gamma.split(",")] if args.gamma else None,
-            p_grid=[int(v) for v in args.p_grid.split(",")] if args.p_grid else None,
-            lambda_list=[float(v) for v in args.lambda_list.split(",")] if args.lambda_list else None,
-            trials=args.trials,
-            base_seed=args.seed,
-            output_dir=args.out,
-        )
-    except ValueError as exc:
-        print(f"error: bad flag value: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        cfg = load_config(args.experiment, args.config, **overrides)
+        overrides = vars(parser.parse_args(argv))
+        cfg = load_config(overrides.pop("experiment"), overrides.pop("config"), **overrides)
         artifacts = cmd_run(cfg)
     except InvalidInputError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)

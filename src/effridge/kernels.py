@@ -113,13 +113,10 @@ class GramSpectrum:
         Sorted descending, clamped to be nonnegative.
     eigenvectors
         Orthogonal matrix whose columns match ``eigenvalues``.
-    trace_mean
-        Mean eigenvalue, i.e. ``trace / N``; the natural scale of the spectrum.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    trace_mean: float
 
     @property
     def n(self) -> int:
@@ -199,7 +196,7 @@ def spectral_decompose(gram: GramMatrix | np.ndarray) -> GramSpectrum:
             f"eigenvalue {d.min():.3e} below PSD clamp tolerance {floor:.3e}"
         )
     d = np.maximum(d, 0.0)
-    return GramSpectrum(eigenvalues=d, eigenvectors=U, trace_mean=float(np.mean(d)))
+    return GramSpectrum(eigenvalues=d, eigenvectors=U)
 
 
 def sqrt_gram(spec: GramSpectrum) -> np.ndarray:

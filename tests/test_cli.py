@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -37,14 +38,24 @@ def no_trials(*args, **kwargs):
     raise AssertionError("run_trials was called")
 
 
-def readme_columns():
-    """Metric columns per experiment, as listed in the README's experiment table."""
+def readme_table(column, pattern):
+    """The backquoted names matching ``pattern`` in one column of the README's experiment table."""
     table = {}
     for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
         cells = line.split("|")
-        if len(cells) == 5 and cells[1].strip().strip("`") in EXPERIMENTS:
-            table[cells[1].strip().strip("`")] = re.findall(r"`(\w+)`", cells[3])
+        if len(cells) == 6 and cells[1].strip().strip("`") in EXPERIMENTS:
+            table[cells[1].strip().strip("`")] = re.findall(f"`({pattern})`", cells[column])
     return table
+
+
+def readme_columns():
+    """Metric columns per experiment, as listed in the README's experiment table."""
+    return readme_table(3, r"\w+")
+
+
+def readme_plots():
+    """Plot file names per experiment, as listed in the README's table; ``<P>`` and ``<ridge>`` are placeholders."""
+    return readme_table(4, r"plot_[\w<>]+\.svg")
 
 
 def sin_csv_config(tmp_path, rows=24, **descriptor):
@@ -222,6 +233,76 @@ class TestSeriesBy:
         assert repr(new) == repr(quadratic_series_by(rows, "P", "idx", "d", "P = {:.0f}"))
 
 
+def literal_plot_rows(experiment):
+    """Hand-made results rows for ``experiment``: two groups per plot, and a ``0.0`` row joining a ``-0.0`` group."""
+    prefix = {"experiment": experiment, "N": 4.0, "seed": 0.0, "trials": 4.0}
+    if experiment == "expected-a":
+        keys = [(lam, P, idx) for lam in (-0.0, 0.01) for P in (5.0, 10.0) for idx in (1.0, 2.0, 3.0)]
+        return [{**prefix, "lambda": lam, "P": P, "idx": idx, "d_tilde": 1.0 / (idx + P / 5.0),
+                 "d_theory": 1.0 / (idx + P / 4.0)} for lam, P, idx in keys + [(0.0, 5.0, 4.0)]]
+    if experiment == "predictor-fan":
+        points = ((1.0, 0.0), (0.0, 2.0), (0.0, 0.5), (1.0, 3.0), (0.0, 1.0))  # (role, x), test x unsorted
+        keys = [(lam, gamma, role, x) for lam in (-0.0, 0.1) for gamma in (0.5, 2.0) for role, x in points]
+        return [{**prefix, "lambda": lam, "gamma": gamma, "P": 4.0 * gamma, "role": role, "x": x, "f_star": x / 4.0,
+                 "mean_prediction": x / (gamma + 3.0), "std_prediction": 0.25 + lam,
+                 **{f"sample_{k}": x * (k + 1) / (gamma + 4.0) - lam for k in range(4)}}
+                for lam, gamma, role, x in keys + [(0.0, 0.5, 0.0, 4.0)]]
+    group, x, metrics = {
+        "solve": ("lambda", "gamma", ["lambda_tilde", "d_lambda_tilde", "effective_dimension"]),
+        "calibrate": ("lambda_star", "gamma", ["lambda"]),
+        "average-rf": ("lambda", "gamma", ["rf_mean_risk", "krr_risk", "mean_rf_vs_krr_rmse", "mc_band_rmse"]),
+        "double-descent": ("lambda", "gamma", ["expected_risk", "mean_variance", "risk_of_mean"]),
+        "stieltjes": ("lambda", "P", ["m_p_var", "abs_gap"]),
+    }[experiment]
+    keys = [(-0.0, 0.5), (0.25, 0.5), (-0.0, 2.0), (0.25, 2.0), (0.0, 8.0), (0.25, 8.0)]
+    return [{**prefix, group: g, x: xv, **{m: (i + 1) / (k + 3.0) + g for k, m in enumerate(metrics)}}
+            for i, (g, xv) in enumerate(keys)]
+
+# sha256 of each SVG that ``render_plots`` draws from ``literal_plot_rows``, recorded before the plot
+# table replaced the per-experiment renderers.  The rows hold no sampled or BLAS-computed value.
+PLOT_DIGESTS = {
+    "solve": {
+        "plot_lambda_tilde.svg": "c2a98c9cbd7a126b6745279cb0439a83532f7e788392256d960e9e9e3ee58be4",
+        "plot_d_lambda_tilde.svg": "acaa6c2a9ec03d26d918c09a760d907d2301ca4e06a4a8d0bff2aaea6bed83e3",
+        "plot_effective_dimension.svg": "6ff45cc5a70abaacde483c697ad7eb3348d8fa4c6463ef7fd2973a3c42c2de28",
+    },
+    "calibrate": {
+        "plot_calibrated_ridge.svg": "70488e9c2b290cc2839c90e045557dfba412dfaca20c256c00f459e5df794781",
+    },
+    "average-rf": {
+        "plot_risk.svg": "207c775c6e8da171c8aad1161ba3956eee6e52fab3a36f8691339e5438828d27",
+        "plot_agreement.svg": "3c13951383a4354cc80f78a64389d108d51faab7a8e14a84b6070984cfae5da1",
+    },
+    "double-descent": {
+        "plot_expected_risk.svg": "f1a692aca620889c04ed7b432455d9b9c88b9522e22cba58cd11ce97a6d022ce",
+        "plot_mean_variance.svg": "962f3908e7f18f35a6e9ce359b25edbd8e2f9fe21319e3abd272a2891bb0f3f3",
+        "plot_risk_of_mean.svg": "8f37f1c7742b32a411defbba3ab1dcdbdf282a5abdde9636fa67549102b2feb0",
+    },
+    "stieltjes": {
+        "plot_mp_variance.svg": "4c42a7cd7d3ae0595bbaa3acf46631b45a7795ad59a941a13746a6f9fafec661",
+        "plot_mp_mean_gap.svg": "b851f9910999b989f69b386a8b4292d9a2ed1b5978167f79a7a15335607bc41a",
+    },
+    "expected-a": {
+        "plot_hat_eigenvalues_ridge_m0p0.svg": "4c561ba000191499d88f0116296f2b0b04c5b0d6c1787073eec50ca294a8da43",
+        "plot_hat_eigenvalues_ridge_0p01.svg": "35f0181b6ff52b95769251e2659a201de3f07525725c0cf22932b9a493f8004b",
+    },
+    "predictor-fan": {
+        "plot_fan_P2_ridge_m0p0.svg": "068aa60bc293688af0f19b20b069c7a38d121b38315c70a6dffca898dfa967cf",
+        "plot_fan_P8_ridge_m0p0.svg": "471aebdf16051aa289f198df849ba8ab720b54b4a324979ec61bda67ed8ef68d",
+        "plot_fan_P2_ridge_0p1.svg": "0eae59beb37f910e1db17a00e11c3ea5b5447c28538c7def01b07f3a3068a042",
+        "plot_fan_P8_ridge_0p1.svg": "68807930990e6372cbb8d03e48fd7b0abfb9a4ccd8d0d891867c16ccbd399217",
+    },
+}
+
+
+class TestPlotBytes:
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_svg_bytes_are_pinned(self, experiment):
+        rendered = render_plots(experiment, literal_plot_rows(experiment))
+        digests = {name: hashlib.sha256(svg.encode("utf-8")).hexdigest() for name, svg in rendered.items()}
+        assert digests == PLOT_DIGESTS[experiment]
+
+
 class TestArtifacts:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_artifacts_written_and_schema(self, experiment, tmp_path):
@@ -245,6 +326,15 @@ class TestArtifacts:
         if experiment == "predictor-fan":
             expected += [f"sample_{k}" for k in range(min(10, cfg.trials))]
         assert columns == expected
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_plot_files_match_readme(self, experiment, tmp_path):
+        _, artifacts = run_fast(experiment, tmp_path, lambda_list=[0.1, 1.0])
+        templates = readme_plots()[experiment]
+        patterns = [re.escape(name).replace("<P>", "[0-9]+").replace("<ridge>", "[0-9mp]+") for name in templates]
+        plots = [name for name in artifacts if name not in ("results", "config")]
+        assert plots and all(sum(bool(re.fullmatch(p, name)) for p in patterns) == 1 for name in plots)
+        assert all(any(re.fullmatch(p, name) for name in plots) for p in patterns)
 
     def test_run_all_experiments_quick(self, tmp_path):
         paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
@@ -477,6 +567,33 @@ class TestMainExitCodes:
 
     def test_bad_flag_value_is_1(self, capsys):
         assert main(["solve", "--gamma", "zebra"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--trials", "abc"],
+            ["solve", "--seed", "x"],
+            ["no-such-experiment"],
+            ["solve", "--no-such-flag"],
+            ["solve", "--gamma", ""],
+            ["solve", "--p", ""],
+            ["solve", "--lambda", ""],
+        ],
+        ids=["trials-not-int", "seed-not-int", "unknown-experiment", "unknown-flag", "empty-gamma", "empty-p",
+             "empty-lambda"],
+    )
+    def test_usage_error_is_1(self, argv, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: effridge")
 
     @pytest.mark.parametrize(
         "config, message",

@@ -81,12 +81,10 @@ class TestSpectralDecompose:
     def test_identity(self):
         spec = spectral_decompose(GramMatrix(np.eye(2)))
         assert np.allclose(spec.eigenvalues, [1.0, 1.0])
-        assert spec.trace_mean == pytest.approx(1.0)
 
     def test_already_diagonal(self):
         spec = spectral_decompose(GramMatrix(np.diag([2.0, 1.0])))
         assert np.allclose(spec.eigenvalues, [2.0, 1.0])
-        assert spec.trace_mean == pytest.approx(1.5)
         # eigenvectors are signed unit vectors
         assert np.allclose(np.abs(spec.eigenvectors), np.eye(2))
 
