@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -229,8 +228,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise InvalidInputError(f"{cfg.experiment} needs trials >= 2 for variance estimates")
     if not (_is_int(cfg.base_seed) and 0 <= cfg.base_seed < 2**64):
         raise InvalidInputError(f"base_seed must be an integer in [0, 2**64), got {cfg.base_seed!r}")
-    if not isinstance(cfg.output_dir, str):
-        raise InvalidInputError(f"output_dir must be a string, got {cfg.output_dir!r}")
+    if not (isinstance(cfg.output_dir, str) and cfg.output_dir):
+        # An empty path would be the current directory.
+        raise InvalidInputError(f"output_dir must be a nonempty string, got {cfg.output_dir!r}")
 
 
 def _check_descriptor(field: str, descriptor: dict, accepted: dict) -> None:
@@ -329,14 +329,26 @@ def _feature_counts(cfg: ExperimentConfig, N: int) -> list[float]:
     return [gamma * N for gamma in cfg.gamma_grid]
 
 
-@contextmanager
-def _row_context(**keys):
-    """Attach the grid point to a package error, keeping its type and so its exit code."""
-    try:
-        yield
-    except EffridgeError as exc:
-        ctx = ", ".join(f"{k}={v}" for k, v in keys.items())
-        raise type(exc)(f"{exc} [at {ctx}]") from exc
+class _row_context:
+    """Attach the grid point to a package error, keeping its type and so its exit code.
+
+    A class, not a generator-based ``contextmanager``: it is entered once per
+    solved row, and a ``with`` on it costs under half of one on a generator.
+    """
+
+    __slots__ = ("keys",)
+
+    def __init__(self, **keys):
+        self.keys = keys
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, EffridgeError):
+            ctx = ", ".join(f"{k}={v}" for k, v in self.keys.items())
+            raise type(exc)(f"{exc} [at {ctx}]") from exc
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -603,23 +615,26 @@ def write_results_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
+def _parsed_row(columns: list[str], values) -> dict:
+    """One results row as ``parse_results_csv`` returns it: every column except ``experiment`` as float.
+
+    ``values`` are the row's cells, or the values they were written from:
+    ``format_number`` writes the shortest decimal that round-trips, so
+    ``float`` of a value equals ``float`` of its cell.
+    """
+    return {c: v if c == "experiment" else float(v) for c, v in zip(columns, values)}
+
+
 def parse_results_csv(path) -> tuple[list[str], list[dict]]:
     """Read a results file back; every column except ``experiment`` parses as float."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln]
     columns = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        row = {}
-        for c, cell in zip(columns, cells):
-            row[c] = cell if c == "experiment" else float(cell)
-        rows.append(row)
-    return columns, rows
+    return columns, [_parsed_row(columns, ln.split(",")) for ln in lines[1:]]
 
 
 # ---------------------------------------------------------------------------
-# Plot rendering (pure functions of the parsed results rows)
+# Plot rendering (pure functions of the results rows as parsed from results.csv)
 # ---------------------------------------------------------------------------
 
 
@@ -748,7 +763,12 @@ def _render_predictor_fan(rows):
 
 
 def render_plots(experiment: str, rows: list[dict]) -> dict[str, str]:
-    """SVG documents keyed by filename, computed from parsed results rows only."""
+    """SVG documents keyed by filename, computed from results rows only.
+
+    ``rows`` are as ``parse_results_csv`` returns them, so the plots are a
+    pure function of ``results.csv``; ``cmd_run`` passes its rows in that
+    form without reading the file back.
+    """
     if experiment == "expected-a":
         return _render_expected_a(rows)
     if experiment == "predictor-fan":
@@ -762,18 +782,24 @@ def render_plots(experiment: str, rows: list[dict]) -> dict[str, str]:
 
 
 def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
-    """Execute one experiment, write all artifacts, return their paths."""
+    """Execute one experiment, write all artifacts, return their paths.
+
+    The plots are drawn from the rows in memory, each converted as
+    ``parse_results_csv`` would read it back from ``results.csv``, so they
+    equal the plots of the written file without reading it.
+    """
     validate_config(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = _RUNNERS[cfg.experiment](cfg)
+    columns = list(rows[0])
     results_path = out / "results.csv"
-    write_results_csv(results_path, list(rows[0]), rows)
+    write_results_csv(results_path, columns, rows)
     config_path = out / "config.json"
     _write_text_atomic(config_path, json.dumps(asdict(cfg), indent=2, sort_keys=True, default=float) + "\n")
 
-    _, parsed = parse_results_csv(results_path)
+    parsed = [_parsed_row(columns, [row[c] for c in columns]) for row in rows]
     artifacts = {"results": results_path, "config": config_path}
     for name, svg in render_plots(cfg.experiment, parsed).items():
         _write_text_atomic(out / name, svg)
@@ -794,6 +820,22 @@ def _number_list(kind):
         return [kind(v) for v in text.split(",")]
     parse.__name__ = f"comma-separated {kind.__name__}"
     return parse
+
+
+def report_failure(exc: EffridgeError | OSError) -> int:
+    """Print ``error: ...`` for a failed run to stderr and return its exit code.
+
+    1 for invalid configuration or input, 2 for an I/O failure, 3 for any
+    other package error, which is numeric.
+    """
+    if isinstance(exc, InvalidInputError):
+        kind, code = "invalid configuration", 1
+    elif isinstance(exc, OSError):
+        kind, code = "I/O failure", 2
+    else:
+        kind, code = "numeric failure", 3
+    print(f"error: {kind}: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -817,15 +859,8 @@ def main(argv=None) -> int:
         overrides = vars(parser.parse_args(argv))
         cfg = load_config(overrides.pop("experiment"), overrides.pop("config"), **overrides)
         artifacts = cmd_run(cfg)
-    except InvalidInputError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 2
-    except EffridgeError as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 3
+    except (EffridgeError, OSError) as exc:
+        return report_failure(exc)
     for name, path in artifacts.items():
         print(f"{name}: {path}")
     return 0

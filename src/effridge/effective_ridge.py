@@ -82,16 +82,21 @@ class EffectiveRidge:
     iterations: int
 
 
-def _quotient_sums(t: float | complex, d: np.ndarray):
-    """``sum(q)`` and ``sum(q / (t + d))`` with ``q = d / (t + d)``, as numpy scalars.
+def _quotient_sums(t: float | complex, d: np.ndarray) -> np.ndarray:
+    """``[sum(q), sum(q / (t + d))]`` with ``q = d / (t + d)``, as one length-2 array.
 
     Every ``mean(d / (t + d))`` of this module comes from this one pass.  The
     square ``d / (t + d)^2`` is taken as two divisions so it cannot underflow
-    for tiny ``t + d``.  ``t`` may be complex.
+    for tiny ``t + d``.  The two quotients fill the rows of one block, which
+    one ``np.add.reduce`` sums row by row: each row is summed as ``.sum()``
+    sums a vector, so the sums keep its bits, and the fixed cost of a
+    reduction call is paid once per pass, not twice.  ``t`` may be complex.
     """
     s = t + d
-    q = d / s
-    return q.sum(), (q / s).sum()
+    q = np.empty((2, d.size), s.dtype)
+    np.divide(d, s, out=q[0])
+    np.divide(q[0], s, out=q[1])
+    return np.add.reduce(q, axis=1)
 
 
 def _fixed_point(t: float | complex, d: np.ndarray, gamma: float, lam: float | complex):
@@ -100,11 +105,14 @@ def _fixed_point(t: float | complex, d: np.ndarray, gamma: float, lam: float | c
     The root of ``g`` is the effective ridge, and ``1 / g'`` there its
     derivative in ``lam``.  ``t`` and ``lam`` may be complex: with
     ``lam = -z`` the root is ``1 / m_tilde(z)``.  The sums are divided as
-    ``np.mean`` divides them, so the means keep its bits.
+    ``np.mean`` divides them, so the means keep its bits: a real sum as a
+    Python float, whose division rounds as numpy's does, and a complex one in
+    numpy, whose complex division rounds differently from Python's.
     """
-    s1, s2 = _quotient_sums(t, d)
-    m1, m2 = (s1 / d.size).item(), (s2 / d.size).item()
-    return t - lam - (t / gamma) * m1, 1.0 - m1 / gamma + t * m2 / gamma, s1.item()
+    sums = _quotient_sums(t, d)
+    s1, s2 = sums.tolist()
+    m1, m2 = (sums / d.size).tolist() if isinstance(t, complex) else (s1 / d.size, s2 / d.size)
+    return t - lam - (t / gamma) * m1, 1.0 - m1 / gamma + t * m2 / gamma, s1
 
 
 def _newton(func, t):
@@ -238,8 +246,8 @@ def _ridgeless_newton(spectrum: Spectrum, gamma: float) -> tuple[float, int]:
         raise InvalidInputError("underparameterized ridgeless limit needs a strictly positive spectrum")
 
     def func(t):
-        s1, s2 = _quotient_sums(t, d)
-        return gamma - (s1 / d.size).item(), (s2 / d.size).item()
+        s1, s2 = _quotient_sums(t, d).tolist()
+        return gamma - s1 / d.size, s2 / d.size
 
     # Analytic lower bound dmin * (1 - sqrt(gamma)) / sqrt(gamma), shrunk
     # slightly so the start sits below the root.
@@ -266,7 +274,7 @@ def calibrate_ridge(spectrum: Spectrum, gamma: float, lambda_star: float) -> flo
     if not 0.0 < lambda_star < math.inf:
         raise InvalidInputError("target effective ridge must be positive")
     d = spectrum.eigenvalues
-    lam = lambda_star - (lambda_star / gamma) * (_quotient_sums(lambda_star, d)[0] / d.size).item()
+    lam = lambda_star - (lambda_star / gamma) * (_quotient_sums(lambda_star, d)[0].item() / d.size)
     if lam <= 0:
         raise InfeasibleTargetError(
             f"target {lambda_star:.6g} is below the ridgeless effective ridge for gamma={gamma:.6g}"

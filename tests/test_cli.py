@@ -24,12 +24,13 @@ from effridge.cli import (
     main,
     parse_results_csv,
     render_plots,
+    report_failure,
 )
 import effridge.cli
 import effridge.features
 from effridge.datasets import generate_spectrum
 from effridge.effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge
-from effridge.errors import InfeasibleTargetError, InvalidInputError
+from effridge.errors import CsvParseError, InfeasibleTargetError, InvalidInputError, NumericError, SingularGramError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -346,6 +347,18 @@ class TestArtifacts:
         for experiment in EXPERIMENTS:
             assert (tmp_path / experiment / "results.csv").exists()
 
+    def test_run_all_experiments_maps_failures_to_exit_codes(self, tmp_path):
+        paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), "--quick", "--seed", "-1",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: invalid configuration: base_seed") and "Traceback" not in done.stderr
+        assert not any(tmp_path.iterdir())
+
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only numeric dependency: with every scipy import made to
         # fail, a small average-rf run (a ridgeless ridge included) still succeeds.
@@ -398,12 +411,12 @@ class TestArtifacts:
         assert first == second
 
     def test_svg_pure_function_of_csv(self, tmp_path):
-        for experiment in ("solve", "stieltjes", "predictor-fan"):
+        # cmd_run draws from the rows in memory; its plots must be those of the file it wrote.
+        for experiment in EXPERIMENTS:
             _, artifacts = run_fast(experiment, tmp_path)
             _, rows = parse_results_csv(artifacts["results"])
-            rendered = render_plots(experiment, rows)
-            for name, svg in rendered.items():
-                assert (tmp_path / experiment / name).read_text() == svg
+            written = {name: path.read_text() for name, path in artifacts.items() if name.startswith("plot_")}
+            assert written == render_plots(experiment, rows)
 
     def test_solve_rows_match_module(self, tmp_path):
         _, artifacts = run_fast("solve", tmp_path)
@@ -588,6 +601,21 @@ class TestMainExitCodes:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "config"])
+    def test_empty_output_dir_is_1(self, flag, tmp_path, monkeypatch, capsys):
+        # An empty path is the current directory, which must stay untouched.
+        monkeypatch.chdir(tmp_path)
+        if flag:
+            argv = ["--out", ""]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": ""}))
+            argv = ["--config", "cfg.json"]
+        code = main(["solve", "--trials", "1", "--gamma", "1", "--lambda", "0.1", *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration: output_dir")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if flag else ["cfg.json"])
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -793,6 +821,21 @@ class TestMainExitCodes:
         assert code == 1
         assert f"P = {P}: one draw of shape ({P}," in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "exc, code, kind",
+        [
+            (InvalidInputError("bad"), 1, "invalid configuration"),
+            (CsvParseError("bad", line=3), 1, "invalid configuration"),
+            (FileNotFoundError("gone"), 2, "I/O failure"),
+            (NumericError("stuck"), 3, "numeric failure"),
+            (SingularGramError("flat"), 3, "numeric failure"),
+        ],
+    )
+    def test_report_failure_maps_each_error_to_its_exit_code(self, exc, code, kind, capsys):
+        # The one mapping that both main and scripts/run_all_experiments.py use.
+        assert report_failure(exc) == code
+        assert capsys.readouterr().err == f"error: {kind}: {exc}\n"
 
     def test_io_error_is_2(self, tmp_path, capsys):
         # A path beneath a regular file cannot be created, whatever the privileges.

@@ -376,6 +376,17 @@ class TestOnePassSolve:
         assert sol.residual == abs(textbook_residual(t, d, gamma, -z)) / (abs(t) + abs(z))
         assert sol.iterations == steps
 
+    # Sizes on both sides of numpy's 8192-element reduction buffer.
+    @pytest.mark.parametrize("size", [1, 7, 2000, 8191, 8192, 8193, 70000])
+    @pytest.mark.parametrize("t", [0.37, 1e-6, complex(0.2, -0.3), complex(-1e-3, 2.0)])
+    def test_one_reduction_keeps_the_bits_of_separate_sums(self, size, t):
+        import effridge.effective_ridge as er
+
+        d = np.random.default_rng(size).random(size) ** 3
+        s = t + d
+        q = d / s
+        assert er._quotient_sums(t, d).tobytes() == np.array([q.sum(), (q / s).sum()]).tobytes()
+
     def test_real_stieltjes_reports_solver_steps(self):
         sol = theoretical_stieltjes(Spectrum(POLY_2000), 0.5, -1e-3)
         eff = solve_effective_ridge(Spectrum(POLY_2000), 0.5, 1e-3)
