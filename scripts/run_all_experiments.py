@@ -5,29 +5,28 @@ Each experiment gets its default configuration unless a JSON file with the
 same name exists under scripts/configs/, in which case that file is used.
 Pass --quick to shrink trial counts for a fast smoke run.  A failure ends the
 run with the exit codes of the ``effridge`` command: 1 for invalid
-configuration or input, 2 for an I/O failure, 3 for a numeric failure, each
-with an ``error: ...`` line on stderr.
+configuration or input (a malformed flag included), 2 for an I/O failure, 3
+for a numeric failure, each with an ``error: ...`` line on stderr.
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
 
-from effridge.cli import EXPERIMENTS, cmd_run, load_config, report_failure
+from effridge.cli import EXPERIMENTS, _Parser, cmd_run, load_config, report_failure
 from effridge.errors import EffridgeError
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = _Parser(description=__doc__)
     parser.add_argument("--out", default="results", help="base output directory")
     parser.add_argument("--seed", type=int, default=None, help="base seed override")
     parser.add_argument("--quick", action="store_true", help="cut trial counts to 20")
-    args = parser.parse_args()
 
     try:
+        args = parser.parse_args()
         for experiment in EXPERIMENTS:
             config_path = CONFIG_DIR / f"{experiment}.json"
             overrides = dict(output_dir=str(Path(args.out) / experiment), base_seed=args.seed)

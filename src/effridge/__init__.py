@@ -23,6 +23,7 @@ from .kernels import (
     GramMatrix,
     GramSpectrum,
     KernelSpec,
+    Spectrum,
     gram_matrix,
     inv_kernel_norm_sq,
     spectral_decompose,
@@ -38,7 +39,6 @@ from .predictors import (
 )
 from .effective_ridge import (
     EffectiveRidge,
-    Spectrum,
     calibrate_ridge,
     effective_dimension,
     effective_ridge_derivative,

@@ -307,14 +307,14 @@ def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
 
 
 def _resolve_spectrum(cfg: ExperimentConfig) -> Spectrum:
-    """The checked, descending eigenvalues of theory-side experiments: a decay law or a dataset's Gram."""
+    """The checked, descending spectrum of theory-side experiments: a decay law, or a dataset's Gram decomposed."""
     ds = cfg.dataset
     if ds["type"] == "spectrum":
         n = ds.get("n", 20)
         _check_size("dataset.n", "a spectrum", n)
         return Spectrum(generate_spectrum(ds.get("kind", "exponential"), n))
     data, _ = _resolve_data(cfg)
-    return Spectrum(spectral_decompose(gram_matrix(_kernel_from(cfg), data.X)).eigenvalues)
+    return spectral_decompose(gram_matrix(_kernel_from(cfg), data.X))
 
 
 def _prefix(cfg: ExperimentConfig, N, P, gamma, lam):
@@ -428,11 +428,10 @@ def _krr_points(cfg: ExperimentConfig, note: str):
     data, test_X, kernel, points = _sampled_grid(cfg)
     spec = spectral_decompose(gram_matrix(kernel, data.X))
     k_cross = gram_matrix(kernel, test_X, data.X)
-    spectrum = Spectrum(spec.eigenvalues)
     theory = []
     for lam, P in points:
         with _row_context(gamma=P / data.n, ridge=lam, P=P):
-            eff = solve_effective_ridge(spectrum, P / data.n, lam)
+            eff = solve_effective_ridge(spec, P / data.n, lam)
             theory.append((lam, P, eff, predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)))
     if not np.all(range_mask(spec)):
         print(f"note: Gram matrix numerically singular; {note}", file=sys.stderr)

@@ -10,47 +10,26 @@ ridge ``lambda`` behaves like kernel ridge regression with the larger
 where ``d_i`` are the Gram eigenvalues.  This module solves that fixed point,
 differentiates it in ``lambda``, evaluates the associated effective dimension,
 handles the ridgeless limits on both sides of ``gamma = 1``, inverts the map
-(ridge calibration), and predicts the mean squared parameter norm.
+(ridge calibration), and predicts the mean squared parameter norm.  Each
+function reads the eigenvalues as a checked :class:`Spectrum` (defined in
+``kernels``, importable from here); the ``GramSpectrum`` that
+``spectral_decompose`` returns is one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AtThresholdError, InfeasibleTargetError, InvalidInputError, NumericError
-from .kernels import GramSpectrum
+from .kernels import GramSpectrum, Spectrum
 
 MAX_NEWTON_ITERS = 200
 # Contractual residual bound on the defining equation; the solver actually
 # polishes to machine precision.
 RESIDUAL_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Gram eigenvalues, checked once: nonempty, finite and nonnegative.
-
-    Every function here that reads a spectrum takes one, so a grid of solves
-    on the same eigenvalues checks them, and takes their mean, only when the
-    spectrum is built.  The eigenvalues are a read-only copy, which keeps them
-    as checked.
-    """
-
-    eigenvalues: np.ndarray
-    n: int = field(init=False)
-    trace_mean: float = field(init=False)
-
-    def __post_init__(self):
-        d = np.array(self.eigenvalues, dtype=float).ravel()
-        if d.size < 1 or not np.all(np.isfinite(d)) or np.any(d < 0):
-            raise InvalidInputError("eigenvalues must be a nonempty array of finite nonnegative numbers")
-        d.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", d)
-        object.__setattr__(self, "n", d.size)
-        object.__setattr__(self, "trace_mean", float(np.mean(d)))
 
 
 def _check_gamma(gamma: float) -> None:

@@ -3,12 +3,14 @@
 Everything downstream (feature sampling, ridge predictors, effective-ridge
 theory) is driven by the eigendecomposition of a kernel Gram matrix, so this
 module owns the numerically delicate parts: PSD-safe eigendecomposition,
-matrix square roots, and inverse-kernel norms.
+matrix square roots, and inverse-kernel norms.  It also owns the one spectrum
+type, :class:`Spectrum`, which the theory reads; a decomposition is one, with
+its eigenvectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,9 +107,33 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class GramSpectrum:
-    """Eigendecomposition ``U diag(d) U^T`` of a Gram matrix.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Gram eigenvalues, checked once: nonempty, finite and nonnegative.
+
+    Every function of the effective-ridge and Stieltjes theory that reads a
+    spectrum takes one, so a grid of solves or draws on the same eigenvalues
+    checks them, and takes their mean, only when the spectrum is built.  The
+    eigenvalues are a read-only copy, which keeps them as checked.
+    """
+
+    eigenvalues: np.ndarray
+    n: int = field(init=False)
+    trace_mean: float = field(init=False)
+
+    def __post_init__(self):
+        d = np.array(self.eigenvalues, dtype=float).ravel()
+        if d.size < 1 or not np.all(np.isfinite(d)) or np.any(d < 0):
+            raise InvalidInputError("eigenvalues must be a nonempty array of finite nonnegative numbers")
+        d.flags.writeable = False
+        object.__setattr__(self, "eigenvalues", d)
+        object.__setattr__(self, "n", d.size)
+        object.__setattr__(self, "trace_mean", float(np.mean(d)))
+
+
+@dataclass(frozen=True, eq=False)
+class GramSpectrum(Spectrum):
+    """Eigendecomposition ``U diag(d) U^T`` of a Gram matrix: a checked :class:`Spectrum` with its eigenvectors.
 
     eigenvalues
         Sorted descending, clamped to be nonnegative.
@@ -115,12 +141,7 @@ class GramSpectrum:
         Orthogonal matrix whose columns match ``eigenvalues``.
     """
 
-    eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def check_distinct_rows(X: np.ndarray) -> None:
@@ -201,11 +222,8 @@ def spectral_decompose(gram: GramMatrix | np.ndarray) -> GramSpectrum:
 
 def sqrt_gram(spec: GramSpectrum) -> np.ndarray:
     """Symmetric PSD square root ``U diag(sqrt(d)) U^T``."""
-    d = spec.eigenvalues
-    if np.any(d < 0):
-        raise NumericError("negative eigenvalue; cannot take a real square root")
     U = spec.eigenvectors
-    R = (U * np.sqrt(d)) @ U.T
+    R = (U * np.sqrt(spec.eigenvalues)) @ U.T
     return 0.5 * (R + R.T)
 
 

@@ -65,22 +65,13 @@ class StieltjesSolution:
     in_cone: bool
 
 
-def _checked(kernel_eigenvalues: Spectrum | np.ndarray) -> Spectrum:
-    """``kernel_eigenvalues`` as a checked :class:`Spectrum`; one that already is one is not checked again."""
-    if isinstance(kernel_eigenvalues, Spectrum):
-        return kernel_eigenvalues
-    return Spectrum(kernel_eigenvalues)
-
-
-def _wishart_grams(
-    kernel_eigenvalues: Spectrum | np.ndarray, P: int, policy: SeedPolicy, trials: int
-) -> Iterator[np.ndarray]:
+def _wishart_grams(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> Iterator[np.ndarray]:
     """Stacked ``N x N`` Grams ``G = Y^T Y``, ``Y = W diag(d / P)^{1/2}``, of consecutive draws.
 
     The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
     a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` Grams, which matters when ``P < N``.
     """
-    d = _checked(kernel_eigenvalues).eigenvalues
+    d = spectrum.eigenvalues
     if P < 1:
         raise InvalidInputError("need at least one feature")
     if trials < 1:
@@ -94,7 +85,7 @@ def _wishart_grams(
             yield Y.transpose(0, 2, 1) @ Y
 
 
-def sample_wishart(kernel_eigenvalues: Spectrum | np.ndarray, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
+def sample_wishart(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
     """Nonzero spectra of ``trials`` draws of ``F^T F = (1/P) W diag(d) W^T``.
 
     Row ``t`` of the ``(trials, min(N, P))`` result holds the eigenvalues of
@@ -103,7 +94,7 @@ def sample_wishart(kernel_eigenvalues: Spectrum | np.ndarray, P: int, policy: Se
     """
     spectra = [
         np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1]
-        for G in _wishart_grams(kernel_eigenvalues, P, policy, trials)
+        for G in _wishart_grams(spectrum, P, policy, trials)
     ]
     return np.maximum(np.concatenate(spectra), 0.0)[:, :P]
 
@@ -180,16 +171,16 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
     )
 
 
-def expected_A_theoretical(kernel_eigenvalues: Spectrum | np.ndarray, lambda_tilde: float) -> np.ndarray:
+def expected_A_theoretical(spectrum: Spectrum, lambda_tilde: float) -> np.ndarray:
     """Eigenvalues ``d_i / (d_i + lambda_tilde)`` of ``K (K + lambda_tilde I)^{-1}``, descending."""
     if not 0.0 < lambda_tilde < math.inf:
         raise InvalidInputError("lambda_tilde must be finite and positive")
-    d = np.sort(_checked(kernel_eigenvalues).eigenvalues)[::-1]
+    d = np.sort(spectrum.eigenvalues)[::-1]
     return d / (d + lambda_tilde)
 
 
 def empirical_expected_A(
-    kernel_eigenvalues: Spectrum | np.ndarray, P: int, lams: list[float], trials: int, policy: SeedPolicy
+    spectrum: Spectrum, P: int, lams: list[float], trials: int, policy: SeedPolicy
 ) -> list[np.ndarray]:
     """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]`` per ridge.
 
@@ -201,7 +192,6 @@ def empirical_expected_A(
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
-    spectrum = _checked(kernel_eigenvalues)
     N = spectrum.n
     acc = np.zeros((len(lams), N, N))
     ridges = np.asarray(lams, dtype=float)[:, None, None, None] * np.eye(N)

@@ -160,7 +160,7 @@ def test_criterion_05_hat_matrix_eigenvalues():
     gaps = []
     for P in (10, 50, 200):
         eff = e.solve_effective_ridge(e.Spectrum(d), P / n, lam)
-        (emp,) = e.empirical_expected_A(d, P, [lam], trials=500, policy=e.SeedPolicy(0, 0))
+        (emp,) = e.empirical_expected_A(e.Spectrum(d), P, [lam], trials=500, policy=e.SeedPolicy(0, 0))
         gaps.append(float(np.max(np.abs(emp - d / (d + eff.lambda_tilde)))))
     elapsed = time.monotonic() - t0
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] < 0.02 and elapsed < 30.0
@@ -179,7 +179,7 @@ def test_criterion_06_stieltjes_concentration():
     Ps = (50, 100, 200, 400)
     variances, gaps, residuals, recip_errs, m_form_errs = [], [], [], [], []
     for P in Ps:
-        vals = e.empirical_stieltjes(e.sample_wishart(d, P, e.SeedPolicy(0), 200), P, z).real
+        vals = e.empirical_stieltjes(e.sample_wishart(e.Spectrum(d), P, e.SeedPolicy(0), 200), P, z).real
         sol = e.theoretical_stieltjes(e.Spectrum(d), P / n, z)
         eff = e.solve_effective_ridge(e.Spectrum(d), P / n, 1.0)
         variances.append(float(np.var(vals, ddof=1)))

@@ -347,16 +347,18 @@ class TestArtifacts:
         for experiment in EXPERIMENTS:
             assert (tmp_path / experiment / "results.csv").exists()
 
-    def test_run_all_experiments_maps_failures_to_exit_codes(self, tmp_path):
+    @pytest.mark.parametrize("seed, message", [("-1", "base_seed"), ("abc", "argument --seed")],
+                             ids=["negative-seed", "malformed-seed"])
+    def test_run_all_experiments_maps_failures_to_exit_codes(self, seed, message, tmp_path):
         paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
         done = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), "--quick", "--seed", "-1",
+            [sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"), "--quick", "--seed", seed,
              "--out", str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 1
-        assert done.stderr.startswith("error: invalid configuration: base_seed") and "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: invalid configuration: {message}") and "Traceback" not in done.stderr
         assert not any(tmp_path.iterdir())
 
     def test_runs_without_scipy(self, tmp_path):
@@ -514,11 +516,16 @@ class TestArtifacts:
                         x, y = map(float, pair.split(","))
                         assert -1 <= x <= 721 and -1 <= y <= 481
 
-    @pytest.mark.parametrize("experiment", ["solve", "calibrate", "average-rf", "double-descent", "stieltjes",
-                                            "expected-a"])
-    def test_spectrum_is_checked_once_per_experiment(self, experiment, tmp_path, spectrum_checks):
+    @pytest.mark.parametrize("experiment, sizes", [
+        ("solve", [20]), ("calibrate", [20]), ("stieltjes", [10]), ("expected-a", [10]),
+        # The train Gram's spectrum, then the joint train-and-test Gram's in run_trials.
+        ("average-rf", [4, 20]), ("double-descent", [4, 20]),
+        ("predictor-fan", [20]),
+    ])
+    def test_spectrum_is_checked_once_per_experiment(self, experiment, sizes, tmp_path, spectrum_checks):
+        # Each spectrum an experiment builds, a Gram's decomposition included, is checked once.
         run_fast(experiment, tmp_path)
-        assert len(spectrum_checks) == 1
+        assert [spectrum.n for spectrum in spectrum_checks] == sizes
 
     def test_solve_grid_rows_equal_per_point_solves(self, tmp_path, spectrum_checks):
         _, artifacts = run_fast("solve", tmp_path, gamma_grid=[0.25, 0.5, 1.0, 2.0, 4.0],

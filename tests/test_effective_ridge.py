@@ -1,3 +1,5 @@
+from dataclasses import astuple, is_dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +10,16 @@ from effridge import (
     InfeasibleTargetError,
     InvalidInputError,
     NumericError,
+    SeedPolicy,
     Spectrum,
     calibrate_ridge,
     effective_dimension,
     effective_ridge_derivative,
+    empirical_expected_A,
+    expected_A_theoretical,
     generate_spectrum,
     ridgeless_limit,
+    sample_wishart,
     solve_effective_ridge,
     spectral_decompose,
     theoretical_stieltjes,
@@ -178,6 +184,33 @@ def test_spectrum_keeps_its_checked_eigenvalues():
     assert (spectrum.n, spectrum.trace_mean) == (4, 0.875)
     with pytest.raises(ValueError):
         spectrum.eigenvalues[0] = -1.0
+
+
+SPECTRUM_READERS = {
+    "solve_effective_ridge": lambda s: solve_effective_ridge(s, 0.5, 0.1),
+    "calibrate_ridge": lambda s: calibrate_ridge(s, 2.0, 0.5),
+    "effective_dimension": lambda s: effective_dimension(s, 0.3),
+    "effective_ridge_derivative": lambda s: effective_ridge_derivative(s, 2.0, 0.3),
+    "ridgeless_limit": lambda s: ridgeless_limit(s, 0.5),
+    "theoretical_stieltjes": lambda s: theoretical_stieltjes(s, 0.5, complex(-0.4, 0.8)),
+    "sample_wishart": lambda s: sample_wishart(s, 4, SeedPolicy(3), 5),
+    "expected_A_theoretical": lambda s: expected_A_theoretical(s, 0.3),
+    "empirical_expected_A": lambda s: empirical_expected_A(s, 4, [0.1, 0.5], 5, SeedPolicy(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(SPECTRUM_READERS))
+def test_a_decomposition_reads_as_its_eigenvalues(name):
+    # A Gram's decomposition is a checked Spectrum: every reader takes it as it
+    # is and gives the bits it gives on a Spectrum of the same eigenvalues.
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(6, 6))
+    spec = spectral_decompose(GramMatrix(A @ A.T + 0.5 * np.eye(6)))
+    got, want = SPECTRUM_READERS[name](spec), SPECTRUM_READERS[name](Spectrum(spec.eigenvalues))
+    assert type(got) is type(want)
+    if is_dataclass(got):
+        got, want = astuple(got), astuple(want)
+    np.testing.assert_array_equal(got, want, strict=True)
 
 
 class TestDerivative:

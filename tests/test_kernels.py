@@ -6,9 +6,11 @@ from effridge import (
     Dataset,
     DuplicateRowError,
     GramMatrix,
+    GramSpectrum,
     InvalidInputError,
     KernelSpec,
     NumericError,
+    Spectrum,
     gram_matrix,
     inv_kernel_norm_sq,
     spectral_decompose,
@@ -109,6 +111,17 @@ class TestSpectralDecompose:
         # nonnegative diagonal but eigenvalues 3 and -1
         with pytest.raises(NumericError):
             spectral_decompose(GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+
+    def test_returns_a_checked_spectrum(self):
+        spec = spectral_decompose(GramMatrix(np.diag([1.0, 3.0])))
+        assert isinstance(spec, GramSpectrum) and isinstance(spec, Spectrum)
+        assert (spec.n, spec.trace_mean) == (2, 2.0)
+        with pytest.raises(ValueError):
+            spec.eigenvalues[0] = -1.0
+
+    def test_empty_gram_is_an_input_error(self):
+        with pytest.raises(InvalidInputError):
+            spectral_decompose(GramMatrix(np.zeros((0, 0))))
 
     def test_negative_diagonal_is_invalid_gram(self):
         with pytest.raises(InvalidInputError):

@@ -54,7 +54,7 @@ class TestEmpiricalStieltjes:
     def test_closed_form_zeros_equal_the_padded_mean(self, P):
         # The transform over the full P x P spectrum, zero padding included.
         d = generate_spectrum("exponential", 8)
-        spectra = sample_wishart(d, P, SeedPolicy(6), 20)
+        spectra = sample_wishart(Spectrum(d), P, SeedPolicy(6), 20)
         for z in (-1.0 + 0j, -0.3 + 0.8j):
             got = empirical_stieltjes(spectra, P, z)
             for s, m in zip(spectra, got):
@@ -69,7 +69,7 @@ class TestSampleWishart:
     def test_eigenvalue_count_and_sign(self):
         d = generate_spectrum("exponential", 6)
         for P in (3, 6, 11):
-            s = sample_wishart(d, P, SeedPolicy(0, 0), 1)
+            s = sample_wishart(Spectrum(d), P, SeedPolicy(0, 0), 1)
             assert s.shape == (1, min(6, P))
             assert np.all(s >= 0)
 
@@ -78,7 +78,7 @@ class TestSampleWishart:
         d = np.array([2.0, 1.0, 0.5])
         P = 4
         policy = SeedPolicy(3, 1)
-        (s,) = sample_wishart(d, P, policy, 1)
+        (s,) = sample_wishart(Spectrum(d), P, policy, 1)
         W = StreamSampler(policy).normal((P, 3))
         M = (W * d) @ W.T / P
         direct = np.sort(np.linalg.eigvalsh(M))[::-1]
@@ -88,16 +88,12 @@ class TestSampleWishart:
     @pytest.mark.parametrize("d, P, trials", [([], 5, 2), ([1.0, -0.5], 5, 2), ([1.0], 0, 2), ([1.0], 5, 0)])
     def test_rejects_bad_input(self, d, P, trials):
         with pytest.raises(InvalidInputError):
-            sample_wishart(d, P, SeedPolicy(0), trials)
-
-    def test_checked_spectrum_gives_the_array_draws(self):
-        d = generate_spectrum("exponential", 6)
-        assert np.array_equal(sample_wishart(Spectrum(d), 4, SeedPolicy(2), 3), sample_wishart(d, 4, SeedPolicy(2), 3))
+            sample_wishart(Spectrum(d), P, SeedPolicy(0), trials)
 
     def test_trace_statistic(self):
         # E[Tr F^T F] = N * mean(d)
         d = np.array([1.0, 0.5])
-        traces = np.sum(sample_wishart(d, 40, SeedPolicy(1), 300), axis=1)
+        traces = np.sum(sample_wishart(Spectrum(d), 40, SeedPolicy(1), 300), axis=1)
         assert np.mean(traces) == pytest.approx(np.sum(d), abs=0.05)
 
 
@@ -189,7 +185,7 @@ class TestTheoreticalStieltjes:
         d_base = generate_spectrum("polynomial", 40)
         for gamma, z in ((0.5, complex(-0.8, 0.9)), (2.0, complex(-0.2, -1.1))):
             P = int(round(gamma * 40))
-            vals = empirical_stieltjes(sample_wishart(d_base, P, SeedPolicy(21), 300), P, z)
+            vals = empirical_stieltjes(sample_wishart(Spectrum(d_base), P, SeedPolicy(21), 300), P, z)
             mean = np.mean(vals)
             sol = theoretical_stieltjes(Spectrum(d_base), gamma, z)
             se = 3.0 * np.std(vals) / np.sqrt(len(vals))
@@ -199,16 +195,16 @@ class TestTheoreticalStieltjes:
 class TestExpectedATheory:
     def test_symmetry_point(self):
         d = np.full(4, 0.7)
-        assert np.allclose(expected_A_theoretical(d, 0.7), 0.5)
+        assert np.allclose(expected_A_theoretical(Spectrum(d), 0.7), 0.5)
 
     def test_infinite_ridge(self):
         d = generate_spectrum("exponential", 5)
-        assert np.all(expected_A_theoretical(d, 1e12) < 1e-11)
+        assert np.all(expected_A_theoretical(Spectrum(d), 1e12) < 1e-11)
 
     def test_exponential_spectrum_formula(self):
         d = generate_spectrum("exponential", 10)
         eff = solve_effective_ridge(Spectrum(d), 2.0, 0.01)
-        vals = expected_A_theoretical(d, eff.lambda_tilde)
+        vals = expected_A_theoretical(Spectrum(d), eff.lambda_tilde)
         assert np.allclose(vals, d / (d + eff.lambda_tilde))
         assert np.all(np.diff(vals) <= 0)
 
@@ -219,53 +215,53 @@ class TestExpectedATheory:
     )
     def test_rejects_bad_input(self, d, lambda_tilde):
         with pytest.raises(InvalidInputError):
-            expected_A_theoretical(np.array(d), lambda_tilde)
+            expected_A_theoretical(Spectrum(d), lambda_tilde)
 
 
 class TestEmpiricalExpectedA:
     def test_rank_bound_single_feature(self):
-        (vals,) = empirical_expected_A([1.0, 0.5], P=1, lams=[0.1], trials=1, policy=SeedPolicy(0, 0))
+        (vals,) = empirical_expected_A(Spectrum([1.0, 0.5]), P=1, lams=[0.1], trials=1, policy=SeedPolicy(0, 0))
         assert vals.shape == (2,)
         assert abs(vals[1]) < 1e-12  # rank of A is at most P = 1
 
     def test_deterministic(self):
         d = generate_spectrum("exponential", 4)
-        a = empirical_expected_A(d, 8, [0.1], 20, SeedPolicy(5, 0))
-        b = empirical_expected_A(d, 8, [0.1], 20, SeedPolicy(5, 0))
+        a = empirical_expected_A(Spectrum(d), 8, [0.1], 20, SeedPolicy(5, 0))
+        b = empirical_expected_A(Spectrum(d), 8, [0.1], 20, SeedPolicy(5, 0))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("P", [3, 8, 40])
     def test_each_draw_serves_every_ridge(self, P):
         d = generate_spectrum("exponential", 6)
-        both = empirical_expected_A(d, P, [0.1, 0.02], 30, SeedPolicy(4, 2))
+        both = empirical_expected_A(Spectrum(d), P, [0.1, 0.02], 30, SeedPolicy(4, 2))
         for lam, vals in zip([0.1, 0.02], both):
-            (alone,) = empirical_expected_A(d, P, [lam], 30, SeedPolicy(4, 2))
+            (alone,) = empirical_expected_A(Spectrum(d), P, [lam], 30, SeedPolicy(4, 2))
             assert np.array_equal(vals, alone)
 
     def test_three_ridges_equal_one_ridge_calls(self):
         # P = 3, N = 6: chunks of 910 draws are cut into stacks of 455 Grams.
         d = generate_spectrum("exponential", 6)
         lams = [0.02, 0.5, 0.1]
-        joint = empirical_expected_A(d, 3, lams, 1000, SeedPolicy(6, 1))
+        joint = empirical_expected_A(Spectrum(d), 3, lams, 1000, SeedPolicy(6, 1))
         assert len(joint) == len(lams)
         for lam, vals in zip(lams, joint):
-            (alone,) = empirical_expected_A(d, 3, [lam], 1000, SeedPolicy(6, 1))
+            (alone,) = empirical_expected_A(Spectrum(d), 3, [lam], 1000, SeedPolicy(6, 1))
             assert np.array_equal(vals, alone)
 
     def test_rejects_a_zero_ridge(self):
         with pytest.raises(InvalidInputError):
-            empirical_expected_A([1.0, 0.5], 4, [0.1, 0.0], 2, SeedPolicy(0))
+            empirical_expected_A(Spectrum([1.0, 0.5]), 4, [0.1, 0.0], 2, SeedPolicy(0))
 
     def test_converges_to_theory_at_large_P(self):
         d = generate_spectrum("exponential", 5)
         P = 200 * 5
         eff = solve_effective_ridge(Spectrum(d), P / 5, 0.05)
-        (emp,) = empirical_expected_A(d, P, [0.05], trials=100, policy=SeedPolicy(2, 0))
-        assert np.max(np.abs(emp - expected_A_theoretical(d, eff.lambda_tilde))) < 0.02
+        (emp,) = empirical_expected_A(Spectrum(d), P, [0.05], trials=100, policy=SeedPolicy(2, 0))
+        assert np.max(np.abs(emp - expected_A_theoretical(Spectrum(d), eff.lambda_tilde))) < 0.02
 
     def test_primal_dual_forms_agree(self):
         d = generate_spectrum("polynomial", 6)
-        (a,) = empirical_expected_A(d, P=6, lams=[0.2], trials=5, policy=SeedPolicy(7, 0))
+        (a,) = empirical_expected_A(Spectrum(d), P=6, lams=[0.2], trials=5, policy=SeedPolicy(7, 0))
         # compare against the dual form evaluated by hand from the contract draws
         root = np.diag(np.sqrt(d))
         acc = np.zeros((6, 6))
@@ -300,8 +296,8 @@ class TestEmpiricalExpectedA:
 class TestMoments:
     def test_moments_deterministic_and_finite(self):
         d = generate_spectrum("exponential", 8)
-        m1, v1 = stieltjes_moments(sample_wishart(d, 12, SeedPolicy(1), 25), 12, -1 + 0j)
-        m2, v2 = stieltjes_moments(sample_wishart(d, 12, SeedPolicy(1), 25), 12, -1 + 0j)
+        m1, v1 = stieltjes_moments(sample_wishart(Spectrum(d), 12, SeedPolicy(1), 25), 12, -1 + 0j)
+        m2, v2 = stieltjes_moments(sample_wishart(Spectrum(d), 12, SeedPolicy(1), 25), 12, -1 + 0j)
         assert m1 == m2 and v1 == v2
         assert v1 > 0
 
@@ -320,7 +316,7 @@ class TestBatchedDraws:
         # N = 50: at P = 5 a 65-draw chunk is split into groups of 6 stacked Grams
         d = generate_spectrum("exponential", 50)
         policy = SeedPolicy(4, 2)
-        batch = sample_wishart(d, P, policy, trials)
+        batch = sample_wishart(Spectrum(d), P, policy, trials)
         assert len(batch) == trials
         for t, spectrum in enumerate(batch):
             W = StreamSampler(policy.shifted(t)).normal((P, 50))
@@ -328,7 +324,7 @@ class TestBatchedDraws:
             S = Y.T @ Y
             evals = np.maximum(np.linalg.eigvalsh(0.5 * (S + S.T))[::-1], 0.0)
             assert np.array_equal(spectrum, evals[:P])
-        (single,) = sample_wishart(d, P, policy, 1)
+        (single,) = sample_wishart(Spectrum(d), P, policy, 1)
         assert np.array_equal(single, batch[0])
 
     @pytest.mark.parametrize("P, trials", [(3, 40), (10, 40), (50, 40)])
@@ -349,5 +345,5 @@ class TestBatchedDraws:
         ref = np.linalg.eigvalsh(0.5 * (acc + acc.T))[::-1]
         # Eigenvalues lie in [0, 1] and each reference solve has condition
         # number at most (max s^2 + lam) / lam, about 1e3 here.
-        (emp,) = empirical_expected_A(d, P, [lam], trials, policy)
+        (emp,) = empirical_expected_A(Spectrum(d), P, [lam], trials, policy)
         assert np.max(np.abs(emp - ref)) <= 1e-12
