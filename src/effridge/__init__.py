@@ -20,7 +20,6 @@ from .errors import (
 )
 from .kernels import (
     Dataset,
-    GramMatrix,
     GramSpectrum,
     KernelSpec,
     Spectrum,
@@ -31,7 +30,6 @@ from .kernels import (
 )
 from .features import SeedPolicy, derive_stream_seed
 from .predictors import (
-    KRRModel,
     conditional_moments,
     fit_krr,
     posterior_kernel_diag,

@@ -147,9 +147,9 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
         lambda_tilde, iterations = _ridgeless_newton(spectrum, gamma)
         if lambda_tilde == 0.0:
             # Overparameterized ridgeless: the defining equation is satisfied
-            # identically at t = 0, with derivative gamma / (gamma - 1).
-            dimension = effective_dimension(spectrum, 0.0)
-            return EffectiveRidge(0.0, gamma / (gamma - 1.0), dimension, 0.0, gamma, 0.0, iterations)
+            # identically at t = 0; zero eigenvalues drop out of its derivative.
+            return EffectiveRidge(0.0, effective_ridge_derivative(spectrum, gamma, 0.0),
+                                  effective_dimension(spectrum, 0.0), 0.0, gamma, 0.0, iterations)
         values = _fixed_point(lambda_tilde, d, gamma, 0.0)
 
     residual, slope, dimension = values

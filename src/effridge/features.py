@@ -9,8 +9,13 @@ Every draw is a pure function of a :class:`SeedPolicy`.  The per-trial stream
 seed is the ``(trial_index + 1)``-th output of the SplitMix64 generator seeded
 with ``base_seed``; that seed keys a Philox4x64 counter-based generator, and
 uniforms/normals are produced from its raw 64-bit outputs by ``(r >> 11) *
-2^-53`` and the Box-Muller transform.  All three pieces are published, fixed
-algorithms, so identical seeds give bit-identical matrices on any platform.
+2^-53`` and the Box-Muller transform.  The seed derivation, the raw Philox
+stream and the uniforms are published, fixed integer algorithms, so they are
+the same bits on any platform.  The normals are not: Box-Muller's ``log1p``,
+``sqrt``, ``cos`` and ``sin`` are numpy's, and numpy picks its float64
+``log1p`` by the CPU's SIMD level (its AVX-512 loop and libm's differ by one
+ulp on some inputs).  So identical seeds give a bit-identical ``W`` on one
+numpy build, CPU SIMD level and libm.
 ``StreamSampler`` draws one such stream.  ``normal_chunks`` draws many: it
 derives the seeds of a block of chunks with a SplitMix64 over uint64 arrays,
 re-keys one Philox per trial by assigning its state (a fresh stream: the key,

@@ -83,30 +83,6 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric kernel matrix over one set of points."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        G = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", G)
-        if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise InvalidInputError("Gram matrix must be square")
-        scale = np.max(np.abs(G)) if G.size else 0.0
-        if not np.all(np.isfinite(G)):
-            raise InvalidInputError("Gram matrix contains non-finite entries")
-        if scale > 0 and np.max(np.abs(G - G.T)) > 1e-12 * scale:
-            raise InvalidInputError("Gram matrix is not symmetric within 1e-12 relative")
-        if np.any(np.diag(G) < -1e-12 * max(scale, 1.0)):
-            raise InvalidInputError("Gram matrix has a negative diagonal entry")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Gram eigenvalues, checked once: nonempty, finite and nonnegative.
@@ -169,11 +145,12 @@ def _pairwise_sq_dists(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def gram_matrix(kernel: KernelSpec, X: np.ndarray, X2: np.ndarray | None = None):
+def gram_matrix(kernel: KernelSpec, X: np.ndarray, X2: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the kernel on all point pairs.
 
-    With ``X2`` omitted the result is a :class:`GramMatrix` (symmetric, unit
-    diagonal for RBF); otherwise a plain ``(N, M)`` array of cross evaluations.
+    With ``X2`` omitted the result is the ``(N, N)`` Gram of ``X``, symmetric
+    with a unit diagonal by construction; otherwise the ``(N, M)`` array of
+    cross evaluations.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if not np.all(np.isfinite(X)):
@@ -183,7 +160,7 @@ def gram_matrix(kernel: KernelSpec, X: np.ndarray, X2: np.ndarray | None = None)
         G = np.exp(-sq / kernel.lengthscale)
         G = 0.5 * (G + G.T)
         np.fill_diagonal(G, 1.0)
-        return GramMatrix(G)
+        return G
     X2 = np.atleast_2d(np.asarray(X2, dtype=float))
     if not np.all(np.isfinite(X2)):
         raise InvalidInputError("non-finite coordinates in X2")
@@ -192,17 +169,27 @@ def gram_matrix(kernel: KernelSpec, X: np.ndarray, X2: np.ndarray | None = None)
     return np.exp(-_pairwise_sq_dists(X, X2) / kernel.lengthscale)
 
 
-def spectral_decompose(gram: GramMatrix | np.ndarray) -> GramSpectrum:
+def spectral_decompose(gram: np.ndarray) -> GramSpectrum:
     """Eigendecompose a PSD Gram matrix, eigenvalues sorted descending.
 
-    Tiny negative eigenvalues (within ``EIG_CLAMP_REL`` of zero relative to the
-    largest) are clamped to 0; larger negative eigenvalues are an error since
-    the input was supposed to be PSD.
+    This is where a Gram is checked: it must be square, finite, symmetric
+    within 1e-12 relative to its largest entry, and free of negative diagonal
+    entries.  Tiny negative eigenvalues (within ``EIG_CLAMP_REL`` of zero
+    relative to the largest) are clamped to 0; larger negative eigenvalues are
+    an error since the input was supposed to be PSD.
     """
-    if not isinstance(gram, GramMatrix):
-        gram = GramMatrix(np.asarray(gram, dtype=float))
+    G = np.asarray(gram, dtype=float)
+    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+        raise InvalidInputError("Gram matrix must be square")
+    scale = np.max(np.abs(G)) if G.size else 0.0
+    if not np.all(np.isfinite(G)):
+        raise InvalidInputError("Gram matrix contains non-finite entries")
+    if scale > 0 and np.max(np.abs(G - G.T)) > 1e-12 * scale:
+        raise InvalidInputError("Gram matrix is not symmetric within 1e-12 relative")
+    if np.any(np.diag(G) < -1e-12 * max(scale, 1.0)):
+        raise InvalidInputError("Gram matrix has a negative diagonal entry")
     try:
-        d, U = np.linalg.eigh(gram.entries)
+        d, U = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(d)[::-1]

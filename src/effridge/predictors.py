@@ -14,22 +14,12 @@ ridge regression is a spectral filter on the Gram's eigendecomposition
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, NumericError, SingularGramError
 from .kernels import GramSpectrum, apply_inverse, range_mask
 
 RIDGELESS_CUTOFF = 1e-10
-
-
-@dataclass(frozen=True)
-class KRRModel:
-    """Kernel ridge regression coefficients ``alpha = (K + lambda I)^{-1} y``."""
-
-    coefficients: np.ndarray
-    lam: float
 
 
 def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
@@ -65,8 +55,8 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
     return (z if tall else Ft @ z)[..., 0]
 
 
-def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> KRRModel:
-    """Solve ``(K + lam I) alpha = y`` through the Gram's spectrum: ``U diag(1 / (d + lam)) U^T y``.
+def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> np.ndarray:
+    """Solve ``(K + lam I) alpha = y`` through the Gram's spectrum; returns ``alpha = U diag(1 / (d + lam)) U^T y``.
 
     With ``lam = 0`` a numerically singular spectrum (an eigenvalue at or
     below ``SINGULAR_FLOOR_REL`` times the largest) raises SingularGramError.
@@ -79,15 +69,15 @@ def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> KRRModel:
     if lam == 0.0 and not np.all(range_mask(spec)):
         raise SingularGramError("ridgeless kernel regression on a numerically singular Gram")
     U = spec.eigenvectors
-    return KRRModel(coefficients=U @ ((U.T @ y) / (spec.eigenvalues + lam)), lam=float(lam))
+    return U @ ((U.T @ y) / (spec.eigenvalues + lam))
 
 
-def predict_krr(model: KRRModel, k_cross: np.ndarray) -> np.ndarray:
-    """Predictions ``k_cross @ alpha`` at points with cross-kernel rows ``k_cross``."""
+def predict_krr(alpha: np.ndarray, k_cross: np.ndarray) -> np.ndarray:
+    """Predictions ``k_cross @ alpha`` at points with cross-kernel rows ``k_cross``, from ``fit_krr``'s ``alpha``."""
     k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
-    if k_cross.shape[1] != model.coefficients.shape[0]:
+    if k_cross.shape[1] != alpha.shape[0]:
         raise InvalidInputError("k_cross column count does not match the training set size")
-    return k_cross @ model.coefficients
+    return k_cross @ alpha
 
 
 def posterior_kernel_diag(

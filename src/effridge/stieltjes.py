@@ -107,7 +107,7 @@ def empirical_stieltjes(spectra: np.ndarray, P: int, z: complex) -> np.ndarray:
     so ``m_P(z) = ((P - r) / (-z) + sum_i 1 / (s_i - z)) / P``.
     """
     z = complex(z)
-    if abs(z.imag) <= 1e-12 and z.real >= -1e-12:
+    if z.imag == 0 and z.real >= 0:
         raise InvalidInputError("z must stay off the nonnegative real axis")
     s = np.asarray(spectra, dtype=float)
     r = s.shape[-1]

@@ -97,7 +97,7 @@ def line_plot(
     all_x = [x for s in cleaned for x in s["x"]]
     all_y = [y for s in cleaned for y in s["y"]]
     if not all_x:
-        all_x, all_y = [0.0, 1.0], [0.0, 1.0]
+        all_x, all_y = [1.0, 10.0] if logx else [0.0, 1.0], [1.0, 10.0] if logy else [0.0, 1.0]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:

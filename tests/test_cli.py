@@ -31,6 +31,7 @@ import effridge.features
 from effridge.datasets import generate_spectrum
 from effridge.effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge
 from effridge.errors import CsvParseError, InfeasibleTargetError, InvalidInputError, NumericError, SingularGramError
+from effridge.svgplot import line_plot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -303,6 +304,11 @@ class TestPlotBytes:
         digests = {name: hashlib.sha256(svg.encode("utf-8")).hexdigest() for name, svg in rendered.items()}
         assert digests == PLOT_DIGESTS[experiment]
 
+    def test_log_axis_without_a_positive_point_draws_an_empty_plot(self):
+        # A ridgeless-only solve grid puts lambda = 0 on every row, and a log axis drops each one.
+        svg = line_plot([{"label": "ridgeless", "x": [0.0, 0.0], "y": [1.0, 2.0], "marker": True}], logx=True)
+        assert svg.startswith("<svg") and "<polyline" not in svg and "<circle" not in svg
+
 
 class TestArtifacts:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -429,6 +435,15 @@ class TestArtifacts:
             assert row["lambda_tilde"] == eff.lambda_tilde
             assert row["d_lambda_tilde"] == eff.d_lambda_tilde
             assert row["effective_dimension"] == eff.effective_dimension
+
+    def test_ridgeless_solve_on_a_singular_gram_counts_its_rank(self, tmp_path):
+        # Nine of this Gram's 40 eigenvalues clamp to zero (rank 31), so at lambda = 0 the
+        # derivative is 1 / (1 - 31 / (40 gamma)), not gamma / (gamma - 1).
+        _, artifacts = run_fast("solve", tmp_path, dataset={"type": "sinusoid", "n": 40},
+                                kernel={"kind": "rbf", "lengthscale": 2.0}, gamma_grid=[2.0, 4.0], lambda_list=[0.0])
+        _, rows = parse_results_csv(artifacts["results"])
+        assert [(r["gamma"], r["effective_dimension"]) for r in rows] == [(2.0, 31.0), (4.0, 31.0)]
+        assert [r["d_lambda_tilde"] for r in rows] == pytest.approx([80 / 49, 160 / 129], rel=1e-12)
 
     def test_stieltjes_residual_sees_an_effective_ridge_error(self, tmp_path, monkeypatch):
         # recip_identity_err is the residual of the m-form equation at m = 1 / lambda_tilde,
@@ -580,6 +595,13 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "results" in out
+
+    def test_tiny_stieltjes_ridge_runs(self, tmp_path, capsys):
+        # z = -1e-13 is off the closed nonnegative real axis, so it is a valid grid point.
+        code = main(["stieltjes", "--p", "2", "--trials", "3", "--lambda", "1e-13", "--out", str(tmp_path / "out")])
+        assert code == 0
+        columns, rows = parse_results_csv(tmp_path / "out" / "results.csv")
+        assert rows and all(np.isfinite(row[c]) for row in rows for c in columns if c != "experiment")
 
     def test_invalid_config_is_1(self, tmp_path, capsys):
         code = main(["solve", "--gamma", "-1", "--out", str(tmp_path / "bad")])

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from effridge import (
     AtThresholdError,
-    GramMatrix,
     InfeasibleTargetError,
     InvalidInputError,
     NumericError,
@@ -205,7 +204,7 @@ def test_a_decomposition_reads_as_its_eigenvalues(name):
     # is and gives the bits it gives on a Spectrum of the same eigenvalues.
     rng = np.random.default_rng(4)
     A = rng.normal(size=(6, 6))
-    spec = spectral_decompose(GramMatrix(A @ A.T + 0.5 * np.eye(6)))
+    spec = spectral_decompose(A @ A.T + 0.5 * np.eye(6))
     got, want = SPECTRUM_READERS[name](spec), SPECTRUM_READERS[name](Spectrum(spec.eigenvalues))
     assert type(got) is type(want)
     if is_dataclass(got):
@@ -218,6 +217,16 @@ class TestDerivative:
         d = random_spectrum(np.random.default_rng(2), "uniform", 10)
         eff = solve_effective_ridge(Spectrum(d), 2.0, 1e-8)
         assert eff.d_lambda_tilde == pytest.approx(2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 4.0])
+    def test_ridgeless_overparameterized_counts_only_positive_eigenvalues(self, gamma):
+        # Zero eigenvalues drop out of the defining equation, so the derivative at
+        # lambda = 0 is 1 / (1 - r / (N gamma)) with r = 2 positive eigenvalues of N = 4.
+        spec, h = Spectrum([1.0, 0.5, 0.0, 0.0]), 1e-7
+        eff = solve_effective_ridge(spec, gamma, 0.0)
+        assert eff.d_lambda_tilde == effective_ridge_derivative(spec, gamma, 0.0)
+        assert eff.d_lambda_tilde == pytest.approx(1.0 / (1.0 - 2.0 / (4.0 * gamma)), rel=1e-15)
+        assert eff.d_lambda_tilde == pytest.approx(solve_effective_ridge(spec, gamma, h).lambda_tilde / h, rel=1e-5)
 
     def test_large_ridge_limit(self):
         d = random_spectrum(np.random.default_rng(3), "uniform", 10)
@@ -504,13 +513,13 @@ class TestCalibrate:
 
 class TestVarianceTerm:
     def test_zero_labels(self):
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
+        spec = spectral_decompose(np.eye(2))
         eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         assert theta_norm_theory(spec, np.zeros(2), eff) * 0.5 / 2 == 0.0
 
     def test_equal_spectrum_composition(self):
         # composition of the solved ridge, its derivative, and the quadratic form
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
+        spec = spectral_decompose(np.eye(2))
         eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         val = theta_norm_theory(spec, np.ones(2), eff) * 0.5 / 2
         lt = EQUAL_LT_G1_L01
@@ -520,7 +529,7 @@ class TestVarianceTerm:
         assert val == pytest.approx(0.5699122499151819, rel=1e-9)
 
     def test_theta_norm_theory_scalar(self):
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
+        spec = spectral_decompose(np.eye(2))
         eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         val = theta_norm_theory(spec, np.ones(2), eff)
         assert val == pytest.approx(2.2796489996607274, rel=1e-9)

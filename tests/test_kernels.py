@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from effridge import (
     Dataset,
     DuplicateRowError,
-    GramMatrix,
     GramSpectrum,
     InvalidInputError,
     KernelSpec,
@@ -58,9 +57,9 @@ class TestGramMatrix:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(7, 3))
         G = gram_matrix(KernelSpec("rbf", 1.5), X)
-        assert isinstance(G, GramMatrix)
-        assert np.array_equal(G.entries, G.entries.T)
-        assert np.all(np.diag(G.entries) == 1.0)
+        assert type(G) is np.ndarray and G.shape == (7, 7)
+        assert np.array_equal(G, G.T)
+        assert np.all(np.diag(G) == 1.0)
 
     def test_rejects_nonfinite(self):
         k = KernelSpec("rbf", 1.0)
@@ -74,46 +73,42 @@ class TestGramMatrix:
         with pytest.raises(InvalidInputError):
             gram_matrix(k, np.zeros((2, 2)), np.zeros((2, 3)))
 
-    def test_rejects_asymmetric_entries(self):
-        with pytest.raises(InvalidInputError):
-            GramMatrix(np.array([[1.0, 0.3], [0.2, 1.0]]))
-
 
 class TestSpectralDecompose:
     def test_identity(self):
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
+        spec = spectral_decompose(np.eye(2))
         assert np.allclose(spec.eigenvalues, [1.0, 1.0])
 
     def test_already_diagonal(self):
-        spec = spectral_decompose(GramMatrix(np.diag([2.0, 1.0])))
+        spec = spectral_decompose(np.diag([2.0, 1.0]))
         assert np.allclose(spec.eigenvalues, [2.0, 1.0])
         # eigenvectors are signed unit vectors
         assert np.allclose(np.abs(spec.eigenvectors), np.eye(2))
 
     def test_reconstruction_oracle(self):
         G = random_spd(5, seed=1)
-        spec = spectral_decompose(GramMatrix(G))
+        spec = spectral_decompose(G)
         U = spec.eigenvectors
         assert np.max(np.abs((U * spec.eigenvalues) @ U.T - G)) < 1e-8
 
     def test_orthogonality(self):
-        spec = spectral_decompose(GramMatrix(random_spd(6, seed=2)))
+        spec = spectral_decompose(random_spd(6, seed=2))
         U = spec.eigenvectors
         assert np.max(np.abs(U.T @ U - np.eye(6))) < 1e-8
 
     def test_clamps_tiny_negatives(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         G = np.outer(v, v)  # rank one, exact zero eigenvalue up to rounding
-        spec = spectral_decompose(GramMatrix(G))
+        spec = spectral_decompose(G)
         assert spec.eigenvalues[-1] >= 0.0
 
     def test_rejects_indefinite(self):
         # nonnegative diagonal but eigenvalues 3 and -1
         with pytest.raises(NumericError):
-            spectral_decompose(GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+            spectral_decompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_returns_a_checked_spectrum(self):
-        spec = spectral_decompose(GramMatrix(np.diag([1.0, 3.0])))
+        spec = spectral_decompose(np.diag([1.0, 3.0]))
         assert isinstance(spec, GramSpectrum) and isinstance(spec, Spectrum)
         assert (spec.n, spec.trace_mean) == (2, 2.0)
         with pytest.raises(ValueError):
@@ -121,25 +116,40 @@ class TestSpectralDecompose:
 
     def test_empty_gram_is_an_input_error(self):
         with pytest.raises(InvalidInputError):
-            spectral_decompose(GramMatrix(np.zeros((0, 0))))
+            spectral_decompose(np.zeros((0, 0)))
+
+    # spectral_decompose is where a Gram is checked: one case per check.
+    def test_rejects_non_square(self):
+        for bad in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(InvalidInputError, match="must be square"):
+                spectral_decompose(bad)
+
+    def test_rejects_nonfinite_entries(self):
+        for bad in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf])):
+            with pytest.raises(InvalidInputError, match="non-finite entries"):
+                spectral_decompose(bad)
+
+    def test_rejects_asymmetric_entries(self):
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            spectral_decompose(np.array([[1.0, 0.3], [0.2, 1.0]]))
 
     def test_negative_diagonal_is_invalid_gram(self):
-        with pytest.raises(InvalidInputError):
-            GramMatrix(np.diag([1.0, -0.5]))
+        with pytest.raises(InvalidInputError, match="negative diagonal"):
+            spectral_decompose(np.diag([1.0, -0.5]))
 
 
 class TestSqrtGram:
     def test_identity(self):
-        spec = spectral_decompose(GramMatrix(np.eye(3)))
+        spec = spectral_decompose(np.eye(3))
         assert np.allclose(sqrt_gram(spec), np.eye(3))
 
     def test_diagonal(self):
-        spec = spectral_decompose(GramMatrix(np.diag([4.0, 1.0])))
+        spec = spectral_decompose(np.diag([4.0, 1.0]))
         assert np.allclose(sqrt_gram(spec), np.diag([2.0, 1.0]))
 
     def test_squaring_oracle(self):
         G = random_spd(4, seed=3)
-        spec = spectral_decompose(GramMatrix(G))
+        spec = spectral_decompose(G)
         R = sqrt_gram(spec)
         assert np.array_equal(R, R.T)
         assert np.max(np.abs(R @ R - G)) < 1e-8 * np.max(np.abs(G))
@@ -147,21 +157,21 @@ class TestSqrtGram:
 
 class TestInvKernelNormSq:
     def test_identity_kernel(self):
-        spec = spectral_decompose(GramMatrix(np.eye(3)))
+        spec = spectral_decompose(np.eye(3))
         y = np.array([1.0, -2.0, 0.5])
         assert inv_kernel_norm_sq(spec, y) == pytest.approx(float(y @ y))
 
     def test_zero_labels(self):
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
+        spec = spectral_decompose(np.eye(2))
         assert inv_kernel_norm_sq(spec, np.zeros(2)) == 0.0
 
     def test_diag_two_by_two(self):
-        spec = spectral_decompose(GramMatrix(np.diag([2.0, 1.0])))
+        spec = spectral_decompose(np.diag([2.0, 1.0]))
         assert inv_kernel_norm_sq(spec, np.array([1.0, 1.0])) == pytest.approx(1.5)
 
     def test_pseudoinverse_fallback_restricts_to_range(self):
         v = np.array([1.0, 0.0])
-        spec = spectral_decompose(GramMatrix(np.outer(v, v)))
+        spec = spectral_decompose(np.outer(v, v))
         q = inv_kernel_norm_sq(spec, np.array([1.0, 1.0]))
         # only the rank-one direction contributes: (v.y)^2 / 1
         assert q == pytest.approx(1.0)
@@ -170,7 +180,7 @@ class TestInvKernelNormSq:
     @given(st.integers(2, 8), st.integers(0, 10_000))
     def test_bounded_by_extreme_eigenvalues(self, n, seed):
         G = random_spd(n, seed)
-        spec = spectral_decompose(GramMatrix(G))
+        spec = spectral_decompose(G)
         rng = np.random.default_rng(seed + 1)
         y = rng.normal(size=n)
         q = inv_kernel_norm_sq(spec, y)
@@ -182,7 +192,7 @@ class TestInvKernelNormSq:
 
 class TestApplyInverse:
     def test_invertible_spectrum_gets_the_plain_inverse_bits(self):
-        spec = spectral_decompose(GramMatrix(random_spd(5, 3)))
+        spec = spectral_decompose(random_spd(5, 3))
         V = np.random.default_rng(4).normal(size=(5, 3))
         U, d = spec.eigenvectors, spec.eigenvalues
         assert np.array_equal(apply_inverse(spec, V), U @ ((U.T @ V).T / d).T)
@@ -193,7 +203,7 @@ class TestApplyInverse:
         A = np.random.default_rng(5).normal(size=(3, 2))
         K = A @ A.T
         v = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(apply_inverse(spectral_decompose(GramMatrix(K)), v), np.linalg.pinv(K) @ v,
+        assert np.allclose(apply_inverse(spectral_decompose(K), v), np.linalg.pinv(K) @ v,
                            rtol=1e-10, atol=1e-12)
 
 

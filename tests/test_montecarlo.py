@@ -251,9 +251,7 @@ class TestThetaNormCheck:
         assert emp == 0.0 and theo == 0.0
 
     def test_equal_spectrum_frozen_value(self):
-        from effridge import GramMatrix
-
-        spec = spectral_decompose(GramMatrix(np.eye(2)))
+        spec = spectral_decompose(np.eye(2))
         eff = solve_effective_ridge(Spectrum(np.ones(2)), 1.0, 0.1)
         theo = theta_norm_theory(spec, np.ones(2), eff)
         assert theo == pytest.approx(2.2796489996607274, rel=1e-9)

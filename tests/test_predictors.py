@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effridge import (
-    GramMatrix,
+    InvalidInputError,
     KernelSpec,
     SeedPolicy,
     SingularGramError,
@@ -114,23 +114,28 @@ class TestPredictRF:
 class TestKRR:
     def test_identity_gram(self):
         y = np.array([2.0, -4.0])
-        model = fit_krr(spectral_decompose(GramMatrix(np.eye(2))), y, 1.0)
-        assert np.allclose(model.coefficients, y / 2)
-        assert np.allclose(predict_krr(model, np.eye(2)), y / 2)
+        alpha = fit_krr(spectral_decompose(np.eye(2)), y, 1.0)
+        assert np.allclose(alpha, y / 2)
+        assert np.allclose(predict_krr(alpha, np.eye(2)), y / 2)
 
     def test_ridgeless_interpolation(self):
         K = np.array([[2.0, 0.5], [0.5, 1.0]])
         y = np.array([1.0, -1.0])
-        model = fit_krr(spectral_decompose(GramMatrix(K)), y, 0.0)
-        assert np.max(np.abs(predict_krr(model, K) - y)) < 1e-8
+        alpha = fit_krr(spectral_decompose(K), y, 0.0)
+        assert np.max(np.abs(predict_krr(alpha, K) - y)) < 1e-8
 
     def test_diag_hand_solve(self):
-        model = fit_krr(spectral_decompose(GramMatrix(np.diag([2.0, 1.0]))), np.array([1.0, 1.0]), 1.0)
-        assert np.allclose(model.coefficients, [1.0 / 3.0, 0.5], atol=1e-12)
+        alpha = fit_krr(spectral_decompose(np.diag([2.0, 1.0])), np.array([1.0, 1.0]), 1.0)
+        assert np.allclose(alpha, [1.0 / 3.0, 0.5], atol=1e-12)
+
+    def test_prediction_checks_the_column_count(self):
+        alpha = fit_krr(spectral_decompose(np.eye(2)), np.array([1.0, 1.0]), 1.0)
+        with pytest.raises(InvalidInputError):
+            predict_krr(alpha, np.ones((1, 3)))
 
     def test_singular_ridgeless_needs_flag(self):
         v = np.array([1.0, 1.0])
-        spec = spectral_decompose(GramMatrix(np.outer(v, v)))
+        spec = spectral_decompose(np.outer(v, v))
         with pytest.raises(SingularGramError):
             fit_krr(spec, np.array([1.0, 1.0]), 0.0)
 
@@ -145,11 +150,11 @@ class TestPosteriorKernel:
         assert posterior_kernel_diag(spec, k_cross, 1.0)[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_far_point_keeps_prior_variance(self):
-        spec = spectral_decompose(GramMatrix(np.eye(3)))
+        spec = spectral_decompose(np.eye(3))
         assert posterior_kernel_diag(spec, np.zeros((1, 3)), 1.0)[0] == pytest.approx(1.0)
 
     def test_scalar_case(self):
-        spec = spectral_decompose(GramMatrix(np.array([[1.0]])))
+        spec = spectral_decompose(np.array([[1.0]]))
         assert posterior_kernel_diag(spec, np.array([[0.5]]), 1.0)[0] == pytest.approx(0.75)
 
 
@@ -168,7 +173,7 @@ class TestConditionalMoments:
 
     def test_mean_at_training_points_is_yhat(self):
         data, _, kernel, spec, F_train, theta, _ = self._setup()
-        k_self = gram_matrix(kernel, data.X).entries
+        k_self = gram_matrix(kernel, data.X)
         mean, _ = conditional_moments(spec, k_self, F_train @ theta, theta)
         assert np.max(np.abs(mean - F_train @ theta)) < 1e-8
 
@@ -186,9 +191,9 @@ class TestConditionalMoments:
         mean, cov_scale = conditional_moments(spec, k_cross, F_train @ theta, theta)
         ktilde = posterior_kernel_diag(spec, k_cross, 1.0)
 
-        K_inv_cross = np.linalg.solve(gram_matrix(kernel, data.X).entries, k_cross.T)
+        K_inv_cross = np.linalg.solve(gram_matrix(kernel, data.X), k_cross.T)
         cond_mean_map = K_inv_cross.T  # maps train feature values to conditional means
-        K_tt = gram_matrix(kernel, test_X).entries
+        K_tt = gram_matrix(kernel, test_X)
         cond_cov = K_tt - k_cross @ K_inv_cross
         w, V = np.linalg.eigh(cond_cov)
         root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T

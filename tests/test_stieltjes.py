@@ -43,8 +43,9 @@ class TestEmpiricalStieltjes:
             empirical_stieltjes(s, 2, 1.0 + 0j)
         with pytest.raises(InvalidInputError):
             empirical_stieltjes(s, 2, 0.0 + 0j)
-        # strictly negative real axis is fine
+        # strictly negative real axis is fine, however close to zero
         empirical_stieltjes(s, 2, -1e-6 + 0j)
+        empirical_stieltjes(s, 2, -1e-13 + 0j)
 
     def test_rejects_more_eigenvalues_than_features(self):
         with pytest.raises(InvalidInputError):
