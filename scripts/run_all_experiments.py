@@ -3,17 +3,18 @@
 
 Each experiment gets its default configuration unless a JSON file with the
 same name exists under scripts/configs/, in which case that file is used.
-Pass --quick to shrink trial counts for a fast smoke run.  A failure ends the
-run with the exit codes of the ``effridge`` command: 1 for invalid
-configuration or input (a malformed flag included), 2 for an I/O failure, 3
-for a numeric failure, each with an ``error: ...`` line on stderr.
+Pass --quick to cut the trial count of every sampling experiment to 20 for a
+fast smoke run.  A failure ends the run with the exit codes of the
+``effridge`` command: 1 for invalid configuration or input (a malformed flag
+included), 2 for an I/O failure, 3 for a numeric failure, each with an
+``error: ...`` line on stderr.
 """
 
 import sys
 import time
 from pathlib import Path
 
-from effridge.cli import EXPERIMENTS, _Parser, cmd_run, load_config, report_failure
+from effridge.cli import _MC_EXPERIMENTS, EXPERIMENTS, _Parser, cmd_run, load_config, report_failure
 from effridge.errors import EffridgeError
 
 CONFIG_DIR = Path(__file__).resolve().parent / "configs"
@@ -30,7 +31,7 @@ def main() -> int:
         for experiment in EXPERIMENTS:
             config_path = CONFIG_DIR / f"{experiment}.json"
             overrides = dict(output_dir=str(Path(args.out) / experiment), base_seed=args.seed)
-            if args.quick and experiment not in ("solve", "calibrate"):
+            if args.quick and experiment in _MC_EXPERIMENTS:
                 overrides["trials"] = 20
             cfg = load_config(
                 experiment,

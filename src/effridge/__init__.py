@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleTargetError,
     InvalidInputError,
     NumericError,
-    SingularGramError,
 )
 from .kernels import (
     Dataset,

@@ -53,7 +53,7 @@ from .svgplot import line_plot
 PREFIX_COLUMNS = ["experiment", "N", "P", "gamma", "lambda", "seed", "trials"]
 
 # Experiments that sample features and therefore need at least two trials for
-# variance columns.
+# variance columns; those that read gamma_grid sample on a data-backed dataset.
 _MC_EXPERIMENTS = {"average-rf", "double-descent", "stieltjes", "expected-a", "predictor-fan"}
 
 
@@ -194,7 +194,7 @@ _KERNEL_KEYS = {"kind": _TEXT, "lengthscale": _REAL}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    """Reject, naming the field, any value of the wrong type or out of range."""
+    """Reject, naming the field, a value of the wrong type or out of range, or a field the experiment does not read."""
     if cfg.experiment not in EXPERIMENTS:
         raise InvalidInputError(f"unknown experiment {cfg.experiment!r}")
     if not isinstance(cfg.dataset, dict) or "type" not in cfg.dataset:
@@ -205,13 +205,20 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_descriptor("dataset", cfg.dataset, {"type": _TEXT, **_DATASET_KEYS[kind]})
     if kind == "csv" and "path" not in cfg.dataset:
         raise InvalidInputError("a csv dataset needs dataset.path")
+    uses_p = cfg.experiment in ("stieltjes", "expected-a")
+    if kind == "spectrum" and cfg.experiment in _MC_EXPERIMENTS and not uses_p:
+        raise InvalidInputError(f"experiment {cfg.experiment!r} needs a data-backed dataset, not {kind!r}")
+    if kind == "spectrum" and cfg.kernel is not None:
+        raise InvalidInputError("kernel is not read with a spectrum dataset; leave it unset")
     if cfg.kernel is not None:
         if not isinstance(cfg.kernel, dict):
             raise InvalidInputError("kernel must be a descriptor object or null")
         _check_descriptor("kernel", cfg.kernel, _KERNEL_KEYS)
+    grid, unread = ("p_grid", "gamma_grid") if uses_p else ("gamma_grid", "p_grid")
+    if getattr(cfg, unread) is not None:
+        raise InvalidInputError(f"{cfg.experiment} reads {grid}, not {unread}; leave {unread} unset")
     _check_numbers("gamma_grid", cfg.gamma_grid, lambda v: v > 0, "positive finite numbers")
     _check_numbers("p_grid", cfg.p_grid, lambda v: v > 0 and v == int(v), "positive integers")
-    uses_p = cfg.experiment in ("stieltjes", "expected-a")
     if uses_p or cfg.experiment == "calibrate":
         # The spectral experiments evaluate at z = -lambda, which must stay off zero,
         # and calibrate reads each value as a target effective ridge, which is positive.
@@ -220,12 +227,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         _check_numbers("lambda_list", cfg.lambda_list, lambda v: v >= 0, "nonnegative finite numbers")
     if not cfg.lambda_list:
         raise InvalidInputError("lambda_list must be nonempty")
-    if not (cfg.p_grid if uses_p else cfg.gamma_grid):
-        raise InvalidInputError("the experiment's grid (gamma_grid or p_grid) must be nonempty")
-    if not (_is_int(cfg.trials) and cfg.trials >= 1):
-        raise InvalidInputError(f"trials must be a positive integer, got {cfg.trials!r}")
-    if cfg.experiment in _MC_EXPERIMENTS and cfg.trials < 2:
-        raise InvalidInputError(f"{cfg.experiment} needs trials >= 2 for variance estimates")
+    if not getattr(cfg, grid):
+        raise InvalidInputError(f"{grid} must be nonempty")
+    least = 2 if cfg.experiment in _MC_EXPERIMENTS else 1
+    if not (_is_int(cfg.trials) and cfg.trials >= least):
+        raise InvalidInputError(f"{cfg.experiment} needs trials to be an integer >= {least}, got {cfg.trials!r}")
     if not (_is_int(cfg.base_seed) and 0 <= cfg.base_seed < 2**64):
         raise InvalidInputError(f"base_seed must be an integer in [0, 2**64), got {cfg.base_seed!r}")
     if not (isinstance(cfg.output_dir, str) and cfg.output_dir):
@@ -286,24 +292,22 @@ def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
             separation=ds.get("separation", 3.0),
             seed=cfg.base_seed,
         )
-    if kind == "csv":
-        # Hold out the trailing rows as the test grid when requested, else test on the training rows.
-        # Checked before the Dataset exists, whose duplicate-row check forms an n x n distance matrix,
-        # and before the file is read past the first row too many.
-        n_test = ds.get("n_test", 0)
-        copies = 1 if n_test else 2
-        table = read_csv_table(ds["path"], max_rows=math.isqrt(MAX_ELEMENTS) // copies + 1)
-        _check_size("dataset.path", "the joint Gram", (copies * len(table)) ** 2)
-        # Without held-out rows the training rows are the test grid, and their labels its true values.
-        data = Dataset(X=table[:, :-1], y=table[:, -1], f_star=None if n_test else table[:, -1])
-        if n_test:
-            if n_test >= data.n:
-                raise InvalidInputError("n_test must leave at least one training row")
-            train = Dataset(X=data.X[: data.n - n_test], y=data.y[: data.n - n_test],
-                            f_star=data.y[data.n - n_test :])
-            return train, data.X[data.n - n_test :]
-        return data, data.X
-    raise InvalidInputError(f"experiment {cfg.experiment!r} needs a data-backed dataset, not {kind!r}")
+    # A csv file, as validate_config refuses a spectrum here.  Hold out the trailing rows as the test grid when
+    # requested, else test on the training rows.  Checked before the Dataset exists, whose duplicate-row check
+    # forms an n x n distance matrix, and before the file is read past the first row too many.
+    n_test = ds.get("n_test", 0)
+    copies = 1 if n_test else 2
+    table = read_csv_table(ds["path"], max_rows=math.isqrt(MAX_ELEMENTS) // copies + 1)
+    _check_size("dataset.path", "the joint Gram", (copies * len(table)) ** 2)
+    # Without held-out rows the training rows are the test grid, and their labels its true values.
+    data = Dataset(X=table[:, :-1], y=table[:, -1], f_star=None if n_test else table[:, -1])
+    if n_test:
+        if n_test >= data.n:
+            raise InvalidInputError("n_test must leave at least one training row")
+        train = Dataset(X=data.X[: data.n - n_test], y=data.y[: data.n - n_test],
+                        f_star=data.y[data.n - n_test :])
+        return train, data.X[data.n - n_test :]
+    return data, data.X
 
 
 def _resolve_spectrum(cfg: ExperimentConfig) -> Spectrum:
@@ -418,12 +422,13 @@ def _sample(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, kernel: Ke
     return [stats[P][cfg.lambda_list.index(lam)] for lam, P in points]
 
 
-def _krr_points(cfg: ExperimentConfig, note: str):
+def _krr_points(cfg: ExperimentConfig, note: str, ridgeless_note: str):
     """Data, train spectrum, cross kernel and ``(lam, P, eff, krr_pred, stats)`` per grid point, in row order.
 
     Every point's effective ridge and KRR test predictions come before the
     first draw, so a point that theory rejects fails at once.  A singular train
-    Gram gets a note naming the columns (``note``) that use its pseudoinverse.
+    Gram gets a note naming the columns that use its pseudoinverse (``note``,
+    and ``ridgeless_note`` if a point has effective ridge 0).
     """
     data, test_X, kernel, points = _sampled_grid(cfg)
     spec = spectral_decompose(gram_matrix(kernel, data.X))
@@ -434,13 +439,17 @@ def _krr_points(cfg: ExperimentConfig, note: str):
             eff = solve_effective_ridge(spec, P / data.n, lam)
             theory.append((lam, P, eff, predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)))
     if not np.all(range_mask(spec)):
+        if any(eff.lambda_tilde == 0.0 for _, _, eff, _ in theory):
+            note += f"; at lambda_tilde = 0 the pseudoinverse also gives {ridgeless_note}"
         print(f"note: Gram matrix numerically singular; {note}", file=sys.stderr)
     stats = _sample(cfg, data, test_X, kernel, points)
     return data, spec, k_cross, [(*point, s) for point, s in zip(theory, stats)]
 
 
 def _run_average_rf(cfg: ExperimentConfig):
-    data, spec, _, points = _krr_points(cfg, "bound_scale columns use the pseudoinverse label norm")
+    data, spec, _, points = _krr_points(
+        cfg, "bound_scale_norm and bound_scale_norm_sq use the pseudoinverse label norm",
+        "krr_risk, mean_rf_vs_krr_rmse, mean_rf_vs_krr_max_abs and theta_norm_theory")
     N = data.n
     q_norm_sq = inv_kernel_norm_sq(spec, data.y)
     rows = []
@@ -467,7 +476,8 @@ def _run_average_rf(cfg: ExperimentConfig):
 
 
 def _run_double_descent(cfg: ExperimentConfig):
-    data, spec, k_cross, points = _krr_points(cfg, "variance_theory uses the pseudoinverse posterior variance")
+    data, spec, k_cross, points = _krr_points(cfg, "variance_theory uses the pseudoinverse posterior variance",
+                                              "krr_risk and the parameter norm in variance_theory")
     N = data.n
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtThresholdError, InfeasibleTargetError, InvalidInputError, NumericError
-from .kernels import GramSpectrum, Spectrum
+from .kernels import GramSpectrum, Spectrum, range_mask
 
 MAX_NEWTON_ITERS = 200
 # Contractual residual bound on the defining equation; the solver actually
@@ -262,10 +262,10 @@ def calibrate_ridge(spectrum: Spectrum, gamma: float, lambda_star: float) -> flo
 
 
 def theta_norm_theory(spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge) -> float:
-    """Predicted mean squared parameter norm, ``d(lt)/d(l) * y^T K (K + lt I)^{-2} y``."""
+    """Predicted mean squared parameter norm, ``d(lt)/d(l) * y^T K (K + lt I)^{-2} y``, over range(K) at ``lt = 0``."""
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the spectrum")
-    w = spec.eigenvectors.T @ y
-    d = spec.eigenvalues
+    keep = range_mask(spec) if eff.lambda_tilde == 0.0 else slice(None)
+    w, d = (spec.eigenvectors.T @ y)[keep], spec.eigenvalues[keep]
     return eff.d_lambda_tilde * float(np.sum(d * w * w / (eff.lambda_tilde + d) ** 2))

@@ -21,10 +21,6 @@ class InfeasibleTargetError(InvalidInputError):
     """Requested effective ridge lies below the ridgeless limit for this gamma."""
 
 
-class SingularGramError(EffridgeError):
-    """A Gram matrix (or its spectrum) is numerically singular where invertibility is required."""
-
-
 class NumericError(EffridgeError):
     """A numerical routine failed to converge or produced an invalid intermediate."""
 

@@ -29,20 +29,19 @@ _FAN_SAMPLES = 10
 class TrialStats:
     """Running moments of the sampled predictor across trials.
 
-    Variance fields hold sample variances (``ddof=1``) and are ``None`` when
-    only one trial was run.  ``samples`` holds the joint ``[train; test]``
-    predictions of the first ``min(_FAN_SAMPLES, trials)`` trials, one row per
-    trial.
+    Variance fields hold sample variances (``ddof=1``).  ``samples`` holds the
+    joint ``[train; test]`` predictions of the first
+    ``min(_FAN_SAMPLES, trials)`` trials, one row per trial.
     """
 
     mean_prediction: np.ndarray
-    var_prediction: np.ndarray | None
+    var_prediction: np.ndarray
     mean_theta_norm_sq: float
-    var_theta_norm_sq: float | None
+    var_theta_norm_sq: float
     mean_train_prediction: np.ndarray
     trials: int
-    var_train_prediction: np.ndarray | None = None
-    samples: np.ndarray | None = None
+    var_train_prediction: np.ndarray
+    samples: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ def run_trials(
     trials: int,
     base_seed: int,
 ) -> dict[int, list[TrialStats]]:
-    """Fit the random-feature predictor across seeds and accumulate its moments, per feature count and ridge.
+    """Fit the random-feature predictor over two or more seeds and accumulate its moments per feature count and ridge.
 
     Trial ``t`` uses the stream derived from ``(base_seed, t)``; at each
     feature count ``P`` of ``Ps`` its one feature draw is fitted at every
@@ -92,8 +91,8 @@ def run_trials(
     one-``P`` call.  Every feature count shares one joint Gram square root,
     computed up front, once every ridge and every draw's size is checked.
     """
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
+    if trials < 2:
+        raise InvalidInputError(f"trials must be at least 2 for sample variances, got {trials}")
     Ps = list(dict.fromkeys(Ps))
     if len(Ps) == 0:
         raise InvalidInputError("need at least one feature")
@@ -127,17 +126,17 @@ def run_trials(
             norm_mean, norm_m2 = _merge(norm_mean, norm_m2, t0, np.sum(thetas * thetas, axis=2).T)
             if t0 < _FAN_SAMPLES:
                 kept.append(joint[: _FAN_SAMPLES - t0])
-        var_joint, var_norm = (joint_m2 / (trials - 1), norm_m2 / (trials - 1)) if trials > 1 else (None, None)
+        var_joint, var_norm = joint_m2 / (trials - 1), norm_m2 / (trials - 1)
         samples = np.concatenate(kept)
         out[P] = [
             TrialStats(
                 mean_prediction=joint_mean[i, N:],
-                var_prediction=None if var_joint is None else var_joint[i, N:],
+                var_prediction=var_joint[i, N:],
                 mean_theta_norm_sq=float(norm_mean[i]),
-                var_theta_norm_sq=None if var_norm is None else float(var_norm[i]),
+                var_theta_norm_sq=float(var_norm[i]),
                 mean_train_prediction=joint_mean[i, :N],
                 trials=trials,
-                var_train_prediction=None if var_joint is None else var_joint[i, :N],
+                var_train_prediction=var_joint[i, :N],
                 samples=samples[:, i],
             )
             for i in range(len(lams))
@@ -165,8 +164,6 @@ def bias_variance_decompose(stats: TrialStats, f_star: np.ndarray) -> RiskReport
         raise InvalidInputError("f_star length does not match the test grid")
     if not np.all(np.isfinite(f_star)):
         raise InvalidInputError("f_star contains non-finite values")
-    if stats.var_prediction is None:
-        raise InvalidInputError("variance undefined with fewer than two trials")
     risk_of_mean = estimate_risk(stats.mean_prediction, f_star)
     mean_variance = float(np.mean(stats.var_prediction))
     return RiskReport(
@@ -187,6 +184,4 @@ def compare_average_to_krr(stats: TrialStats, krr_predictions: np.ndarray) -> tu
 
 def monte_carlo_band(stats: TrialStats, sigmas: float = 3.0) -> np.ndarray:
     """Pointwise uncertainty of the Monte Carlo mean: ``sigmas * std / sqrt(trials)``."""
-    if stats.var_prediction is None:
-        raise InvalidInputError("variance undefined with fewer than two trials")
     return sigmas * np.sqrt(stats.var_prediction / stats.trials)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError, SingularGramError
-from .kernels import GramSpectrum, apply_inverse, range_mask
+from .errors import InvalidInputError, NumericError
+from .kernels import GramSpectrum, apply_inverse
 
 RIDGELESS_CUTOFF = 1e-10
 
@@ -58,18 +58,16 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
 def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> np.ndarray:
     """Solve ``(K + lam I) alpha = y`` through the Gram's spectrum; returns ``alpha = U diag(1 / (d + lam)) U^T y``.
 
-    With ``lam = 0`` a numerically singular spectrum (an eigenvalue at or
-    below ``SINGULAR_FLOOR_REL`` times the largest) raises SingularGramError.
+    With ``lam = 0`` this is ``apply_inverse(spec, y)``, which takes the
+    pseudoinverse on range(K) of a numerically singular spectrum.
     """
     if lam < 0:
         raise InvalidInputError("ridge must be nonnegative")
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the Gram")
-    if lam == 0.0 and not np.all(range_mask(spec)):
-        raise SingularGramError("ridgeless kernel regression on a numerically singular Gram")
     U = spec.eigenvectors
-    return U @ ((U.T @ y) / (spec.eigenvalues + lam))
+    return apply_inverse(spec, y) if lam == 0.0 else U @ ((U.T @ y) / (spec.eigenvalues + lam))
 
 
 def predict_krr(alpha: np.ndarray, k_cross: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from effridge.cli import (
     EXPERIMENTS,
@@ -30,7 +30,7 @@ import effridge.cli
 import effridge.features
 from effridge.datasets import generate_spectrum
 from effridge.effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge
-from effridge.errors import CsvParseError, InfeasibleTargetError, InvalidInputError, NumericError, SingularGramError
+from effridge.errors import CsvParseError, EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
 from effridge.svgplot import line_plot
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -506,6 +506,25 @@ class TestArtifacts:
         else:
             assert rows[0]["N"] == 6.0 and rows[0]["krr_risk"] >= 0.0
 
+    @pytest.mark.parametrize("experiment, ridgeless_columns", [
+        ("average-rf", "krr_risk, mean_rf_vs_krr_rmse, mean_rf_vs_krr_max_abs and theta_norm_theory"),
+        ("double-descent", "krr_risk and the parameter norm in variance_theory"),
+    ])
+    def test_ridgeless_fit_on_a_singular_gram_runs_with_a_note(self, experiment, ridgeless_columns, tmp_path, capsys):
+        # Beyond the threshold a ridgeless fit has effective ridge 0, and 9 of this train Gram's 40
+        # eigenvalues clamp to zero: the kernel side takes the pseudoinverse on range(K).
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "sinusoid", "n": 40, "n_test": 20}}))
+        code = main([experiment, "--config", str(path), "--gamma", "2,4", "--lambda", "0", "--trials", "4",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        (note,) = err.splitlines()
+        assert note.startswith("note: Gram matrix numerically singular; ")
+        assert note.endswith("; at lambda_tilde = 0 the pseudoinverse also gives " + ridgeless_columns)
+        columns, rows = parse_results_csv(tmp_path / "out" / "results.csv")
+        assert len(rows) == 2 and all(np.isfinite(r[c]) for r in rows for c in columns[1:])
+
     def test_singular_train_gram_runs_with_a_note(self, tmp_path, capsys):
         # 16 training points 0.26 apart at lengthscale 2 give a numerically singular Gram.
         config = sin_csv_config(tmp_path, n_test=8)
@@ -742,6 +761,29 @@ class TestMainExitCodes:
         assert field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, config, field",
+        [
+            (["average-rf", "--p", "8"], {}, "p_grid"),
+            (["stieltjes", "--gamma", "2"], {}, "gamma_grid"),
+            (["expected-a", "--gamma", "2"], {}, "gamma_grid"),
+            (["solve"], {"kernel": {"kind": "rbf", "lengthscale": 2.0}}, "kernel"),
+            (["average-rf"], {"dataset": {"type": "spectrum"}}, "data-backed dataset"),
+        ],
+        ids=["average-rf-p", "stieltjes-gamma", "expected-a-gamma", "solve-kernel-on-spectrum",
+             "average-rf-on-spectrum"],
+    )
+    def test_unread_input_is_1(self, argv, config, field, tmp_path, capsys, monkeypatch):
+        # A field the experiment would not read is refused, not ignored and echoed as if it had been used.
+        monkeypatch.setattr(effridge.cli, "run_trials", no_trials)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main([*argv, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration: ") and field in err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_above_the_size_limit_is_1(self, tmp_path, capsys, monkeypatch):
         # Checked once the file is read; without held-out rows the joint Gram
         # covers every row twice: (2 * 6)^2 = 144 elements.
@@ -803,17 +845,6 @@ class TestMainExitCodes:
         assert "degenerate at gamma = 1 [at gamma=1.0, ridge=0.0, P=4]" in err
         assert "Traceback" not in err
 
-    def test_singular_gram_error_at_a_grid_point_names_it(self, tmp_path, capsys, monkeypatch):
-        # A ridgeless fit beyond the threshold has effective ridge 0, and this train Gram is singular.
-        monkeypatch.setattr(effridge.cli, "run_trials", no_trials)
-        config = sin_csv_config(tmp_path, n_test=8)
-        code = main(["average-rf", "--config", config, "--lambda", "0", "--gamma", "2", "--trials", "3",
-                     "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "numerically singular Gram [at gamma=2.0, ridge=0.0, P=32]" in err
-        assert "Traceback" not in err
-
     def test_grid_point_that_theory_rejects_fails_before_any_draw(self, tmp_path, capsys, monkeypatch):
         # Ridgeless at gamma = 1 has no effective ridge; that is known before the gamma = 0.5 point is sampled.
         monkeypatch.setattr(effridge.cli, "run_trials", no_trials)
@@ -858,7 +889,7 @@ class TestMainExitCodes:
             (CsvParseError("bad", line=3), 1, "invalid configuration"),
             (FileNotFoundError("gone"), 2, "I/O failure"),
             (NumericError("stuck"), 3, "numeric failure"),
-            (SingularGramError("flat"), 3, "numeric failure"),
+            (EffridgeError("flat"), 3, "numeric failure"),
         ],
     )
     def test_report_failure_maps_each_error_to_its_exit_code(self, exc, code, kind, capsys):
@@ -930,30 +961,57 @@ DATASETS = _or_junk(st.one_of(
                 {"kind": st.sampled_from(["exponential", "polynomial"]), "n": st.integers(1, 12)}),
     _descriptor({"type": st.just("csv")}, {"path": st.just("missing.csv"), "n_test": st.integers(0, 2)}),
 ))
-CONFIGS = _with_typo(st.fixed_dictionaries(
-    # trials is always present: the defaults run hundreds of trials.
-    {"trials": _or_junk(st.integers(1, 3))},
+KERNELS = _or_junk(_descriptor({}, {"kind": st.just("rbf"), "lengthscale": st.floats(0.5, 5.0)}))
+GRIDS = {
+    "gamma_grid": _or_junk(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), max_size=3)),
+    "p_grid": _or_junk(st.lists(st.integers(1, 20), max_size=3)),
+}
+FIELDS = st.fixed_dictionaries(
+    # trials is always present: the defaults run hundreds of trials.  Every experiment accepts
+    # two or three; one, which the sampling experiments refuse, comes as junk.
+    {"trials": _or_junk(st.integers(2, 3))},
     optional={
         "dataset": DATASETS,
-        "kernel": _or_junk(_descriptor({}, {"kind": st.just("rbf"), "lengthscale": st.floats(0.5, 5.0)})),
-        "gamma_grid": _or_junk(st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0]), max_size=3)),
-        "p_grid": _or_junk(st.lists(st.integers(1, 20), max_size=3)),
         "lambda_list": _or_junk(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0]), max_size=2)),
         "base_seed": _or_junk(st.integers(0, 5)),
         "output_dir": JUNK,
     },
-))
+)
+
+
+@st.composite
+def experiment_configs(draw):
+    """An experiment and a config that sets only fields it reads; one time in five a stray field it does not read.
+
+    The grid drawn is the one the experiment reads, and a kernel is drawn
+    only with a dataset that is not a spectrum, so that many configs get past
+    validation and run.
+    """
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    config = draw(FIELDS)
+    uses_p = experiment in ("stieltjes", "expected-a")
+    grid, unread = ("p_grid", "gamma_grid") if uses_p else ("gamma_grid", "p_grid")
+    dataset = config.get("dataset", default_config(experiment).dataset)
+    on_spectrum = isinstance(dataset, dict) and dataset.get("type") == "spectrum"
+    read = {grid: GRIDS[grid]} if on_spectrum else {grid: GRIDS[grid], "kernel": KERNELS}
+    config.update(draw(st.fixed_dictionaries({}, optional=read)))
+    if draw(st.integers(0, 4)) == 4:
+        stray = [unread, "kernel"] if on_spectrum else [unread]
+        config[draw(st.sampled_from(stray))] = draw(JUNK)
+    return experiment, draw(_with_typo(st.just(config)))
 
 
 class TestMainFuzz:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(experiment=st.sampled_from(EXPERIMENTS), config=CONFIGS)
-    def test_any_config_ends_in_an_exit_code(self, experiment, config):
+    @given(drawn=experiment_configs())
+    def test_any_config_ends_in_an_exit_code(self, drawn):
+        experiment, config = drawn
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cfg.json"
             path.write_text(json.dumps(config))
             err = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(err):
                 code = main([experiment, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        event(f"exit {code}")
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()

@@ -81,24 +81,22 @@ class TestMoments:
 
 
 class TestRunTrials:
-    def test_single_trial_has_no_variance(self):
-        data, test_X, stats = sinusoid_stats(trials=1)
-        assert stats.var_prediction is None
-        assert stats.var_theta_norm_sq is None
-        assert stats.trials == 1
-
-    def test_single_trial_mean_is_the_sample(self):
+    def test_two_trial_mean_is_the_sample_mean(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
-        stats = run_trials(data, test_X, KERNEL, [6], [0.1], 1, 3)[6][0]
-        stats2 = run_trials(data, test_X, KERNEL, [6], [0.1], 2, 3)[6][0]
-        # the first trial contributes identically in both runs
-        assert np.allclose(stats.mean_prediction * 1.0, stats.mean_prediction)
-        assert np.array_equal(stats.mean_prediction, stats.samples[0, data.n :])
-        assert np.array_equal(stats2.samples[0], stats.samples[0])
+        stats = run_trials(data, test_X, KERNEL, [6], [0.1], 2, 3)[6][0]
+        stats3 = run_trials(data, test_X, KERNEL, [6], [0.1], 3, 3)[6][0]
+        assert np.array_equal(stats.mean_prediction, (stats.samples[0, data.n :] + stats.samples[1, data.n :]) / 2)
+        # the first trials contribute identically in both runs
+        assert np.array_equal(stats3.samples[:2], stats.samples)
+
+    def test_one_trial_is_refused(self):
+        data, test_X = generate_sinusoid(4, 10, seed=1)
+        with pytest.raises(InvalidInputError, match="trials must be at least 2"):
+            run_trials(data, test_X, KERNEL, [6], [0.1], 1, 3)
 
     def test_interpolation_when_overparameterized_ridgeless(self):
         data, test_X = generate_sinusoid(4, 10, seed=1)
-        for trials in (1, 3, 7):
+        for trials in (2, 3, 7):
             stats = run_trials(data, test_X, KERNEL, [8], [0.0], trials, 0)[8][0]
             assert np.max(np.abs(stats.mean_train_prediction - data.y)) < 1e-6
 
@@ -165,6 +163,8 @@ class TestBiasVarianceDecompose:
             var_theta_norm_sq=stats.var_theta_norm_sq,
             mean_train_prediction=stats.mean_train_prediction,
             trials=stats.trials,
+            var_train_prediction=np.zeros_like(stats.mean_train_prediction),
+            samples=stats.samples,
         )
         f_star = np.zeros_like(stats.mean_prediction)
         report = bias_variance_decompose(frozen, f_star)
@@ -185,6 +185,8 @@ class TestBiasVarianceDecompose:
             var_theta_norm_sq=0.0,
             mean_train_prediction=stats.mean_train_prediction,
             trials=5,
+            var_train_prediction=stats.var_train_prediction,
+            samples=stats.samples,
         )
         report = bias_variance_decompose(frozen, np.zeros(2))
         assert report.risk_of_mean == pytest.approx(0.5)

@@ -6,7 +6,6 @@ from effridge import (
     InvalidInputError,
     KernelSpec,
     SeedPolicy,
-    SingularGramError,
     conditional_moments,
     fit_krr,
     generate_sinusoid,
@@ -29,7 +28,7 @@ def fit_one(F, y, lam):
 def engine_run(lam, trials, y=None):
     """``run_trials`` at P = 5 on four sinusoid points (labels ``y`` if given) and five test points.
 
-    Returns the data, the joint features of trial 0 and the run's stats.
+    Returns the data, the joint features of every trial, stacked, and the run's stats.
     """
     data, test_X = generate_sinusoid(4, 5, seed=1)
     if y is not None:
@@ -37,8 +36,8 @@ def engine_run(lam, trials, y=None):
     kernel = KernelSpec("rbf", 2.0)
     stats = run_trials(data, test_X, kernel, [5], [lam], trials, 3)[5][0]
     root = sqrt_gram(spectral_decompose(gram_matrix(kernel, np.vstack([data.X, test_X]))))
-    ((_, W),) = normal_chunks(SeedPolicy(3, 0), 1, (5, 9))
-    return data, gaussian_features(root, W)[0], stats
+    ((_, W),) = normal_chunks(SeedPolicy(3, 0), trials, (5, 9))
+    return data, gaussian_features(root, W), stats
 
 
 class TestFitRF:
@@ -61,10 +60,10 @@ class TestFitRF:
         assert np.allclose(theta, [0.5, 1.0], atol=1e-12)
 
     def test_theta_norm_sq_field(self):
-        # A one-trial run reports the squared norm of its one draw's fitted parameters.
-        data, F, stats = engine_run(0.3, 1)
-        theta = fit_one(F[:4], data.y, 0.3)
-        assert stats.mean_theta_norm_sq == pytest.approx(float(theta @ theta), rel=1e-12)
+        # A two-trial run reports the mean squared norm of its two draws' fitted parameters.
+        data, F, stats = engine_run(0.3, 2)
+        norms = [float(theta @ theta) for theta in (fit_one(f[:4], data.y, 0.3) for f in F)]
+        assert stats.mean_theta_norm_sq == pytest.approx(np.mean(norms), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 7), st.floats(1e-6, 1e3), st.integers(0, 1000))
@@ -101,10 +100,10 @@ class TestPredictRF:
     """The trial engine predicts with ``root W^T theta / sqrt(P)``, never forming the joint feature block."""
 
     def test_train_consistency(self):
-        data, F, stats = engine_run(0.5, 1, y=np.array([0.3, -1.0, 0.5, 2.0]))
-        theta = fit_one(F[:4], data.y, 0.5)
-        assert np.allclose(stats.mean_train_prediction, F[:4] @ theta, rtol=1e-12, atol=1e-14)
-        assert np.allclose(stats.mean_prediction, F[4:] @ theta, rtol=1e-12, atol=1e-14)
+        # The first trial's joint predictions, train rows then test rows, are its features times its parameters.
+        data, F, stats = engine_run(0.5, 2, y=np.array([0.3, -1.0, 0.5, 2.0]))
+        theta = fit_one(F[0, :4], data.y, 0.5)
+        assert np.allclose(stats.samples[0], F[0] @ theta, rtol=1e-12, atol=1e-14)
 
     def test_zero_parameters(self):
         _, _, stats = engine_run(1.0, 3, y=np.zeros(4))
@@ -133,11 +132,17 @@ class TestKRR:
         with pytest.raises(InvalidInputError):
             predict_krr(alpha, np.ones((1, 3)))
 
-    def test_singular_ridgeless_needs_flag(self):
+    def test_singular_ridgeless_is_the_pseudoinverse(self):
+        # K = v v^T has K^+ = v v^T / 4, so K^+ y = (0.5, 0.5) for y = v.
         v = np.array([1.0, 1.0])
         spec = spectral_decompose(np.outer(v, v))
-        with pytest.raises(SingularGramError):
-            fit_krr(spec, np.array([1.0, 1.0]), 0.0)
+        assert np.allclose(fit_krr(spec, v, 0.0), [0.5, 0.5], atol=1e-12)
+
+    def test_invertible_ridgeless_keeps_the_plain_inverse_bits(self):
+        spec = spectral_decompose(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        y = np.array([1.0, -1.0])
+        U = spec.eigenvectors
+        assert np.array_equal(fit_krr(spec, y, 0.0), U @ ((U.T @ y) / spec.eigenvalues))
 
 
 class TestPosteriorKernel:
