@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Run every experiment at desk scale into results/.
 
-Each experiment gets its default configuration unless a JSON file with the
-same name exists under scripts/configs/, in which case that file is used.
-Pass --quick to cut the trial count of every sampling experiment to 20 for a
-fast smoke run.  A failure ends the run with the exit codes of the
-``effridge`` command: 1 for invalid configuration or input (a malformed flag
-included), 2 for an I/O failure, 3 for a numeric failure, each with an
-``error: ...`` line on stderr.
+Each experiment runs its default configuration, which its output directory
+echoes as config.json.  Pass --quick to cut the trial count of every
+sampling experiment to 20 for a fast smoke run.  A failure ends the run with
+the exit codes of the ``effridge`` command: 1 for invalid configuration or
+input (a malformed flag included), 2 for an I/O failure, 3 for a numeric
+failure, each with an ``error: ...`` line on stderr.
 """
 
 import sys
@@ -16,8 +15,6 @@ from pathlib import Path
 
 from effridge.cli import _MC_EXPERIMENTS, EXPERIMENTS, _Parser, cmd_run, load_config, report_failure
 from effridge.errors import EffridgeError
-
-CONFIG_DIR = Path(__file__).resolve().parent / "configs"
 
 
 def main() -> int:
@@ -29,15 +26,10 @@ def main() -> int:
     try:
         args = parser.parse_args()
         for experiment in EXPERIMENTS:
-            config_path = CONFIG_DIR / f"{experiment}.json"
             overrides = dict(output_dir=str(Path(args.out) / experiment), base_seed=args.seed)
             if args.quick and experiment in _MC_EXPERIMENTS:
                 overrides["trials"] = 20
-            cfg = load_config(
-                experiment,
-                config_path if config_path.exists() else None,
-                **overrides,
-            )
+            cfg = load_config(experiment, None, **overrides)
             t0 = time.monotonic()
             artifacts = cmd_run(cfg)
             print(f"{experiment}: {len(artifacts)} artifacts in {artifacts['results'].parent} "

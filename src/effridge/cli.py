@@ -37,7 +37,6 @@ from .kernels import (
     KernelSpec,
     gram_matrix,
     inv_kernel_norm_sq,
-    range_mask,
     spectral_decompose,
 )
 from .montecarlo import (
@@ -152,7 +151,7 @@ def load_config(experiment: str, path=None, **overrides) -> ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise InvalidInputError(f"config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise InvalidInputError(f"config {path}: config must be a JSON object")
@@ -438,7 +437,7 @@ def _krr_points(cfg: ExperimentConfig, note: str, ridgeless_note: str):
         with _row_context(gamma=P / data.n, ridge=lam, P=P):
             eff = solve_effective_ridge(spec, P / data.n, lam)
             theory.append((lam, P, eff, predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)))
-    if not np.all(range_mask(spec)):
+    if spec.rank < spec.n:
         if any(eff.lambda_tilde == 0.0 for _, _, eff, _ in theory):
             note += f"; at lambda_tilde = 0 the pseudoinverse also gives {ridgeless_note}"
         print(f"note: Gram matrix numerically singular; {note}", file=sys.stderr)

@@ -80,39 +80,43 @@ def read_csv_table(path, max_rows: int | None = None) -> np.ndarray:
 
     Rows keep their file order.  Any malformed header, non-numeric or
     non-finite cell, or inconsistent column count raises
-    :class:`CsvParseError` with the offending 1-based line number.  With
-    ``max_rows``, reading stops after that many data rows; the rest of the
-    file is neither read nor checked.
+    :class:`CsvParseError` with the offending 1-based line number, as does a
+    file that is not valid UTF-8 (without one: it is decoded in blocks).
+    With ``max_rows``, reading stops after that many data rows; the rest of
+    the file is neither read nor checked.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        # The same lines as str.splitlines of the whole file, read one at a time.
-        lines = itertools.chain.from_iterable(map(str.splitlines, fh))
-        header_line = next(lines, None)
-        if header_line is None:
-            raise CsvParseError("empty file", line=1)
-        header = [c.strip() for c in header_line.split(",")]
-        d = len(header) - 1
-        expected = [f"x_{j}" for j in range(d)] + ["y"]
-        if d < 1 or header != expected:
-            raise CsvParseError(
-                f"header must be x_0,...,x_{{d-1}},y; got {','.join(header)!r}", line=1
-            )
-        rows = []
-        for lineno, raw in enumerate(lines, start=2):
-            if raw.strip() == "":
-                continue
-            cells = raw.split(",")
-            if len(cells) != d + 1:
-                raise CsvParseError(f"expected {d + 1} columns, found {len(cells)}", line=lineno)
-            try:
-                values = [float(c) for c in cells]
-            except ValueError as exc:
-                raise CsvParseError(f"non-numeric cell: {exc}", line=lineno) from exc
-            if not all(np.isfinite(v) for v in values):
-                raise CsvParseError("non-finite cell", line=lineno)
-            rows.append(values)
-            if len(rows) == max_rows:
-                break
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            # The same lines as str.splitlines of the whole file, read one at a time.
+            lines = itertools.chain.from_iterable(map(str.splitlines, fh))
+            header_line = next(lines, None)
+            if header_line is None:
+                raise CsvParseError("empty file", line=1)
+            header = [c.strip() for c in header_line.split(",")]
+            d = len(header) - 1
+            expected = [f"x_{j}" for j in range(d)] + ["y"]
+            if d < 1 or header != expected:
+                raise CsvParseError(
+                    f"header must be x_0,...,x_{{d-1}},y; got {','.join(header)!r}", line=1
+                )
+            rows = []
+            for lineno, raw in enumerate(lines, start=2):
+                if raw.strip() == "":
+                    continue
+                cells = raw.split(",")
+                if len(cells) != d + 1:
+                    raise CsvParseError(f"expected {d + 1} columns, found {len(cells)}", line=lineno)
+                try:
+                    values = [float(c) for c in cells]
+                except ValueError as exc:
+                    raise CsvParseError(f"non-numeric cell: {exc}", line=lineno) from exc
+                if not all(np.isfinite(v) for v in values):
+                    raise CsvParseError("non-finite cell", line=lineno)
+                rows.append(values)
+                if len(rows) == max_rows:
+                    break
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"file is not valid UTF-8 ({exc.reason})") from exc
     if not rows:
         raise CsvParseError("no data rows", line=2)
     return np.asarray(rows, dtype=float)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtThresholdError, InfeasibleTargetError, InvalidInputError, NumericError
-from .kernels import GramSpectrum, Spectrum, range_mask
+from .kernels import GramSpectrum, Spectrum
 
 MAX_NEWTON_ITERS = 200
 # Contractual residual bound on the defining equation; the solver actually
@@ -176,11 +176,10 @@ def effective_ridge_derivative(spectrum: Spectrum, gamma: float, lambda_tilde: f
     """
     _check_gamma(gamma)
     _check_lambda_tilde(lambda_tilde)
-    d = spectrum.eigenvalues
     if lambda_tilde == 0.0:
-        denom = 1.0 - float(np.mean(d > 0)) / gamma
+        denom = 1.0 - spectrum.rank / spectrum.n / gamma
     else:
-        denom = _fixed_point(lambda_tilde, d, gamma, 0.0)[1]
+        denom = _fixed_point(lambda_tilde, spectrum.eigenvalues, gamma, 0.0)[1]
     if denom <= 0:
         raise NumericError("derivative denominator is nonpositive; lambda_tilde does not solve the fixed point")
     return 1.0 / denom
@@ -190,13 +189,12 @@ def effective_dimension(spectrum: Spectrum, lambda_tilde: float) -> float:
     """Effective dimension ``sum_i d_i / (lambda_tilde + d_i)``.
 
     Zero eigenvalues contribute nothing, including in the ridgeless limit
-    ``lambda_tilde = 0`` where each positive eigenvalue contributes one.
+    ``lambda_tilde = 0``, where it is the spectrum's rank.
     """
     _check_lambda_tilde(lambda_tilde)
-    d = spectrum.eigenvalues
     if lambda_tilde == 0.0:
-        return float(np.count_nonzero(d > 0))
-    return _quotient_sums(lambda_tilde, d)[0].item()
+        return float(spectrum.rank)
+    return _quotient_sums(lambda_tilde, spectrum.eigenvalues)[0].item()
 
 
 def ridgeless_limit(spectrum: Spectrum, gamma: float) -> float:
@@ -204,7 +202,7 @@ def ridgeless_limit(spectrum: Spectrum, gamma: float) -> float:
 
     Overparameterized (gamma > 1): 0.  Underparameterized (gamma < 1): the
     unique positive root of ``gamma = mean(d / (t + d))``, which requires a
-    strictly positive spectrum.  gamma = 1 sits at the interpolation
+    full-rank spectrum.  gamma = 1 sits at the interpolation
     threshold, where no finite limit exists.  ``gamma - mean(d / (t + d))``
     is concave and increasing, so Newton rises monotonically to its root from
     below; the root is checked on this equation, because the defining one at
@@ -220,9 +218,9 @@ def _ridgeless_newton(spectrum: Spectrum, gamma: float) -> tuple[float, int]:
         raise AtThresholdError("ridgeless effective ridge is degenerate at gamma = 1")
     if gamma > 1.0:
         return 0.0, 0
+    if spectrum.rank < spectrum.n:
+        raise InvalidInputError("underparameterized ridgeless limit needs a full-rank spectrum")
     d = spectrum.eigenvalues
-    if np.any(d <= 0):
-        raise InvalidInputError("underparameterized ridgeless limit needs a strictly positive spectrum")
 
     def func(t):
         s1, s2 = _quotient_sums(t, d).tolist()
@@ -266,6 +264,6 @@ def theta_norm_theory(spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge) ->
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the spectrum")
-    keep = range_mask(spec) if eff.lambda_tilde == 0.0 else slice(None)
+    keep = spec.in_range if eff.lambda_tilde == 0.0 else slice(None)
     w, d = (spec.eigenvectors.T @ y)[keep], spec.eigenvalues[keep]
     return eff.d_lambda_tilde * float(np.sum(d * w * w / (eff.lambda_tilde + d) ** 2))

@@ -3,9 +3,11 @@
 Everything downstream (feature sampling, ridge predictors, effective-ridge
 theory) is driven by the eigendecomposition of a kernel Gram matrix, so this
 module owns the numerically delicate parts: PSD-safe eigendecomposition,
-matrix square roots, and inverse-kernel norms.  It also owns the one spectrum
-type, :class:`Spectrum`, which the theory reads; a decomposition is one, with
-its eigenvectors.
+matrix square roots, inverse-kernel norms, and the one rule for which
+eigenvalues count as zero, which the kernel side, the theory and the ridgeless
+random-feature fit share.  It also owns the one spectrum type,
+:class:`Spectrum`, which the theory reads; a decomposition is one, with its
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import numpy as np
 
 from .errors import DuplicateRowError, InvalidInputError, NumericError
 
-# Eigenvalues in [-EIG_CLAMP_REL * max(d), 0) are rounded up to zero; symmetric
-# eigensolvers routinely emit such values for PSD inputs.  Anything more
-# negative means the input was not PSD.
-EIG_CLAMP_REL = 1e-10
+# An eigenvalue of a computed Gram at or below RANK_FLOOR_REL times the largest
+# counts as zero.  Eigensolvers emit values that small, negative ones included,
+# for PSD inputs; anything more negative means the input was not PSD.
+RANK_FLOOR_REL = 1e-10
 
-# Relative floor below which an eigenvalue is treated as zero when inverting.
-SINGULAR_FLOOR_REL = 1e-12
+
+def numerical_range(e: np.ndarray) -> np.ndarray:
+    """Mask of the computed Gram eigenvalues that span its range, per spectrum on the last axis of ``e``."""
+    return e > RANK_FLOOR_REL * e.max(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -89,22 +93,31 @@ class Spectrum:
 
     Every function of the effective-ridge and Stieltjes theory that reads a
     spectrum takes one, so a grid of solves or draws on the same eigenvalues
-    checks them, and takes their mean, only when the spectrum is built.  The
-    eigenvalues are a read-only copy, which keeps them as checked.
+    checks them, and takes their mean and range, only when the spectrum is
+    built.  ``in_range`` marks the eigenvalues that span range(K), every
+    positive one of exact ones as these are, and ``rank`` counts them.  The
+    arrays are read-only copies, which keeps them as checked.
     """
 
     eigenvalues: np.ndarray
     n: int = field(init=False)
     trace_mean: float = field(init=False)
+    in_range: np.ndarray = field(init=False)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         d = np.array(self.eigenvalues, dtype=float).ravel()
         if d.size < 1 or not np.all(np.isfinite(d)) or np.any(d < 0):
             raise InvalidInputError("eigenvalues must be a nonempty array of finite nonnegative numbers")
-        d.flags.writeable = False
+        keep = self._range(d)
+        d.flags.writeable = keep.flags.writeable = False
         object.__setattr__(self, "eigenvalues", d)
         object.__setattr__(self, "n", d.size)
         object.__setattr__(self, "trace_mean", float(np.mean(d)))
+        object.__setattr__(self, "in_range", keep)
+        object.__setattr__(self, "rank", int(np.count_nonzero(keep)))
+
+    _range = staticmethod(lambda d: d > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +125,14 @@ class GramSpectrum(Spectrum):
     """Eigendecomposition ``U diag(d) U^T`` of a Gram matrix: a checked :class:`Spectrum` with its eigenvectors.
 
     eigenvalues
-        Sorted descending, clamped to be nonnegative.
+        Sorted descending, clamped to be nonnegative; computed, so the range
+        keeps those above the floor (``numerical_range``).
     eigenvectors
         Orthogonal matrix whose columns match ``eigenvalues``.
     """
 
     eigenvectors: np.ndarray
+    _range = staticmethod(numerical_range)
 
 
 def check_distinct_rows(X: np.ndarray) -> None:
@@ -174,9 +189,10 @@ def spectral_decompose(gram: np.ndarray) -> GramSpectrum:
 
     This is where a Gram is checked: it must be square, finite, symmetric
     within 1e-12 relative to its largest entry, and free of negative diagonal
-    entries.  Tiny negative eigenvalues (within ``EIG_CLAMP_REL`` of zero
+    entries.  Tiny negative eigenvalues (within ``RANK_FLOOR_REL`` of zero
     relative to the largest) are clamped to 0; larger negative eigenvalues are
-    an error since the input was supposed to be PSD.
+    an error since the input was supposed to be PSD.  Tiny positive ones keep
+    their values, which ``sqrt_gram`` reads, though the range leaves them out.
     """
     G = np.asarray(gram, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -193,18 +209,11 @@ def spectral_decompose(gram: np.ndarray) -> GramSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(d)[::-1]
-    d = d[order]
-    U = U[:, order]
-    dmax = float(d[0]) if d.size else 0.0
-    if dmax < 0:
-        raise NumericError("all eigenvalues negative; input is not PSD")
-    floor = -EIG_CLAMP_REL * max(dmax, 0.0)
+    d, U = d[order], U[:, order]
+    floor = -RANK_FLOOR_REL * d.max(initial=0.0)
     if np.any(d < floor):
-        raise NumericError(
-            f"eigenvalue {d.min():.3e} below PSD clamp tolerance {floor:.3e}"
-        )
-    d = np.maximum(d, 0.0)
-    return GramSpectrum(eigenvalues=d, eigenvectors=U)
+        raise NumericError(f"eigenvalue {d.min():.3e} below PSD clamp tolerance {floor:.3e}")
+    return GramSpectrum(eigenvalues=np.maximum(d, 0.0), eigenvectors=U)
 
 
 def sqrt_gram(spec: GramSpectrum) -> np.ndarray:
@@ -214,20 +223,11 @@ def sqrt_gram(spec: GramSpectrum) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def range_mask(spec: GramSpectrum) -> np.ndarray:
-    """Eigenvalues that span range(K): those above ``SINGULAR_FLOOR_REL`` times the largest.
-
-    The others count as zero; a spectrum that keeps them all is invertible.
-    """
-    d = spec.eigenvalues
-    return d > SINGULAR_FLOOR_REL * d.max(initial=0.0)
-
-
 def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray) -> float:
     """Squared inverse-kernel norm of the labels, ``y^T K^{-1} y``, or ``y^T K^+ y`` on a singular spectrum.
 
     Computed in the eigenbasis as ``sum_i (U^T y)_i^2 / d_i`` over the
-    eigenvalues that span range(K) (see ``range_mask``), which is every one of
+    eigenvalues that span range(K) (``spec.in_range``), which is every one of
     an invertible spectrum; on a singular one the true inverse norm is
     infinite unless the labels avoid the null space.  The (unsquared) norm is
     the square root of this value; both conventions appear in reported error
@@ -236,19 +236,17 @@ def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != spec.n:
         raise InvalidInputError("label vector length does not match the spectrum")
-    keep = range_mask(spec)
-    w = spec.eigenvectors.T @ y
-    d = spec.eigenvalues
-    return float(np.sum(w[keep] * w[keep] / d[keep]))
+    w, d = (spec.eigenvectors.T @ y)[spec.in_range], spec.eigenvalues[spec.in_range]
+    return float(np.sum(w * w / d))
 
 
 def apply_inverse(spec: GramSpectrum, v: np.ndarray) -> np.ndarray:
     """Apply ``K^{-1}`` through the eigendecomposition, or on a numerically singular spectrum the pseudoinverse.
 
-    The pseudoinverse acts on range(K) (see ``range_mask``) and maps the rest
+    The pseudoinverse acts on range(K) (``spec.in_range``) and maps the rest
     to zero.  It divides only where an eigenvalue is kept, so an invertible
     spectrum gets the bits of the plain inverse.
     """
     U = spec.eigenvectors
     w = (U.T @ np.asarray(v, dtype=float)).T
-    return U @ np.divide(w, spec.eigenvalues, out=np.zeros_like(w), where=range_mask(spec)).T
+    return U @ np.divide(w, spec.eigenvalues, out=np.zeros_like(w), where=spec.in_range).T

@@ -5,8 +5,8 @@ shorter side, ``F F^T`` (dual) or ``F^T F`` (primal), which agree by the
 push-through identity; one Gram per draw serves every ridge, and one batched
 solve every positive ridge.  Ridgeless fits (``lambda = 0``) take the
 minimum-norm least-squares solution through the Gram's eigendecomposition,
-with a relative eigenvalue cutoff ``RIDGELESS_CUTOFF`` so the limit is
-deterministic.  Kernel
+on the range that ``kernels.numerical_range`` keeps: the same floor decides
+the rank of the feature Grams, of the kernel Gram and of the theory.  Kernel
 ridge regression is a spectral filter on the Gram's eigendecomposition
 ``K = U diag(d) U^T``, which every caller already holds:
 ``alpha = U diag(1 / (d + lambda)) U^T y``.
@@ -17,9 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .kernels import GramSpectrum, apply_inverse
-
-RIDGELESS_CUTOFF = 1e-10
+from .kernels import GramSpectrum, apply_inverse, numerical_range
 
 
 def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
@@ -31,8 +29,8 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
     ``(G + lam I)^{-1} F^T y``.  One batched solve serves every positive
     ridge and one batched ``eigh`` every zero ridge: at ``lam = 0`` the
     inverse is the pseudoinverse ``U diag(1/e) U^T`` of ``G = U diag(e) U^T``
-    with eigenvalues at or below ``RIDGELESS_CUTOFF`` times the largest
-    counted as zero, which gives the minimum-norm least-squares solution.
+    on its range (``numerical_range``), which gives the minimum-norm
+    least-squares solution.
     The solves and products are batched, one per draw and ridge, so a draw
     gets the same bits in any stack and with any other ridges.
     """
@@ -47,7 +45,7 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
             z = np.linalg.solve(G + np.multiply.outer(ridged, np.eye(G.shape[-1]))[:, None], b[None])
         if len(ridged) < len(lams):
             e, U = np.linalg.eigh(G)
-            h = np.divide(1.0, e, out=np.zeros_like(e), where=e > RIDGELESS_CUTOFF * e[:, -1:])
+            h = np.divide(1.0, e, out=np.zeros_like(e), where=numerical_range(e))
             z0, solved = U @ (h[:, :, None] * (U.transpose(0, 2, 1) @ b)), iter(z if ridged else ())
             z = np.array([z0 if lam == 0.0 else next(solved) for lam in lams])
     except np.linalg.LinAlgError as exc:

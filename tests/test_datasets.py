@@ -129,6 +129,13 @@ class TestLoadCsv:
             read_csv_table(self.write(tmp_path, "x_0,y\r0,1\r\n1,2\x0c\n2,x\n"))
         assert err.value.line == 5
 
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_bytes(b"x_0,y\n0,1\n\xff,2\n")
+        with pytest.raises(CsvParseError, match="not valid UTF-8") as err:
+            read_csv_table(p)
+        assert err.value.line is None
+
     def test_multidimensional(self, tmp_path):
         t = read_csv_table(self.write(tmp_path, "x_0,x_1,y\n0,1,0.5\n2,3,-0.5\n"))
         assert t.shape == (2, 3)

@@ -10,12 +10,17 @@ from effridge import (
     KernelSpec,
     NumericError,
     Spectrum,
+    effective_dimension,
+    effective_ridge_derivative,
     gram_matrix,
     inv_kernel_norm_sq,
+    solve_effective_ridge,
     spectral_decompose,
     sqrt_gram,
+    theta_norm_theory,
 )
-from effridge.kernels import apply_inverse
+from effridge.kernels import RANK_FLOOR_REL, apply_inverse
+from effridge.predictors import fit_rf_stacked
 
 
 def random_spd(n, seed):
@@ -106,6 +111,11 @@ class TestSpectralDecompose:
         # nonnegative diagonal but eigenvalues 3 and -1
         with pytest.raises(NumericError):
             spectral_decompose(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_rejects_all_negative(self):
+        # passes the diagonal check, within 1e-12 of zero, but has no nonnegative eigenvalue
+        with pytest.raises(NumericError):
+            spectral_decompose(np.array([[-1e-13]]))
 
     def test_returns_a_checked_spectrum(self):
         spec = spectral_decompose(np.diag([1.0, 3.0]))
@@ -205,6 +215,44 @@ class TestApplyInverse:
         v = np.array([1.0, -2.0, 0.5])
         assert np.allclose(apply_inverse(spectral_decompose(K), v), np.linalg.pinv(K) @ v,
                            rtol=1e-10, atol=1e-12)
+
+
+class TestOneRank:
+    # 1e-11 lies below the floor RANK_FLOOR_REL times the largest eigenvalue, 1e-3 above it.
+    D = np.array([1.0, 1e-3, 1e-11, 0.0])
+
+    def test_every_reader_of_a_computed_gram_counts_rank_two(self):
+        assert 1e-11 <= RANK_FLOOR_REL <= 1e-3
+        rng = np.random.default_rng(3)
+        U = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        G = (U * self.D) @ U.T
+        spec = spectral_decompose(0.5 * (G + G.T))
+        assert spec.rank == 2 and spec.in_range.tolist() == [True, True, False, False]
+        U2 = U[:, :2]
+        assert np.allclose(apply_inverse(spec, np.eye(4)), (U2 / self.D[:2]) @ U2.T, rtol=1e-9, atol=0)
+        y = U @ np.ones(4)
+        assert inv_kernel_norm_sq(spec, y) == pytest.approx(1001.0, rel=1e-9)
+        assert effective_dimension(spec, 0.0) == 2.0
+        # 1 / (1 - rank / (N gamma)) at gamma = 2
+        assert effective_ridge_derivative(spec, 2.0, 0.0) == 4 / 3
+        eff = solve_effective_ridge(spec, 2.0, 0.0)
+        assert eff.lambda_tilde == 0.0 and eff.effective_dimension == 2.0
+        assert theta_norm_theory(spec, y, eff) == pytest.approx(4 / 3 * 1001.0, rel=1e-9)
+        with pytest.raises(InvalidInputError, match="full-rank"):
+            solve_effective_ridge(spec, 0.5, 0.0)
+        # Features with the matching singular values: F F^T = G, so the ridgeless fit
+        # interpolates on the same two directions, with the same norm.
+        V = np.linalg.qr(rng.normal(size=(6, 4)))[0]
+        F = (U * np.sqrt(self.D)) @ V.T
+        theta = fit_rf_stacked(F[None], y, [0.0])[0, 0]
+        assert np.allclose(F @ theta, U2 @ np.ones(2), rtol=0, atol=1e-9)
+        assert float(theta @ theta) == pytest.approx(1001.0, rel=1e-9)
+
+    def test_given_eigenvalues_are_exact(self):
+        spectrum = Spectrum(self.D)
+        assert spectrum.rank == 3 and spectrum.in_range.tolist() == [True, True, True, False]
+        assert effective_dimension(spectrum, 0.0) == 3.0
+        assert effective_ridge_derivative(spectrum, 2.0, 0.0) == 1 / (1 - 3 / 8)
 
 
 class TestDataset:

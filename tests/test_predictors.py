@@ -17,7 +17,8 @@ from effridge import (
     sqrt_gram,
 )
 from effridge.features import gaussian_features, normal_chunks
-from effridge.predictors import RIDGELESS_CUTOFF, fit_rf_stacked
+from effridge.kernels import RANK_FLOOR_REL
+from effridge.predictors import fit_rf_stacked
 
 
 def fit_one(F, y, lam):
@@ -269,7 +270,7 @@ class TestStackedFit:
         thetas = fit_rf_stacked(F, y, [lam])[0]
         for f, theta in zip(F, thetas):
             if lam == 0.0:
-                ref = np.linalg.lstsq(f, y, rcond=np.sqrt(RIDGELESS_CUTOFF))[0]
+                ref = np.linalg.lstsq(f, y, rcond=np.sqrt(RANK_FLOOR_REL))[0]
             else:
                 ref = np.linalg.solve(f.T @ f + lam * np.eye(P), f.T @ y)
             assert np.linalg.norm(theta - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
