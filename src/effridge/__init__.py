@@ -52,15 +52,7 @@ from .stieltjes import (
     stieltjes_moments,
     theoretical_stieltjes,
 )
-from .montecarlo import (
-    RiskReport,
-    TrialStats,
-    bias_variance_decompose,
-    compare_average_to_krr,
-    estimate_risk,
-    monte_carlo_band,
-    run_trials,
-)
+from .montecarlo import TrialStats, estimate_risk, run_trials
 from .datasets import (
     generate_clusters,
     generate_sinusoid,

@@ -39,12 +39,7 @@ from .kernels import (
     inv_kernel_norm_sq,
     spectral_decompose,
 )
-from .montecarlo import (
-    bias_variance_decompose,
-    compare_average_to_krr,
-    estimate_risk,
-    run_trials,
-)
+from .montecarlo import estimate_risk, run_trials
 from .predictors import fit_krr, posterior_kernel_diag, predict_krr
 from .stieltjes import empirical_expected_A, expected_A_theoretical, sample_wishart, stieltjes_moments
 from .svgplot import line_plot
@@ -181,11 +176,12 @@ def _is_real(v) -> bool:
 # The keys each descriptor accepts (README, "Configuration JSON"), each with
 # the check its value must pass and the requirement a failure message states.
 _COUNT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_PAIR = (lambda v: _is_int(v) and v >= 2, "an integer >= 2")
 _REAL = (_is_real, "a finite number")
 _TEXT = (lambda v: isinstance(v, str), "a string")
 _DATASET_KEYS = {
     "sinusoid": {"n": _COUNT, "n_test": _COUNT},
-    "clusters": {"n": _COUNT, "n_test": _COUNT, "dim": _COUNT, "separation": _REAL},
+    "clusters": {"n": _PAIR, "n_test": _PAIR, "dim": _COUNT, "separation": _REAL},
     "spectrum": {"kind": _TEXT, "n": _COUNT},
     "csv": {"path": _TEXT, "n_test": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")},
 }
@@ -453,18 +449,18 @@ def _run_average_rf(cfg: ExperimentConfig):
     q_norm_sq = inv_kernel_norm_sq(spec, data.y)
     rows = []
     for lam, P, eff, krr_pred, stats in points:
-        max_abs, rmse = compare_average_to_krr(stats, krr_pred)
-        band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / cfg.trials))
+        gap = stats.mean_prediction - krr_pred
+        mean_variance = float(np.mean(stats.var_prediction))
         row = _prefix(cfg, N, P, P / N, lam)
         # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
         row.update(
             lambda_tilde=eff.lambda_tilde,
             rf_mean_risk=estimate_risk(stats.mean_prediction, data.f_star),
             krr_risk=estimate_risk(krr_pred, data.f_star),
-            mean_rf_vs_krr_rmse=rmse,
-            mean_rf_vs_krr_max_abs=max_abs,
-            mc_band_rmse=band,
-            mean_variance=float(np.mean(stats.var_prediction)),
+            mean_rf_vs_krr_rmse=float(np.sqrt(np.mean(gap**2))),
+            mean_rf_vs_krr_max_abs=float(np.max(np.abs(gap))),
+            mc_band_rmse=3.0 * float(np.sqrt(mean_variance / cfg.trials)),
+            mean_variance=mean_variance,
             theta_norm_mean=stats.mean_theta_norm_sq,
             theta_norm_theory=theta_norm_theory(spec, data.y, eff),
             bound_scale_norm=np.sqrt(q_norm_sq) / P,
@@ -481,14 +477,15 @@ def _run_double_descent(cfg: ExperimentConfig):
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []
     for lam, P, eff, krr_pred, stats in points:
-        report = bias_variance_decompose(stats, data.f_star)
+        risk_of_mean = estimate_risk(stats.mean_prediction, data.f_star)
+        mean_variance = float(np.mean(stats.var_prediction))
         var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
         row = _prefix(cfg, N, P, P / N, lam)
         row.update(
             lambda_tilde=eff.lambda_tilde,
-            expected_risk=report.expected_risk,
-            risk_of_mean=report.risk_of_mean,
-            mean_variance=report.mean_variance,
+            expected_risk=risk_of_mean + mean_variance,
+            risk_of_mean=risk_of_mean,
+            mean_variance=mean_variance,
             krr_risk=estimate_risk(krr_pred, data.f_star),
             variance_theory=var_theory,
         )

@@ -44,7 +44,7 @@ def _check_lambda_tilde(lambda_tilde: float) -> None:
 
 @dataclass(frozen=True)
 class EffectiveRidge:
-    """Solved effective ridge and the derived quantities used everywhere else.
+    """Solved effective ridge and its derived quantities; gamma and the ridge stay with the caller.
 
     ``residual`` is the defining-equation residual at the returned root;
     ``effective_dimension`` equals ``sum_i d_i / (lambda_tilde + d_i)``, which
@@ -56,8 +56,6 @@ class EffectiveRidge:
     d_lambda_tilde: float
     effective_dimension: float
     residual: float
-    gamma: float
-    lam: float
     iterations: int
 
 
@@ -149,7 +147,7 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
             # Overparameterized ridgeless: the defining equation is satisfied
             # identically at t = 0; zero eigenvalues drop out of its derivative.
             return EffectiveRidge(0.0, effective_ridge_derivative(spectrum, gamma, 0.0),
-                                  effective_dimension(spectrum, 0.0), 0.0, gamma, 0.0, iterations)
+                                  effective_dimension(spectrum, 0.0), 0.0, iterations)
         values = _fixed_point(lambda_tilde, d, gamma, 0.0)
 
     residual, slope, dimension = values
@@ -158,8 +156,7 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
         raise NumericError(f"effective-ridge solve did not converge: residual {residual:.3e}, "
                            f"slope {slope:.3e} at {lambda_tilde:.6e}")
     return EffectiveRidge(lambda_tilde=float(lambda_tilde), d_lambda_tilde=1.0 / slope,
-                          effective_dimension=dimension, residual=float(residual), gamma=gamma, lam=lam,
-                          iterations=iterations)
+                          effective_dimension=dimension, residual=float(residual), iterations=iterations)
 
 
 def effective_ridge_derivative(spectrum: Spectrum, gamma: float, lambda_tilde: float) -> float:

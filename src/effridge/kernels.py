@@ -76,6 +76,8 @@ class Dataset:
             raise InvalidInputError("X and y row counts differ")
         if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
             raise InvalidInputError("dataset contains non-finite values")
+        if self.f_star is not None and not np.all(np.isfinite(self.f_star)):
+            raise InvalidInputError("f_star contains non-finite values")
         check_distinct_rows(X)
 
     @property
@@ -152,11 +154,15 @@ def check_distinct_rows(X: np.ndarray) -> None:
 
 
 def _pairwise_sq_dists(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(X2 * X2, axis=1)[None, :]
-        - 2.0 * (X @ X2.T)
-    )
+    """Squared distances between the rows of finite ``X`` and ``X2``, refused if one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (
+            np.sum(X * X, axis=1)[:, None]
+            + np.sum(X2 * X2, axis=1)[None, :]
+            - 2.0 * (X @ X2.T)
+        )
+    if not np.all(np.isfinite(sq)):
+        raise InvalidInputError("squared distances between input rows overflow")
     return np.maximum(sq, 0.0)
 
 

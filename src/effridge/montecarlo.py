@@ -1,4 +1,4 @@
-"""Monte Carlo harness: repeated random-feature fits and the statistics compared to theory.
+"""Monte Carlo trial engine: repeated random-feature fits and the moments of their predictions.
 
 Each trial draws a fresh Gaussian feature matrix (jointly over train and test
 points) at every requested feature count, fits the ridge solution at every
@@ -7,7 +7,9 @@ whose size depends on the draw's shape only, and each draw's feature Gram is
 formed once for every ridge.  Each chunk's mean and sum of squared
 deviations merge into the running moments by the pairwise update of Chan,
 Golub & LeVeque (1979), in fixed chunk order, so results are deterministic,
-numerically stable, and reproducible from the configuration alone.
+numerically stable, and reproducible from the configuration alone.  The
+module returns moments only; the risk, bias-variance and band columns compared
+to theory are formed from them where the CLI writes them.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ _FAN_SAMPLES = 10
 
 @dataclass(frozen=True)
 class TrialStats:
-    """Running moments of the sampled predictor across trials.
+    """Running moments of the sampled predictor across the trials of one ``run_trials`` call.
 
     Variance fields hold sample variances (``ddof=1``).  ``samples`` holds the
     joint ``[train; test]`` predictions of the first
-    ``min(_FAN_SAMPLES, trials)`` trials, one row per trial.
+    ``min(_FAN_SAMPLES, trials)`` trials, one row per trial.  The trial count
+    stays with the caller.
     """
 
     mean_prediction: np.ndarray
@@ -39,22 +42,8 @@ class TrialStats:
     mean_theta_norm_sq: float
     var_theta_norm_sq: float
     mean_train_prediction: np.ndarray
-    trials: int
     var_train_prediction: np.ndarray
     samples: np.ndarray
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Bias-variance split of the expected test risk over feature sampling.
-
-    ``expected_risk`` is the sum of the risk of the mean predictor and the
-    mean predictor variance.
-    """
-
-    risk_of_mean: float
-    mean_variance: float
-    expected_risk: float
 
 
 def _merge(mean, m2, count: int, chunk: np.ndarray):
@@ -135,7 +124,6 @@ def run_trials(
                 mean_theta_norm_sq=float(norm_mean[i]),
                 var_theta_norm_sq=float(var_norm[i]),
                 mean_train_prediction=joint_mean[i, :N],
-                trials=trials,
                 var_train_prediction=var_joint[i, :N],
                 samples=samples[:, i],
             )
@@ -151,37 +139,3 @@ def estimate_risk(predictions: np.ndarray, targets: np.ndarray) -> float:
     if predictions.shape != targets.shape:
         raise InvalidInputError("prediction and target lengths differ")
     return float(np.mean((predictions - targets) ** 2))
-
-
-def bias_variance_decompose(stats: TrialStats, f_star: np.ndarray) -> RiskReport:
-    """Split the expected risk into the risk of the mean predictor plus mean variance.
-
-    The identity ``expected_risk = risk_of_mean + mean_variance`` holds by
-    construction on the empirical moments.
-    """
-    f_star = np.asarray(f_star, dtype=float).ravel()
-    if f_star.shape != stats.mean_prediction.shape:
-        raise InvalidInputError("f_star length does not match the test grid")
-    if not np.all(np.isfinite(f_star)):
-        raise InvalidInputError("f_star contains non-finite values")
-    risk_of_mean = estimate_risk(stats.mean_prediction, f_star)
-    mean_variance = float(np.mean(stats.var_prediction))
-    return RiskReport(
-        risk_of_mean=risk_of_mean,
-        mean_variance=mean_variance,
-        expected_risk=risk_of_mean + mean_variance,
-    )
-
-
-def compare_average_to_krr(stats: TrialStats, krr_predictions: np.ndarray) -> tuple[float, float]:
-    """Max-abs and RMS discrepancy between the mean sampled predictor and a kernel predictor."""
-    krr_predictions = np.asarray(krr_predictions, dtype=float).ravel()
-    if krr_predictions.shape != stats.mean_prediction.shape:
-        raise InvalidInputError("prediction vectors have different lengths")
-    diff = stats.mean_prediction - krr_predictions
-    return float(np.max(np.abs(diff))), float(np.sqrt(np.mean(diff**2)))
-
-
-def monte_carlo_band(stats: TrialStats, sigmas: float = 3.0) -> np.ndarray:
-    """Pointwise uncertainty of the Monte Carlo mean: ``sigmas * std / sqrt(trials)``."""
-    return sigmas * np.sqrt(stats.var_prediction / stats.trials)

@@ -431,6 +431,36 @@ class TestArtifacts:
             assert row["d_lambda_tilde"] == eff.d_lambda_tilde
             assert row["effective_dimension"] == eff.effective_dimension
 
+    @pytest.mark.parametrize("experiment", ["average-rf", "double-descent"])
+    def test_monte_carlo_columns_match_their_definitions(self, experiment, tmp_path):
+        # Each Monte Carlo column, parsed back from results.csv, is its formula on the run_trials moments, bit for bit.
+        from effridge import (
+            KernelSpec, estimate_risk, fit_krr, generate_sinusoid, gram_matrix, predict_krr, run_trials,
+            spectral_decompose,
+        )
+
+        cfg, artifacts = run_fast(experiment, tmp_path, trials=20)
+        _, rows = parse_results_csv(artifacts["results"])
+        data, test_X = generate_sinusoid(4, 16, seed=cfg.base_seed)
+        kernel = KernelSpec("rbf", 2.0)
+        spec = spectral_decompose(gram_matrix(kernel, data.X))
+        stats = run_trials(data, test_X, kernel, [2, 8], [0.1], 20, cfg.base_seed)
+        assert [(r["P"], r["lambda"]) for r in rows] == [(2, 0.1), (8, 0.1)]
+        for row in rows:
+            (s,) = stats[int(row["P"])]
+            mean_variance = float(np.mean(s.var_prediction))
+            assert row["mean_variance"] == mean_variance
+            if experiment == "average-rf":
+                lambda_tilde = solve_effective_ridge(spec, row["gamma"], 0.1).lambda_tilde
+                gap = s.mean_prediction - predict_krr(fit_krr(spec, data.y, lambda_tilde),
+                                                      gram_matrix(kernel, test_X, data.X))
+                assert row["mean_rf_vs_krr_rmse"] == float(np.sqrt(np.mean(gap**2)))
+                assert row["mean_rf_vs_krr_max_abs"] == float(np.max(np.abs(gap)))
+                assert row["mc_band_rmse"] == 3.0 * float(np.sqrt(mean_variance / 20))
+            else:
+                assert row["risk_of_mean"] == estimate_risk(s.mean_prediction, data.f_star)
+                assert row["expected_risk"] == row["risk_of_mean"] + row["mean_variance"]
+
     def test_ridgeless_solve_on_a_singular_gram_counts_its_rank(self, tmp_path):
         # Only 17 of this Gram's 40 eigenvalues lie above the rank floor, so at lambda = 0 the
         # derivative is 1 / (1 - 17 / (40 gamma)), not gamma / (gamma - 1).
@@ -719,6 +749,21 @@ class TestMainExitCodes:
         assert err.startswith("error: invalid configuration: file is not valid UTF-8")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dataset", [{"type": "clusters", "separation": 1e160}, {"type": "csv"}],
+                             ids=["clusters-far-apart", "csv-huge-cell"])
+    def test_coordinates_whose_distances_overflow_are_1(self, dataset, tmp_path, capsys):
+        # Squared distances of finite rows overflow to inf (and inf - inf to nan) before any Gram is formed.
+        if dataset["type"] == "csv":
+            data = tmp_path / "data.csv"
+            data.write_text("x_0,y\n1,2\n1e200,3\n0,1\n")
+            dataset = {**dataset, "path": str(data)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": dataset}))
+        code = main(["average-rf", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: invalid configuration: squared distances between input rows overflow\n"
+
     @pytest.mark.parametrize(
         "experiment, config, field",
         [
@@ -773,6 +818,8 @@ class TestMainExitCodes:
             ("solve", {"dataset": {"type": "spectrum", "n": 1000000000000000}}, "dataset.n"),
             ("average-rf", {"dataset": {"type": "sinusoid", "n_test": 10**5}}, "dataset.n_test"),
             ("double-descent", {"dataset": {"type": "clusters", "n": 10**5}}, "dataset.n"),
+            ("average-rf", {"dataset": {"type": "clusters", "n": 1}}, "dataset.n must be an integer >= 2"),
+            ("average-rf", {"dataset": {"type": "clusters", "n_test": 1}}, "dataset.n_test must be an integer >= 2"),
             ("solve", {"gamma_grid": [1.0, 1e308]}, "gamma_grid"),
             ("calibrate", {"gamma_grid": [1.0, 1e308]}, "gamma_grid"),
         ],
@@ -780,7 +827,8 @@ class TestMainExitCodes:
              "n-float", "dim-string", "separation-string", "lengthscale-string", "n_test-fraction",
              "spectrum-n-fraction", "dataset-typo", "kernel-typo", "csv-path-number",
              "p-huge", "p-1e300", "gamma-huge", "gamma-overflow", "spectrum-n-huge",
-             "n_test-huge", "clusters-n-huge", "solve-gamma-overflow", "calibrate-gamma-overflow"],
+             "n_test-huge", "clusters-n-huge", "clusters-n-one", "clusters-n_test-one",
+             "solve-gamma-overflow", "calibrate-gamma-overflow"],
     )
     def test_bad_field_is_1(self, experiment, config, field, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -81,7 +81,6 @@ class TestSolve:
     def test_ridgeless_underparameterized_closed_form(self):
         eff = solve_effective_ridge(Spectrum(np.ones(4)), 0.5, 0.0)
         assert eff.lambda_tilde == pytest.approx(1.0, rel=1e-12)
-        assert eff.lam == 0.0
 
     def test_ridgeless_overparameterized_is_zero(self):
         eff = solve_effective_ridge(Spectrum(np.ones(4)), 2.0, 0.0)
@@ -361,8 +360,6 @@ def textbook_solve(d, gamma, lam):
         d_lambda_tilde=1.0 / textbook_slope(lt, d, gamma),
         effective_dimension=float(np.sum(out)),
         residual=textbook_residual(lt, d, gamma, lam),
-        gamma=gamma,
-        lam=lam,
     ), steps
 
 

@@ -272,3 +272,7 @@ class TestDataset:
     def test_nonfinite_labels_rejected(self):
         with pytest.raises(InvalidInputError):
             Dataset(X=np.array([[0.0], [1.0]]), y=np.array([0.0, np.nan]))
+
+    def test_nonfinite_f_star_rejected(self):
+        with pytest.raises(InvalidInputError, match="f_star contains non-finite values"):
+            Dataset(X=np.array([[0.0], [1.0]]), y=np.array([0.0, 1.0]), f_star=[np.nan])
