@@ -37,9 +37,6 @@ from .predictors import (
 from .effective_ridge import (
     EffectiveRidge,
     calibrate_ridge,
-    effective_dimension,
-    effective_ridge_derivative,
-    ridgeless_limit,
     solve_effective_ridge,
     theta_norm_theory,
 )

@@ -7,13 +7,14 @@ ridge ``lambda`` behaves like kernel ridge regression with the larger
 
     t = lambda + (t / gamma) * (1/N) * sum_i d_i / (t + d_i)
 
-where ``d_i`` are the Gram eigenvalues.  This module solves that fixed point,
-differentiates it in ``lambda``, evaluates the associated effective dimension,
-handles the ridgeless limits on both sides of ``gamma = 1``, inverts the map
-(ridge calibration), and predicts the mean squared parameter norm.  Each
-function reads the eigenvalues as a checked :class:`Spectrum` (defined in
-``kernels``, importable from here); the ``GramSpectrum`` that
-``spectral_decompose`` returns is one.
+where ``d_i`` are the Gram eigenvalues.  One solve,
+:func:`solve_effective_ridge`, returns that fixed point together with its
+derivative in ``lambda`` and the effective dimension, at ``lambda = 0`` too,
+where the ridgeless limits on both sides of ``gamma = 1`` apply.  The module
+also inverts the map (ridge calibration) and predicts the mean squared
+parameter norm.  Each function reads the eigenvalues as a checked
+:class:`Spectrum` (defined in ``kernels``, importable from here); the
+``GramSpectrum`` that ``spectral_decompose`` returns is one.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ RESIDUAL_TOL = 1e-12
 def _check_gamma(gamma: float) -> None:
     if not 0.0 < gamma < math.inf:
         raise InvalidInputError("gamma must be positive")
-
-
-def _check_lambda_tilde(lambda_tilde: float) -> None:
-    if not 0.0 <= lambda_tilde < math.inf:
-        raise InvalidInputError("lambda_tilde must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -145,9 +141,10 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
         lambda_tilde, iterations = _ridgeless_newton(spectrum, gamma)
         if lambda_tilde == 0.0:
             # Overparameterized ridgeless: the defining equation is satisfied
-            # identically at t = 0; zero eigenvalues drop out of its derivative.
-            return EffectiveRidge(0.0, effective_ridge_derivative(spectrum, gamma, 0.0),
-                                  effective_dimension(spectrum, 0.0), 0.0, iterations)
+            # identically at t = 0; zero eigenvalues drop out of its derivative
+            # and its effective dimension, which is the spectrum's rank.
+            return EffectiveRidge(0.0, 1.0 / (1.0 - spectrum.rank / spectrum.n / gamma),
+                                  float(spectrum.rank), 0.0, iterations)
         values = _fixed_point(lambda_tilde, d, gamma, 0.0)
 
     residual, slope, dimension = values
@@ -159,58 +156,14 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
                           effective_dimension=dimension, residual=float(residual), iterations=iterations)
 
 
-def effective_ridge_derivative(spectrum: Spectrum, gamma: float, lambda_tilde: float) -> float:
-    """Closed-form derivative of the effective ridge with respect to the ridge.
-
-    Differentiating the defining equation gives
-
-        d(lambda_tilde)/d(lambda)
-            = 1 / (1 - (1/gamma) mean(d/(t+d)) + (t/gamma) mean(d/(t+d)^2))
-
-    at ``t = lambda_tilde``, which does not involve the ridge itself.  The
-    denominator is positive whenever ``t`` solves the equation, so a
-    nonpositive value signals an inconsistent input.
-    """
-    _check_gamma(gamma)
-    _check_lambda_tilde(lambda_tilde)
-    if lambda_tilde == 0.0:
-        denom = 1.0 - spectrum.rank / spectrum.n / gamma
-    else:
-        denom = _fixed_point(lambda_tilde, spectrum.eigenvalues, gamma, 0.0)[1]
-    if denom <= 0:
-        raise NumericError("derivative denominator is nonpositive; lambda_tilde does not solve the fixed point")
-    return 1.0 / denom
-
-
-def effective_dimension(spectrum: Spectrum, lambda_tilde: float) -> float:
-    """Effective dimension ``sum_i d_i / (lambda_tilde + d_i)``.
-
-    Zero eigenvalues contribute nothing, including in the ridgeless limit
-    ``lambda_tilde = 0``, where it is the spectrum's rank.
-    """
-    _check_lambda_tilde(lambda_tilde)
-    if lambda_tilde == 0.0:
-        return float(spectrum.rank)
-    return _quotient_sums(lambda_tilde, spectrum.eigenvalues)[0].item()
-
-
-def ridgeless_limit(spectrum: Spectrum, gamma: float) -> float:
-    """Limit of the effective ridge as the explicit ridge vanishes.
-
-    Overparameterized (gamma > 1): 0.  Underparameterized (gamma < 1): the
-    unique positive root of ``gamma = mean(d / (t + d))``, which requires a
-    full-rank spectrum.  gamma = 1 sits at the interpolation
-    threshold, where no finite limit exists.  ``gamma - mean(d / (t + d))``
-    is concave and increasing, so Newton rises monotonically to its root from
-    below; the root is checked on this equation, because the defining one at
-    ``lam = 0`` is scaled by ``t`` and cannot see a wrong tiny root.
-    """
-    _check_gamma(gamma)
-    return _ridgeless_newton(spectrum, gamma)[0]
-
-
 def _ridgeless_newton(spectrum: Spectrum, gamma: float) -> tuple[float, int]:
-    """``ridgeless_limit`` and its Newton step count, for a checked ``gamma``."""
+    """The ridgeless effective ridge and its Newton step count, for a checked ``gamma``.
+
+    At gamma < 1, ``gamma - mean(d / (t + d))`` is concave and increasing, so
+    Newton rises monotonically to its root from below.  The root is checked on
+    this equation, because the defining one at ``lam = 0`` is scaled by ``t``
+    and cannot see a wrong tiny root.
+    """
     if gamma == 1.0:
         raise AtThresholdError("ridgeless effective ridge is degenerate at gamma = 1")
     if gamma > 1.0:

@@ -12,16 +12,18 @@ the unique solution inside the cone spanned by ``1`` and ``-1/z`` for
 effective ridge: ``m_tilde(-lambda) = 1 / lambda_tilde(lambda, gamma)``.
 
 Sampling happens in the kernel eigenbasis: ``W`` is Gaussian, so only the
-kernel eigenvalues ``d`` matter, and each draw reduces to the ``N x N`` Gram
-``G = Y^T Y`` with ``Y = W diag(d / P)^{1/2}``.  One sampler yields these
-Grams for the Stieltjes transform, which reads their ``r = min(N, P)``
-eigenvalues ``s_i`` and counts the other ``P - r`` exact zeros in closed form,
+kernel eigenvalues ``d`` matter, and each draw reduces to
+``Y = W diag(d / P)^{1/2}`` and its ``N x N`` Gram ``G = Y^T Y``.  One
+sampler yields these draws, and each consumer forms its own Gram: the
+Stieltjes transform reads the ``r = min(N, P)`` eigenvalues ``s_i`` of ``G``
+and counts the other ``P - r`` exact zeros in closed form,
 
     m_P(z) = ((P - r) / (-z) + sum_{i<=r} 1 / (s_i - z)) / P,
 
-and for the averaged hat matrix ``A = F (F^T F + lambda I)^{-1} F^T``, read as
-``(G + lambda I)^{-1} G`` at every ridge and compared with its deterministic
-limit ``K (K + lambda_tilde I)^{-1}`` through the eigenvalues of both.
+and the averaged hat matrix ``A = F (F^T F + lambda I)^{-1} F^T`` is read as
+``(G + lambda I)^{-1} G``, or as ``Y^T (Y Y^T + lambda I)^{-1} Y`` when
+``P < N``, at every ridge and compared with its deterministic limit
+``K (K + lambda_tilde I)^{-1}`` through the eigenvalues of both.
 
 Rate of concentration at ``z = -lambda``.  Resampling one feature is a
 rank-two change of ``F F^T``, so the Efron-Stein inequality gives the general
@@ -58,18 +60,18 @@ class StieltjesSolution:
     accepted Newton steps, those of the real solver on the real axis.
     """
 
-    z: complex
     m_tilde: complex
     residual: float
     iterations: int
     in_cone: bool
 
 
-def _wishart_grams(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> Iterator[np.ndarray]:
-    """Stacked ``N x N`` Grams ``G = Y^T Y``, ``Y = W diag(d / P)^{1/2}``, of consecutive draws.
+def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> Iterator[np.ndarray]:
+    """Stacks of scaled draws ``Y = W diag(d / P)^{1/2}``, shape ``(k, P, N)``; ``Y^T Y`` is ``F^T F``.
 
     The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
-    a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` Grams, which matters when ``P < N``.
+    a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` draws, so that its
+    ``N x N`` Grams fit one chunk, which matters when ``P < N``.
     """
     d = spectrum.eigenvalues
     if P < 1:
@@ -81,8 +83,7 @@ def _wishart_grams(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
     step = max(1, CHUNK_ELEMENTS // (N * N))
     for _, W in normal_chunks(policy, trials, (P, N)):
         for k in range(0, len(W), step):
-            Y = W[k : k + step] * scale
-            yield Y.transpose(0, 2, 1) @ Y
+            yield W[k : k + step] * scale
 
 
 def sample_wishart(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
@@ -92,10 +93,10 @@ def sample_wishart(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
     the draw at ``policy.shifted(t)``'s ``N x N`` Gram, descending, clamped at
     zero and cut to ``P``; the other eigenvalues of ``F^T F`` are exact zeros.
     """
-    spectra = [
-        np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1]
-        for G in _wishart_grams(spectrum, P, policy, trials)
-    ]
+    spectra = []
+    for Y in _wishart_draws(spectrum, P, policy, trials):
+        G = Y.transpose(0, 2, 1) @ Y
+        spectra.append(np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1])
     return np.maximum(np.concatenate(spectra), 0.0)[:, :P]
 
 
@@ -163,7 +164,6 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
         )
     m = complex(1.0 / t)
     return StieltjesSolution(
-        z=z,
         m_tilde=m,
         residual=float(residual),
         iterations=iterations,
@@ -185,18 +185,26 @@ def empirical_expected_A(
     """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]`` per ridge.
 
     Trials use consecutive stream seeds starting at ``policy``, and each draw
-    serves every ridge of ``lams`` through its Gram ``G``: the hat matrix is
-    ``(G + lam I)^{-1} G`` in the kernel eigenbasis, one batched solve per
-    stack for every ridge.  Per ridge, the stacks' sums are accumulated in
-    order, averaged, symmetrized and eigendecomposed.
+    ``Y`` serves every ridge of ``lams``: the hat matrix is
+    ``(Y^T Y + lam I)^{-1} Y^T Y`` in the kernel eigenbasis, one batched solve
+    per stack for every ridge.  At ``P < N`` that ``N x N`` Gram has rank
+    ``P`` and its shifted system is singular to working precision at a tiny
+    ridge, so the solve runs on the ``P x P`` Gram through the push-through
+    identity ``Y^T (Y Y^T + lam I)^{-1} Y``.  Per ridge, the stacks' sums are
+    accumulated in order, averaged, symmetrized and eigendecomposed.
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
     N = spectrum.n
     acc = np.zeros((len(lams), N, N))
-    ridges = np.asarray(lams, dtype=float)[:, None, None, None] * np.eye(N)
-    for G in _wishart_grams(spectrum, P, policy, trials):
-        acc += np.sum(np.linalg.solve(G + ridges, G[None]), axis=1)
+    ridges = np.asarray(lams, dtype=float)[:, None, None, None] * np.eye(min(N, P))
+    for Y in _wishart_draws(spectrum, P, policy, trials):
+        Yt = Y.transpose(0, 2, 1)
+        if P < N:
+            acc += np.sum(Yt @ np.linalg.solve(Y @ Yt + ridges, Y[None]), axis=1)
+        else:
+            G = Yt @ Y
+            acc += np.sum(np.linalg.solve(G + ridges, G[None]), axis=1)
     acc /= trials
     return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]
 

@@ -139,7 +139,7 @@ def test_criterion_04_calibration_round_trip():
         n = int(rng.integers(2, 40))
         d = rng.uniform(0.2, 3.0, size=n)
         gamma = rng.uniform(0.1, 0.8)
-        low_target = 0.5 * e.ridgeless_limit(e.Spectrum(d), gamma)
+        low_target = 0.5 * e.solve_effective_ridge(e.Spectrum(d), gamma, 0.0).lambda_tilde
         try:
             e.calibrate_ridge(e.Spectrum(d), gamma, low_target)
         except e.InfeasibleTargetError:

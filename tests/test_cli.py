@@ -470,6 +470,14 @@ class TestArtifacts:
         assert [(r["gamma"], r["effective_dimension"]) for r in rows] == [(2.0, 17.0), (4.0, 17.0)]
         assert [r["d_lambda_tilde"] for r in rows] == pytest.approx([80 / 63, 160 / 143], rel=1e-12)
 
+    def test_expected_a_with_fewer_features_than_points_stays_in_the_unit_interval(self, tmp_path):
+        # At P < N the N x N Gram has rank P, so at a tiny ridge only the P x P Gram can be solved.
+        _, artifacts = run_fast("expected-a", tmp_path, dataset={"type": "spectrum", "kind": "exponential", "n": 50},
+                                p_grid=[1, 10], lambda_list=[1e-20], trials=20)
+        _, rows = parse_results_csv(artifacts["results"])
+        assert {r["P"] for r in rows} == {1, 10}
+        assert all(-1e-12 <= r["d_tilde"] <= 1 + 1e-12 for r in rows)
+
     def test_stieltjes_residual_sees_an_effective_ridge_error(self, tmp_path, monkeypatch):
         # recip_identity_err is the residual of the m-form equation at m = 1 / lambda_tilde,
         # so a relative error of 1e-9 in lambda_tilde shows up far above rounding.

@@ -12,12 +12,9 @@ from effridge import (
     SeedPolicy,
     Spectrum,
     calibrate_ridge,
-    effective_dimension,
-    effective_ridge_derivative,
     empirical_expected_A,
     expected_A_theoretical,
     generate_spectrum,
-    ridgeless_limit,
     sample_wishart,
     solve_effective_ridge,
     spectral_decompose,
@@ -138,11 +135,11 @@ NAN = float("nan")
         ),
         pytest.param(lambda: calibrate_ridge(Spectrum(np.array([])), 1.0, 0.5), id="calibrate-empty"),
         pytest.param(
-            lambda: effective_dimension(Spectrum(np.array([-0.5, 1.0])), 0.3),
-            id="dimension-negative-eigenvalue",
+            lambda: solve_effective_ridge(Spectrum(np.array([-0.5, 1.0])), 2.0, 0.3),
+            id="solve-negative-eigenvalue",
         ),
         pytest.param(
-            lambda: ridgeless_limit(Spectrum(np.array([NAN, 1.0])), 0.5),
+            lambda: solve_effective_ridge(Spectrum(np.array([NAN, 1.0])), 0.5, 0.0),
             id="ridgeless-nan-eigenvalue",
         ),
         pytest.param(
@@ -150,23 +147,9 @@ NAN = float("nan")
             id="stieltjes-inf-eigenvalue",
         ),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.zeros(0)), 2.0, 0.1), id="solve-empty"),
-        pytest.param(
-            lambda: effective_ridge_derivative(Spectrum(np.ones(3)), 0.5, NAN),
-            id="derivative-nan-lambda-tilde",
-        ),
-        pytest.param(
-            lambda: effective_ridge_derivative(Spectrum(np.ones(3)), NAN, 0.4),
-            id="derivative-nan-gamma",
-        ),
-        pytest.param(lambda: effective_dimension(Spectrum(np.ones(3)), NAN), id="dimension-nan-lambda-tilde"),
-        pytest.param(
-            lambda: effective_dimension(Spectrum(np.ones(3)), np.inf),
-            id="dimension-inf-lambda-tilde",
-        ),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), np.inf, 0.1), id="solve-inf-gamma"),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), 1.0, NAN), id="solve-nan-ridge"),
         pytest.param(lambda: calibrate_ridge(Spectrum(np.ones(3)), NAN, 0.5), id="calibrate-nan-gamma"),
-        pytest.param(lambda: ridgeless_limit(Spectrum(np.ones(3)), -1.0), id="ridgeless-negative-gamma"),
     ],
 )
 def test_malformed_input_is_an_input_error(call):
@@ -187,9 +170,6 @@ def test_spectrum_keeps_its_checked_eigenvalues():
 SPECTRUM_READERS = {
     "solve_effective_ridge": lambda s: solve_effective_ridge(s, 0.5, 0.1),
     "calibrate_ridge": lambda s: calibrate_ridge(s, 2.0, 0.5),
-    "effective_dimension": lambda s: effective_dimension(s, 0.3),
-    "effective_ridge_derivative": lambda s: effective_ridge_derivative(s, 2.0, 0.3),
-    "ridgeless_limit": lambda s: ridgeless_limit(s, 0.5),
     "theoretical_stieltjes": lambda s: theoretical_stieltjes(s, 0.5, complex(-0.4, 0.8)),
     "sample_wishart": lambda s: sample_wishart(s, 4, SeedPolicy(3), 5),
     "expected_A_theoretical": lambda s: expected_A_theoretical(s, 0.3),
@@ -223,8 +203,7 @@ class TestDerivative:
         # lambda = 0 is 1 / (1 - r / (N gamma)) with r = 2 positive eigenvalues of N = 4.
         spec, h = Spectrum([1.0, 0.5, 0.0, 0.0]), 1e-7
         eff = solve_effective_ridge(spec, gamma, 0.0)
-        assert eff.d_lambda_tilde == effective_ridge_derivative(spec, gamma, 0.0)
-        assert eff.d_lambda_tilde == pytest.approx(1.0 / (1.0 - 2.0 / (4.0 * gamma)), rel=1e-15)
+        assert eff.d_lambda_tilde == 1.0 / (1.0 - 2 / 4 / gamma)
         assert eff.d_lambda_tilde == pytest.approx(solve_effective_ridge(spec, gamma, h).lambda_tilde / h, rel=1e-5)
 
     def test_large_ridge_limit(self):
@@ -245,21 +224,16 @@ class TestDerivative:
         eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         assert eff.d_lambda_tilde == pytest.approx(fd_derivative(d, gamma, lam), rel=1e-6)
 
-    def test_rejects_inconsistent_lambda_tilde(self):
-        with pytest.raises(Exception):
-            effective_ridge_derivative(Spectrum(np.ones(3)), 0.2, 0.0)
-
 
 class TestEffectiveDimension:
     def test_infinite_ridge_kills_dimension(self):
-        d = np.ones(5)
-        assert effective_dimension(Spectrum(d), 1e12) < 1e-9 * 5
+        assert solve_effective_ridge(Spectrum(np.ones(5)), 2.0, 1e12).effective_dimension < 1e-9 * 5
 
     def test_identity_with_feature_count(self):
         N, gamma, lam = 2, 1.0, 0.1
         eff = solve_effective_ridge(Spectrum(np.ones(N)), gamma, lam)
         P = gamma * N
-        lhs = effective_dimension(Spectrum(np.ones(N)), eff.lambda_tilde)
+        lhs = eff.effective_dimension
         rhs = P * (1 - lam / eff.lambda_tilde)
         assert lhs == pytest.approx(1.4596875762567152, rel=1e-10)
         assert abs(lhs - rhs) < 1e-9 * P
@@ -282,22 +256,22 @@ class TestEffectiveDimension:
 
 class TestRidgelessLimit:
     def test_overparameterized(self):
-        assert ridgeless_limit(Spectrum(np.ones(3)), 2.0) == 0.0
+        assert solve_effective_ridge(Spectrum(np.ones(3)), 2.0, 0.0).lambda_tilde == 0.0
 
     def test_equal_spectrum(self):
-        assert ridgeless_limit(Spectrum(np.ones(3)), 0.5) == pytest.approx(1.0, rel=1e-12)
+        assert solve_effective_ridge(Spectrum(np.ones(3)), 0.5, 0.0).lambda_tilde == pytest.approx(1.0, rel=1e-12)
 
     def test_lower_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             d = rng.uniform(0.05, 2.0, size=10)
             gamma = rng.uniform(0.1, 0.9)
-            lt0 = ridgeless_limit(Spectrum(d), gamma)
+            lt0 = solve_effective_ridge(Spectrum(d), gamma, 0.0).lambda_tilde
             assert lt0 >= np.min(d) * (1 - np.sqrt(gamma)) / np.sqrt(gamma) - 1e-12
 
     def test_threshold(self):
         with pytest.raises(AtThresholdError):
-            ridgeless_limit(Spectrum(np.ones(3)), 1.0)
+            solve_effective_ridge(Spectrum(np.ones(3)), 1.0, 0.0)
 
     @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.95])
     def test_spectrum_spanning_hundreds_of_decades(self, gamma):
@@ -314,7 +288,7 @@ class TestRidgelessLimit:
         with pytest.raises(NumericError):
             solve_effective_ridge(Spectrum(np.ones(5)), 1.0, 0.1)
         with pytest.raises(NumericError):
-            ridgeless_limit(Spectrum(generate_spectrum("polynomial", 20)), 0.4)
+            solve_effective_ridge(Spectrum(generate_spectrum("polynomial", 20)), 0.4, 0.0)
 
 
 def textbook_residual(t, d, gamma, lam):
@@ -439,12 +413,6 @@ class TestOnePassSolve:
         calls = []
         one_pass = er._quotient_sums
         monkeypatch.setattr(er, "_quotient_sums", lambda t, d: calls.append(t) or one_pass(t, d))
-
-        def recomputed(*args):
-            raise AssertionError("the root's values are recomputed")
-
-        monkeypatch.setattr(er, "effective_dimension", recomputed)
-        monkeypatch.setattr(er, "effective_ridge_derivative", recomputed)
         eff = er.solve_effective_ridge(Spectrum(POLY_2000), gamma, lam)
         # the start, one per accepted step, and the rejected step only if it moved the iterate
         t = eff.lambda_tilde
@@ -455,7 +423,7 @@ class TestOnePassSolve:
         "solve",
         [
             lambda: solve_effective_ridge(Spectrum(POLY_2000), 0.5, 1e-3),
-            lambda: ridgeless_limit(Spectrum(POLY_2000), 0.5),
+            lambda: solve_effective_ridge(Spectrum(POLY_2000), 0.5, 0.0),
             lambda: theoretical_stieltjes(Spectrum(POLY_2000), 0.2, complex(-0.1, 0.3)),
         ],
         ids=["positive-ridge", "ridgeless", "complex-stieltjes"],
@@ -502,7 +470,7 @@ class TestCalibrate:
         except InfeasibleTargetError:
             # infeasible iff the target cannot exceed the ridgeless limit
             if gamma < 1:
-                assert lam_star <= ridgeless_limit(Spectrum(d), gamma) + 1e-12
+                assert lam_star <= solve_effective_ridge(Spectrum(d), gamma, 0.0).lambda_tilde + 1e-12
             return
         eff = solve_effective_ridge(Spectrum(d), gamma, lam)
         assert eff.lambda_tilde == pytest.approx(lam_star, rel=1e-10)

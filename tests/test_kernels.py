@@ -10,8 +10,6 @@ from effridge import (
     KernelSpec,
     NumericError,
     Spectrum,
-    effective_dimension,
-    effective_ridge_derivative,
     gram_matrix,
     inv_kernel_norm_sq,
     solve_effective_ridge,
@@ -232,11 +230,10 @@ class TestOneRank:
         assert np.allclose(apply_inverse(spec, np.eye(4)), (U2 / self.D[:2]) @ U2.T, rtol=1e-9, atol=0)
         y = U @ np.ones(4)
         assert inv_kernel_norm_sq(spec, y) == pytest.approx(1001.0, rel=1e-9)
-        assert effective_dimension(spec, 0.0) == 2.0
-        # 1 / (1 - rank / (N gamma)) at gamma = 2
-        assert effective_ridge_derivative(spec, 2.0, 0.0) == 4 / 3
         eff = solve_effective_ridge(spec, 2.0, 0.0)
         assert eff.lambda_tilde == 0.0 and eff.effective_dimension == 2.0
+        # 1 / (1 - rank / (N gamma)) at gamma = 2
+        assert eff.d_lambda_tilde == 4 / 3
         assert theta_norm_theory(spec, y, eff) == pytest.approx(4 / 3 * 1001.0, rel=1e-9)
         with pytest.raises(InvalidInputError, match="full-rank"):
             solve_effective_ridge(spec, 0.5, 0.0)
@@ -251,8 +248,9 @@ class TestOneRank:
     def test_given_eigenvalues_are_exact(self):
         spectrum = Spectrum(self.D)
         assert spectrum.rank == 3 and spectrum.in_range.tolist() == [True, True, True, False]
-        assert effective_dimension(spectrum, 0.0) == 3.0
-        assert effective_ridge_derivative(spectrum, 2.0, 0.0) == 1 / (1 - 3 / 8)
+        eff = solve_effective_ridge(spectrum, 2.0, 0.0)
+        assert eff.effective_dimension == 3.0
+        assert eff.d_lambda_tilde == 1 / (1 - 3 / 8)
 
 
 class TestDataset:
