@@ -1,4 +1,4 @@
-from dataclasses import astuple, is_dataclass
+from dataclasses import astuple, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -150,6 +150,14 @@ NAN = float("nan")
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), np.inf, 0.1), id="solve-inf-gamma"),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), 1.0, NAN), id="solve-nan-ridge"),
         pytest.param(lambda: calibrate_ridge(Spectrum(np.ones(3)), NAN, 0.5), id="calibrate-nan-gamma"),
+        pytest.param(lambda: calibrate_ridge(Spectrum(np.ones(3)), 1.0, NAN), id="calibrate-nan-target"),
+        pytest.param(lambda: calibrate_ridge(Spectrum(np.ones(3)), 0.5, np.inf), id="calibrate-inf-target"),
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), 1.0, np.inf), id="solve-inf-ridge"),
+        # At lambda = 0 a gamma that is NaN or infinite would otherwise fall
+        # through to the overparameterized closed forms.
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), -1.0, 0.0), id="ridgeless-negative-gamma"),
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), NAN, 0.0), id="ridgeless-nan-gamma"),
+        pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), np.inf, 0.0), id="ridgeless-inf-gamma"),
     ],
 )
 def test_malformed_input_is_an_input_error(call):
@@ -167,8 +175,22 @@ def test_spectrum_keeps_its_checked_eigenvalues():
         spectrum.eigenvalues[0] = -1.0
 
 
+def test_the_solve_is_the_one_effective_ridge_entry_point():
+    # The derivative, effective dimension and ridgeless limit are fields of
+    # one solve, not functions of their own.
+    import effridge
+    import effridge.effective_ridge as er
+    from effridge import StieltjesSolution
+
+    for name in ("ridgeless_limit", "effective_ridge_derivative", "effective_dimension", "_check_lambda_tilde"):
+        assert not hasattr(effridge, name) and not hasattr(er, name)
+    assert "z" not in {f.name for f in fields(StieltjesSolution)}
+
+
 SPECTRUM_READERS = {
     "solve_effective_ridge": lambda s: solve_effective_ridge(s, 0.5, 0.1),
+    "solve_effective_ridge-ridgeless": lambda s: solve_effective_ridge(s, 0.5, 0.0),
+    "solve_effective_ridge-overparameterized-ridgeless": lambda s: solve_effective_ridge(s, 2.0, 0.0),
     "calibrate_ridge": lambda s: calibrate_ridge(s, 2.0, 0.5),
     "theoretical_stieltjes": lambda s: theoretical_stieltjes(s, 0.5, complex(-0.4, 0.8)),
     "sample_wishart": lambda s: sample_wishart(s, 4, SeedPolicy(3), 5),
