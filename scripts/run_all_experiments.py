@@ -2,8 +2,8 @@
 """Run every experiment at desk scale into results/.
 
 Each experiment runs its default configuration, which its output directory
-echoes as config.json.  Pass --quick to cut the trial count of every
-sampling experiment to 20 for a fast smoke run.  A failure ends the run with
+echoes as config.json.  Pass --quick to cap the trial count of every
+experiment at 20 for a fast smoke run.  A failure ends the run with
 the exit codes of the ``effridge`` command: 1 for invalid configuration or
 input (a malformed flag included), 2 for an I/O failure, 3 for a numeric
 failure, each with an ``error: ...`` line on stderr.
@@ -13,7 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-from effridge.cli import _MC_EXPERIMENTS, EXPERIMENTS, _Parser, cmd_run, load_config, report_failure
+from effridge.cli import EXPERIMENTS, _Parser, cmd_run, default_config, load_config, report_failure
 from effridge.errors import EffridgeError
 
 
@@ -21,14 +21,14 @@ def main() -> int:
     parser = _Parser(description=__doc__)
     parser.add_argument("--out", default="results", help="base output directory")
     parser.add_argument("--seed", type=int, default=None, help="base seed override")
-    parser.add_argument("--quick", action="store_true", help="cut trial counts to 20")
+    parser.add_argument("--quick", action="store_true", help="cap trial counts at 20")
 
     try:
         args = parser.parse_args()
         for experiment in EXPERIMENTS:
             overrides = dict(output_dir=str(Path(args.out) / experiment), base_seed=args.seed)
-            if args.quick and experiment in _MC_EXPERIMENTS:
-                overrides["trials"] = 20
+            if args.quick:
+                overrides["trials"] = min(default_config(experiment).trials, 20)
             cfg = load_config(experiment, None, **overrides)
             t0 = time.monotonic()
             artifacts = cmd_run(cfg)

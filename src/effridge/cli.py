@@ -57,29 +57,26 @@ class ExperimentConfig:
 
     experiment: str
     dataset: dict
-    kernel: dict | None
-    gamma_grid: list | None
-    p_grid: list | None
     lambda_list: list
     trials: int
     base_seed: int
     output_dir: str
+    kernel: dict | None = None
+    gamma_grid: list | None = None
+    p_grid: list | None = None
 
 
+# Each experiment's defaults set exactly the fields it reads, one grid among them.
 _DEFAULTS: dict[str, dict] = {
     "solve": dict(
         dataset={"type": "spectrum", "kind": "exponential", "n": 20},
-        kernel=None,
         gamma_grid=[0.1, 0.16, 0.25, 0.4, 0.63, 0.8, 1.0, 1.25, 1.6, 2.5, 4.0, 6.3, 10.0],
-        p_grid=None,
         lambda_list=[1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0],
         trials=1,
     ),
     "calibrate": dict(
         dataset={"type": "spectrum", "kind": "exponential", "n": 20},
-        kernel=None,
         gamma_grid=[0.25, 0.5, 1.0, 2.0, 4.0],
-        p_grid=None,
         lambda_list=[0.1, 0.5, 1.0, 2.0],
         trials=1,
     ),
@@ -87,7 +84,6 @@ _DEFAULTS: dict[str, dict] = {
         dataset={"type": "sinusoid", "n": 4, "n_test": 100},
         kernel={"kind": "rbf", "lengthscale": 2.0},
         gamma_grid=[0.5, 1.0, 2.0, 4.0],
-        p_grid=None,
         lambda_list=[0.1, 1.0],
         trials=500,
     ),
@@ -95,22 +91,17 @@ _DEFAULTS: dict[str, dict] = {
         dataset={"type": "sinusoid", "n": 4, "n_test": 100},
         kernel={"kind": "rbf", "lengthscale": 2.0},
         gamma_grid=[0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0],
-        p_grid=None,
         lambda_list=[1e-4, 0.5],
         trials=1000,
     ),
     "stieltjes": dict(
         dataset={"type": "spectrum", "kind": "exponential", "n": 50},
-        kernel=None,
-        gamma_grid=None,
         p_grid=[50, 100, 200, 400],
         lambda_list=[1.0],
         trials=200,
     ),
     "expected-a": dict(
         dataset={"type": "spectrum", "kind": "exponential", "n": 10},
-        kernel=None,
-        gamma_grid=None,
         p_grid=[10, 50, 200],
         lambda_list=[1e-2],
         trials=500,
@@ -119,7 +110,6 @@ _DEFAULTS: dict[str, dict] = {
         dataset={"type": "sinusoid", "n": 4, "n_test": 100},
         kernel={"kind": "rbf", "lengthscale": 2.0},
         gamma_grid=[0.5, 1.0, 2.5, 25.0],
-        p_grid=None,
         lambda_list=[1e-4, 0.1],
         trials=500,
     ),
@@ -200,7 +190,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     _check_descriptor("dataset", cfg.dataset, {"type": _TEXT, **_DATASET_KEYS[kind]})
     if kind == "csv" and "path" not in cfg.dataset:
         raise InvalidInputError("a csv dataset needs dataset.path")
-    uses_p = cfg.experiment in ("stieltjes", "expected-a")
+    uses_p = "p_grid" in _DEFAULTS[cfg.experiment]
     if kind == "spectrum" and cfg.experiment in _MC_EXPERIMENTS and not uses_p:
         raise InvalidInputError(f"experiment {cfg.experiment!r} needs a data-backed dataset, not {kind!r}")
     if kind == "spectrum" and cfg.kernel is not None:

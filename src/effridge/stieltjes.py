@@ -16,12 +16,12 @@ kernel eigenvalues ``d`` matter, and each draw reduces to
 ``Y = W diag(d / P)^{1/2}`` and its ``N x N`` Gram ``G = Y^T Y``.  One
 sampler yields these draws, and each consumer forms its own Gram: the
 Stieltjes transform reads the ``r = min(N, P)`` eigenvalues ``s_i`` of ``G``
-and counts the other ``P - r`` exact zeros in closed form,
+or ``Y Y^T``, whichever is smaller, and the other ``P - r`` zeros in closed form,
 
     m_P(z) = ((P - r) / (-z) + sum_{i<=r} 1 / (s_i - z)) / P,
 
 and the averaged hat matrix ``A = F (F^T F + lambda I)^{-1} F^T`` is read as
-``(G + lambda I)^{-1} G``, or as ``Y^T (Y Y^T + lambda I)^{-1} Y`` when
+``I - lambda (G + lambda I)^{-1}``, or as ``Y^T (Y Y^T + lambda I)^{-1} Y`` when
 ``P < N``, at every ridge and compared with its deterministic limit
 ``K (K + lambda_tilde I)^{-1}`` through the eigenvalues of both.
 
@@ -70,8 +70,8 @@ def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
     """Stacks of scaled draws ``Y = W diag(d / P)^{1/2}``, shape ``(k, P, N)``; ``Y^T Y`` is ``F^T F``.
 
     The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
-    a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` draws, so that its
-    ``N x N`` Grams fit one chunk, which matters when ``P < N``.
+    a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` draws, so that the
+    ``N x N`` hat matrices of ``empirical_expected_A`` fit one chunk at ``P < N``.
     """
     d = spectrum.eigenvalues
     if P < 1:
@@ -89,15 +89,16 @@ def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
 def sample_wishart(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
     """Nonzero spectra of ``trials`` draws of ``F^T F = (1/P) W diag(d) W^T``.
 
-    Row ``t`` of the ``(trials, min(N, P))`` result holds the eigenvalues of
-    the draw at ``policy.shifted(t)``'s ``N x N`` Gram, descending, clamped at
-    zero and cut to ``P``; the other eigenvalues of ``F^T F`` are exact zeros.
+    Row ``t`` of the ``(trials, min(N, P))`` result holds the eigenvalues of the
+    smaller Gram, ``Y^T Y`` or ``Y Y^T``, of the draw at ``policy.shifted(t)``,
+    descending and clamped at zero; the other eigenvalues of ``F^T F`` are zeros.
     """
     spectra = []
     for Y in _wishart_draws(spectrum, P, policy, trials):
-        G = Y.transpose(0, 2, 1) @ Y
+        Yt = Y.transpose(0, 2, 1)
+        G = Y @ Yt if P < spectrum.n else Yt @ Y
         spectra.append(np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1])
-    return np.maximum(np.concatenate(spectra), 0.0)[:, :P]
+    return np.maximum(np.concatenate(spectra), 0.0)
 
 
 def empirical_stieltjes(spectra: np.ndarray, P: int, z: complex) -> np.ndarray:
@@ -185,26 +186,27 @@ def empirical_expected_A(
     """Monte Carlo eigenvalues of the averaged hat matrix ``E[F (F^T F + lam I)^{-1} F^T]`` per ridge.
 
     Trials use consecutive stream seeds starting at ``policy``, and each draw
-    ``Y`` serves every ridge of ``lams``: the hat matrix is
-    ``(Y^T Y + lam I)^{-1} Y^T Y`` in the kernel eigenbasis, one batched solve
-    per stack for every ridge.  At ``P < N`` that ``N x N`` Gram has rank
-    ``P`` and its shifted system is singular to working precision at a tiny
-    ridge, so the solve runs on the ``P x P`` Gram through the push-through
-    identity ``Y^T (Y Y^T + lam I)^{-1} Y``.  Per ridge, the stacks' sums are
-    accumulated in order, averaged, symmetrized and eigendecomposed.
+    ``Y`` serves every ridge of ``lams``, one batched solve per stack for every
+    ridge.  At ``P >= N`` the hat matrix in the kernel eigenbasis is
+    ``I - lam (G + lam I)^{-1}``, ``G = Y^T Y``: a tiny ridge leaves ``G + lam I``
+    ill-conditioned, and solved against ``G`` it pushes eigenvalues above 1.
+    At ``P < N`` it is singular to working precision, so the solve runs on the
+    ``P x P`` Gram through the push-through identity ``Y^T (Y Y^T + lam I)^{-1} Y``.
+    Per ridge, the stacks' sums are accumulated in order, averaged, symmetrized
+    and eigendecomposed.
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
     N = spectrum.n
     acc = np.zeros((len(lams), N, N))
-    ridges = np.asarray(lams, dtype=float)[:, None, None, None] * np.eye(min(N, P))
+    lam = np.asarray(lams, dtype=float)[:, None, None, None]
+    ridges = lam * np.eye(min(N, P))
     for Y in _wishart_draws(spectrum, P, policy, trials):
         Yt = Y.transpose(0, 2, 1)
         if P < N:
             acc += np.sum(Yt @ np.linalg.solve(Y @ Yt + ridges, Y[None]), axis=1)
         else:
-            G = Yt @ Y
-            acc += np.sum(np.linalg.solve(G + ridges, G[None]), axis=1)
+            acc += np.sum(np.eye(N) - lam * np.linalg.inv(Yt @ Y + ridges), axis=1)
     acc /= trials
     return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]
 

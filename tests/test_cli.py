@@ -346,7 +346,8 @@ class TestArtifacts:
             env=env, check=True, capture_output=True,
         )
         for experiment in EXPERIMENTS:
-            assert (tmp_path / experiment / "results.csv").exists()
+            _, rows = parse_results_csv(tmp_path / experiment / "results.csv")
+            assert {r["trials"] for r in rows} == {1 if experiment in ("solve", "calibrate") else 20}
 
     @pytest.mark.parametrize("seed, message", [("-1", "base_seed"), ("abc", "argument --seed")],
                              ids=["negative-seed", "malformed-seed"])
@@ -470,12 +471,16 @@ class TestArtifacts:
         assert [(r["gamma"], r["effective_dimension"]) for r in rows] == [(2.0, 17.0), (4.0, 17.0)]
         assert [r["d_lambda_tilde"] for r in rows] == pytest.approx([80 / 63, 160 / 143], rel=1e-12)
 
-    def test_expected_a_with_fewer_features_than_points_stays_in_the_unit_interval(self, tmp_path):
-        # At P < N the N x N Gram has rank P, so at a tiny ridge only the P x P Gram can be solved.
+    @pytest.mark.parametrize("p_grid", [[1, 10], [50, 60]],
+                             ids=["fewer-features-than-points", "as-many-features-as-points"])
+    def test_expected_a_at_a_tiny_ridge_stays_in_the_unit_interval(self, p_grid, tmp_path):
+        # At P < N the N x N Gram G has rank P, so at a tiny ridge only the P x P Gram can be solved.
+        # At P = N, G is full rank but so ill-conditioned that solving G + lam I against G overshoots 1,
+        # where the resolvent form I - lam (G + lam I)^{-1} does not.
         _, artifacts = run_fast("expected-a", tmp_path, dataset={"type": "spectrum", "kind": "exponential", "n": 50},
-                                p_grid=[1, 10], lambda_list=[1e-20], trials=20)
+                                p_grid=p_grid, lambda_list=[1e-20], trials=20)
         _, rows = parse_results_csv(artifacts["results"])
-        assert {r["P"] for r in rows} == {1, 10}
+        assert {r["P"] for r in rows} == set(p_grid)
         assert all(-1e-12 <= r["d_tilde"] <= 1 + 1e-12 for r in rows)
 
     def test_stieltjes_residual_sees_an_effective_ridge_error(self, tmp_path, monkeypatch):
@@ -1075,9 +1080,9 @@ def experiment_configs(draw):
     """
     experiment = draw(st.sampled_from(EXPERIMENTS))
     config = draw(FIELDS)
-    uses_p = experiment in ("stieltjes", "expected-a")
-    grid, unread = ("p_grid", "gamma_grid") if uses_p else ("gamma_grid", "p_grid")
-    dataset = config.get("dataset", default_config(experiment).dataset)
+    defaults = default_config(experiment)
+    grid, unread = ("p_grid", "gamma_grid") if defaults.p_grid is not None else ("gamma_grid", "p_grid")
+    dataset = config.get("dataset", defaults.dataset)
     on_spectrum = isinstance(dataset, dict) and dataset.get("type") == "spectrum"
     read = {grid: GRIDS[grid]} if on_spectrum else {grid: GRIDS[grid], "kernel": KERNELS}
     config.update(draw(st.fixed_dictionaries({}, optional=read)))
