@@ -49,7 +49,7 @@ from .stieltjes import (
     stieltjes_moments,
     theoretical_stieltjes,
 )
-from .montecarlo import TrialStats, estimate_risk, run_trials
+from .montecarlo import TrialStats, run_trials
 from .datasets import (
     generate_clusters,
     generate_sinusoid,

@@ -16,9 +16,10 @@ the same bits on any platform.  The normals are not: Box-Muller's ``log1p``,
 ``log1p`` by the CPU's SIMD level (its AVX-512 loop and libm's differ by one
 ulp on some inputs).  So identical seeds give a bit-identical ``W`` on one
 numpy build, CPU SIMD level and libm.
-``StreamSampler`` draws one such stream.  ``normal_chunks`` draws many: it
-derives the seeds of a block of chunks with a SplitMix64 over uint64 arrays,
-re-keys one Philox per trial by assigning its state (a fresh stream: the key,
+``StreamSampler`` draws one such stream and ``normal_chunks`` draws many; both
+take their Philox keys from ``_stream_keys``, a SplitMix64 over uint64 arrays.
+``normal_chunks`` derives the keys of a block of chunks at once, re-keys one
+Philox per trial by assigning its state (a fresh stream: the key,
 a zero counter, an empty buffer), writes the uniforms into one preallocated
 array and runs one Box-Muller per chunk.  Each trial gets the same bits as
 its own ``StreamSampler``.
@@ -81,18 +82,12 @@ class SeedPolicy:
     def shifted(self, offset: int) -> "SeedPolicy":
         return SeedPolicy(self.base_seed, self.trial_index + offset)
 
-    def stream_seed(self) -> int:
-        return derive_stream_seed(self.base_seed, self.trial_index)
-
 
 class StreamSampler:
     """Uniform and normal variates from a Philox stream keyed by a SeedPolicy."""
 
     def __init__(self, policy: SeedPolicy):
-        seed = policy.stream_seed()
-        # Philox4x64 takes a 128-bit key; the upper word is a mix of the lower.
-        key = np.array([seed, _mix64(seed)], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        self._bitgen = np.random.Philox(key=_stream_keys(policy, 0, 1)[0])
 
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1), each from the top 53 bits of one raw draw."""
@@ -142,8 +137,10 @@ def check_draw(shape: tuple[int, int]) -> None:
 def _stream_keys(policy: SeedPolicy, start: int, stop: int) -> np.ndarray:
     """Philox keys ``[seed, _mix64(seed)]`` of the trials ``start`` to ``stop - 1`` of ``policy``, one per row.
 
-    The seeds are ``derive_stream_seed`` vectorized: uint64 arithmetic wraps
-    modulo 2^64, as the masked Python ints do.
+    Philox4x64 takes a 128-bit key; the upper word is a mix of the lower.  The
+    seeds are ``derive_stream_seed`` vectorized: uint64 arithmetic wraps
+    modulo 2^64, as the masked Python ints do.  Every stream, a
+    ``StreamSampler``'s or a ``normal_chunks`` trial's, is keyed here.
     """
     first = (policy.base_seed + (policy.trial_index + start + 1) * _SPLITMIX_GAMMA) & _MASK64
     states = np.uint64(first) + np.arange(stop - start, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)

@@ -131,11 +131,3 @@ def run_trials(
         ]
     return out
 
-
-def estimate_risk(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared error over the empirical test measure."""
-    predictions = np.asarray(predictions, dtype=float).ravel()
-    targets = np.asarray(targets, dtype=float).ravel()
-    if predictions.shape != targets.shape:
-        raise InvalidInputError("prediction and target lengths differ")
-    return float(np.mean((predictions - targets) ** 2))

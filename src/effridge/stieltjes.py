@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError
 from .features import CHUNK_ELEMENTS, SeedPolicy, normal_chunks
-from .effective_ridge import RESIDUAL_TOL, Spectrum, _check_gamma, _fixed_point, _newton, solve_effective_ridge
+from .effective_ridge import RESIDUAL_TOL, Spectrum, _check_gamma, _fixed_point, _newton
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class StieltjesSolution:
     where the fixed point is unique; ``residual`` is the relative residual
     ``|g(t)| / (|t| + |z|)`` of the equation solved for ``t = 1/m``,
     ``g(t) = t + z - (t/gamma) mean(d / (t + d))``; ``iterations`` counts the
-    accepted Newton steps, those of the real solver on the real axis.
+    accepted Newton steps, equal to the effective-ridge solve's on the real axis.
     """
 
     m_tilde: complex
@@ -109,8 +109,8 @@ def empirical_stieltjes(spectra: np.ndarray, P: int, z: complex) -> np.ndarray:
     so ``m_P(z) = ((P - r) / (-z) + sum_i 1 / (s_i - z)) / P``.
     """
     z = complex(z)
-    if z.imag == 0 and z.real >= 0:
-        raise InvalidInputError("z must stay off the nonnegative real axis")
+    if not np.isfinite(z) or (z.imag == 0 and z.real >= 0):
+        raise InvalidInputError(f"z = {z}: z must be finite and off the nonnegative real axis")
     s = np.asarray(spectra, dtype=float)
     r = s.shape[-1]
     if r > P:
@@ -135,29 +135,25 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
     """Solve the deterministic fixed point for ``m_tilde(z)`` with ``Re(z) < 0``.
 
     With ``t = 1 / m`` the fixed point is the effective-ridge equation
-    ``t = lam + (t/gamma) mean(d / (t + d))`` at the complex ridge
-    ``lam = -z``.  On the real ray ``z = -lambda`` the real effective-ridge
-    solver is used and reciprocated, which is exact to machine precision.  Off
-    the axis the same Newton iteration runs at complex ``t`` from the real
-    solver's start with ``lam = -z``, ``-z + T/gamma`` (``T`` the mean
-    eigenvalue), and lands on the solution inside the cone; plain
-    damped fixed-point iteration on ``m``, in contrast, can stall or converge
-    to a fixed point outside the cone for gamma < 1.  Both paths check the
-    ``t`` equation relative to ``|t| + |z|``, which bounds the size of its
-    terms at the root, so the check holds at machine precision however small
-    ``|z|`` is.  Points with ``Re(z) >= 0`` are rejected.
+    ``t = lam + (t/gamma) mean(d / (t + d))`` at the ridge ``lam = -z``, solved
+    by the solve's Newton iteration from its start ``lam + T/gamma`` (``T`` the
+    mean eigenvalue).  On the real ray ``lam`` and ``t`` stay real and take the
+    solve's steps, so ``m_tilde`` is the reciprocal of its ``lambda_tilde`` bit
+    for bit.  Off the axis ``t`` is complex and lands on the solution inside
+    the cone; plain damped fixed-point iteration on ``m``, in contrast, can
+    stall or converge to a fixed point outside the cone for gamma < 1.  The
+    ``t`` equation is checked relative to ``|t| + |z|``, which bounds the size
+    of its terms at the root, so the check holds at machine precision however
+    small ``|z|`` is.  A ``z`` that is not finite or has ``Re(z) >= 0`` is rejected.
     """
     _check_gamma(gamma)
     z = complex(z)
-    if not z.real < 0:
-        raise InvalidInputError("the fixed point is solved on Re(z) < 0 only")
+    if not (np.isfinite(z) and z.real < 0):
+        raise InvalidInputError(f"z = {z}: the fixed point is solved at finite z with Re(z) < 0 only")
 
-    if z.imag == 0.0:
-        eff = solve_effective_ridge(spectrum, gamma, -z.real)
-        t, g, iterations = eff.lambda_tilde, eff.residual, eff.iterations
-    else:
-        d = spectrum.eigenvalues
-        t, (g, *_), iterations = _newton(lambda t: _fixed_point(t, d, gamma, -z), -z + spectrum.trace_mean / gamma)
+    d = spectrum.eigenvalues
+    lam = -z.real if z.imag == 0.0 else -z
+    t, (g, *_), iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
     residual = abs(g) / (abs(t) + abs(z))
     if not residual < RESIDUAL_TOL:
         raise NumericError(

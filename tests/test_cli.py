@@ -27,7 +27,8 @@ from effridge.cli import (
     report_failure,
 )
 import effridge.cli
-import effridge.features
+import effridge.montecarlo
+import effridge.stieltjes
 from effridge.datasets import generate_spectrum
 from effridge.effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge
 from effridge.errors import CsvParseError, EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
@@ -132,9 +133,14 @@ class TestConfig:
         cfg = load_config("average-rf", path, trials=9)
         assert cfg.trials == 9
 
-    def test_mc_experiments_need_two_trials(self):
-        with pytest.raises(InvalidInputError):
-            load_config("double-descent", None, trials=1)
+    @pytest.mark.parametrize("experiment", ["average-rf", "double-descent", "stieltjes", "expected-a", "predictor-fan"])
+    def test_mc_experiments_need_two_trials(self, experiment):
+        with pytest.raises(InvalidInputError, match="trials"):
+            load_config(experiment, None, trials=1)
+
+    @pytest.mark.parametrize("experiment", ["solve", "calibrate"])
+    def test_theory_experiments_take_one_trial(self, experiment):
+        assert load_config(experiment, None, trials=1).trials == 1
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -436,8 +442,7 @@ class TestArtifacts:
     def test_monte_carlo_columns_match_their_definitions(self, experiment, tmp_path):
         # Each Monte Carlo column, parsed back from results.csv, is its formula on the run_trials moments, bit for bit.
         from effridge import (
-            KernelSpec, estimate_risk, fit_krr, generate_sinusoid, gram_matrix, predict_krr, run_trials,
-            spectral_decompose,
+            KernelSpec, fit_krr, generate_sinusoid, gram_matrix, predict_krr, run_trials, spectral_decompose,
         )
 
         cfg, artifacts = run_fast(experiment, tmp_path, trials=20)
@@ -450,16 +455,19 @@ class TestArtifacts:
         for row in rows:
             (s,) = stats[int(row["P"])]
             mean_variance = float(np.mean(s.var_prediction))
+            lambda_tilde = solve_effective_ridge(spec, row["gamma"], 0.1).lambda_tilde
+            krr_pred = predict_krr(fit_krr(spec, data.y, lambda_tilde), gram_matrix(kernel, test_X, data.X))
+            risk_of_mean = float(np.mean((s.mean_prediction - data.f_star) ** 2))
             assert row["mean_variance"] == mean_variance
+            assert row["krr_risk"] == float(np.mean((krr_pred - data.f_star) ** 2))
             if experiment == "average-rf":
-                lambda_tilde = solve_effective_ridge(spec, row["gamma"], 0.1).lambda_tilde
-                gap = s.mean_prediction - predict_krr(fit_krr(spec, data.y, lambda_tilde),
-                                                      gram_matrix(kernel, test_X, data.X))
+                gap = s.mean_prediction - krr_pred
+                assert row["rf_mean_risk"] == risk_of_mean
                 assert row["mean_rf_vs_krr_rmse"] == float(np.sqrt(np.mean(gap**2)))
                 assert row["mean_rf_vs_krr_max_abs"] == float(np.max(np.abs(gap)))
                 assert row["mc_band_rmse"] == 3.0 * float(np.sqrt(mean_variance / 20))
             else:
-                assert row["risk_of_mean"] == estimate_risk(s.mean_prediction, data.f_star)
+                assert row["risk_of_mean"] == risk_of_mean
                 assert row["expected_risk"] == row["risk_of_mean"] + row["mean_variance"]
 
     def test_ridgeless_solve_on_a_singular_gram_counts_its_rank(self, tmp_path):
@@ -860,9 +868,11 @@ class TestMainExitCodes:
             (["expected-a", "--gamma", "2"], {}, "gamma_grid"),
             (["solve"], {"kernel": {"kind": "rbf", "lengthscale": 2.0}}, "kernel"),
             (["average-rf"], {"dataset": {"type": "spectrum"}}, "data-backed dataset"),
+            (["double-descent"], {"dataset": {"type": "spectrum"}}, "data-backed dataset"),
+            (["predictor-fan"], {"dataset": {"type": "spectrum"}}, "data-backed dataset"),
         ],
         ids=["average-rf-p", "stieltjes-gamma", "expected-a-gamma", "solve-kernel-on-spectrum",
-             "average-rf-on-spectrum"],
+             "average-rf-on-spectrum", "double-descent-on-spectrum", "predictor-fan-on-spectrum"],
     )
     def test_unread_input_is_1(self, argv, config, field, tmp_path, capsys, monkeypatch):
         # A field the experiment would not read is refused, not ignored and echoed as if it had been used.
@@ -962,11 +972,13 @@ class TestMainExitCodes:
     def test_oversized_draw_later_in_the_grid_is_refused_before_any_draw(
         self, experiment, grid, P, tmp_path, capsys, monkeypatch
     ):
-        # Every draw derives its chunk's stream keys first, so none may be derived.
-        def no_stream(policy, start, stop):
+        # Every feature draw comes from normal_chunks, so it may not be called.  The dataset's own
+        # StreamSampler derives its key through the same _stream_keys, so that helper cannot tell them apart.
+        def no_draw(policy, trials, shape):
             raise AssertionError("a feature draw was sampled")
 
-        monkeypatch.setattr(effridge.features, "_stream_keys", no_stream)
+        for module in (effridge.montecarlo, effridge.stieltjes):
+            monkeypatch.setattr(module, "normal_chunks", no_draw)
         code = main([experiment, *grid, "--trials", "3", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 1

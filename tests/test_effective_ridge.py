@@ -13,6 +13,7 @@ from effridge import (
     Spectrum,
     calibrate_ridge,
     empirical_expected_A,
+    empirical_stieltjes,
     expected_A_theoretical,
     generate_spectrum,
     sample_wishart,
@@ -146,6 +147,14 @@ NAN = float("nan")
             lambda: theoretical_stieltjes(Spectrum(np.array([np.inf, 1.0])), 0.5, -0.1 + 0.2j),
             id="stieltjes-inf-eigenvalue",
         ),
+        pytest.param(lambda: theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, -np.inf), id="stieltjes-inf-real-z"),
+        pytest.param(lambda: theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, complex(-1.0, np.inf)),
+                     id="stieltjes-inf-imag-z"),
+        pytest.param(lambda: theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, complex(-1.0, NAN)),
+                     id="stieltjes-nan-imag-z"),
+        pytest.param(lambda: empirical_stieltjes(np.ones(2), 4, NAN), id="empirical-stieltjes-nan-z"),
+        pytest.param(lambda: empirical_stieltjes(np.ones(2), 4, complex(-1.0, np.inf)),
+                     id="empirical-stieltjes-inf-imag-z"),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.zeros(0)), 2.0, 0.1), id="solve-empty"),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), np.inf, 0.1), id="solve-inf-gamma"),
         pytest.param(lambda: solve_effective_ridge(Spectrum(np.ones(3)), 1.0, NAN), id="solve-nan-ridge"),
@@ -185,6 +194,18 @@ def test_the_solve_is_the_one_effective_ridge_entry_point():
     for name in ("ridgeless_limit", "effective_ridge_derivative", "effective_dimension", "_check_lambda_tilde"):
         assert not hasattr(effridge, name) and not hasattr(er, name)
     assert "z" not in {f.name for f in fields(StieltjesSolution)}
+
+
+def test_each_rule_has_one_home():
+    # The Stieltjes fixed point calls _newton itself, every Philox key comes
+    # from features._stream_keys, and the trial engine returns moments only.
+    import effridge
+    import effridge.montecarlo
+    import effridge.stieltjes
+
+    assert not hasattr(effridge, "estimate_risk") and not hasattr(effridge.montecarlo, "estimate_risk")
+    assert not hasattr(SeedPolicy, "stream_seed")
+    assert not hasattr(effridge.stieltjes, "solve_effective_ridge")
 
 
 SPECTRUM_READERS = {

@@ -6,7 +6,6 @@ from effridge import (
     InvalidInputError,
     KernelSpec,
     Spectrum,
-    estimate_risk,
     generate_sinusoid,
     gram_matrix,
     run_trials,
@@ -24,21 +23,6 @@ def sinusoid_stats(P=8, lam=0.1, trials=50, seed=0, n=4, n_test=20):
     data, test_X = generate_sinusoid(n, n_test, seed=1)
     stats = run_trials(data, test_X, KERNEL, [P], [lam], trials, seed)[P][0]
     return data, test_X, stats
-
-
-class TestEstimateRisk:
-    def test_zero_for_exact(self):
-        assert estimate_risk([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_constant_offset(self):
-        assert estimate_risk([1.0, 2.0], [0.0, 1.0]) == pytest.approx(1.0)
-
-    def test_hand_arithmetic(self):
-        assert estimate_risk([1.0, 2.0], [0.0, 0.0]) == pytest.approx(2.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            estimate_risk([1.0], [1.0, 2.0])
 
 
 class TestMoments:

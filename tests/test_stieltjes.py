@@ -110,12 +110,15 @@ class TestTheoreticalStieltjes:
             sol = theoretical_stieltjes(Spectrum(np.zeros(3)), 1.5, z)
             assert sol.m_tilde == pytest.approx(-1.0 / z)
 
-    def test_reciprocal_of_effective_ridge(self):
-        d = generate_spectrum("polynomial", 12)
-        for lam, gamma in ((0.05, 0.5), (1.0, 2.0), (0.3, 1.0)):
-            eff = solve_effective_ridge(Spectrum(d), gamma, lam)
-            sol = theoretical_stieltjes(Spectrum(d), gamma, complex(-lam, 0))
-            assert sol.m_tilde.real * eff.lambda_tilde == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("n", [12, 2000])
+    def test_reciprocal_of_effective_ridge(self, n):
+        # On the real ray the fixed point runs the solve's Newton steps, so m_tilde is 1 / lambda_tilde bit for bit.
+        spectrum = Spectrum(generate_spectrum("polynomial", n))
+        for lam, gamma in ((0.05, 0.5), (1.0, 2.0), (0.3, 1.0), (1e-6, 0.05), (10.0, 20.0)):
+            eff = solve_effective_ridge(spectrum, gamma, lam)
+            sol = theoretical_stieltjes(spectrum, gamma, complex(-lam, 0))
+            assert sol.m_tilde == complex(1.0 / eff.lambda_tilde)
+            assert sol.iterations == eff.iterations
 
     def test_rejects_nonnegative_real_part(self):
         with pytest.raises(InvalidInputError):
