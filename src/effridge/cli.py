@@ -431,6 +431,11 @@ def _krr_points(cfg: ExperimentConfig, note: str, ridgeless_note: str):
     return data, spec, k_cross, [(*point, s) for point, s in zip(theory, stats)]
 
 
+def _test_risk(pred: np.ndarray, f_star: np.ndarray) -> float:
+    """Mean squared error of test predictions against the true values: every risk column."""
+    return float(np.mean((pred - f_star) ** 2))
+
+
 def _run_average_rf(cfg: ExperimentConfig):
     data, spec, _, points = _krr_points(
         cfg, "bound_scale_norm and bound_scale_norm_sq use the pseudoinverse label norm",
@@ -445,8 +450,8 @@ def _run_average_rf(cfg: ExperimentConfig):
         # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
         row.update(
             lambda_tilde=eff.lambda_tilde,
-            rf_mean_risk=float(np.mean((stats.mean_prediction - data.f_star) ** 2)),
-            krr_risk=float(np.mean((krr_pred - data.f_star) ** 2)),
+            rf_mean_risk=_test_risk(stats.mean_prediction, data.f_star),
+            krr_risk=_test_risk(krr_pred, data.f_star),
             mean_rf_vs_krr_rmse=float(np.sqrt(np.mean(gap**2))),
             mean_rf_vs_krr_max_abs=float(np.max(np.abs(gap))),
             mc_band_rmse=3.0 * float(np.sqrt(mean_variance / cfg.trials)),
@@ -467,7 +472,7 @@ def _run_double_descent(cfg: ExperimentConfig):
     ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
     rows = []
     for lam, P, eff, krr_pred, stats in points:
-        risk_of_mean = float(np.mean((stats.mean_prediction - data.f_star) ** 2))
+        risk_of_mean = _test_risk(stats.mean_prediction, data.f_star)
         mean_variance = float(np.mean(stats.var_prediction))
         var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
         row = _prefix(cfg, N, P, P / N, lam)
@@ -476,7 +481,7 @@ def _run_double_descent(cfg: ExperimentConfig):
             expected_risk=risk_of_mean + mean_variance,
             risk_of_mean=risk_of_mean,
             mean_variance=mean_variance,
-            krr_risk=float(np.mean((krr_pred - data.f_star) ** 2)),
+            krr_risk=_test_risk(krr_pred, data.f_star),
             variance_theory=var_theory,
         )
         rows.append(row)

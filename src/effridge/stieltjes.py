@@ -144,7 +144,9 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
     stall or converge to a fixed point outside the cone for gamma < 1.  The
     ``t`` equation is checked relative to ``|t| + |z|``, which bounds the size
     of its terms at the root, so the check holds at machine precision however
-    small ``|z|`` is.  A ``z`` that is not finite or has ``Re(z) >= 0`` is rejected.
+    small ``|z|`` is.  On the real ray the solve's slope check holds too:
+    ``g' > 0`` at the root, so a nonpositive slope is a failed solve.
+    A ``z`` that is not finite or has ``Re(z) >= 0`` is rejected.
     """
     _check_gamma(gamma)
     z = complex(z)
@@ -153,19 +155,14 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
 
     d = spectrum.eigenvalues
     lam = -z.real if z.imag == 0.0 else -z
-    t, (g, *_), iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
+    t, (g, slope, _), iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
     residual = abs(g) / (abs(t) + abs(z))
-    if not residual < RESIDUAL_TOL:
-        raise NumericError(
-            f"Stieltjes fixed point did not converge at z={z}: residual {residual:.3e}"
-        )
+    if not (residual < RESIDUAL_TOL and (isinstance(lam, complex) or slope > 0)):
+        raise NumericError(f"Stieltjes fixed point did not converge at z={z}: "
+                           f"residual {residual:.3e}, slope {slope:.3e}")
     m = complex(1.0 / t)
-    return StieltjesSolution(
-        m_tilde=m,
-        residual=float(residual),
-        iterations=iterations,
-        in_cone=_cone_membership(m, z),
-    )
+    return StieltjesSolution(m_tilde=m, residual=float(residual), iterations=iterations,
+                             in_cone=_cone_membership(m, z))
 
 
 def expected_A_theoretical(spectrum: Spectrum, lambda_tilde: float) -> np.ndarray:

@@ -7,6 +7,8 @@ from effridge.features import (
     CHUNK_ELEMENTS,
     MAX_ELEMENTS,
     StreamSampler,
+    _mix64,
+    _stream_keys,
     gaussian_features,
     normal_chunks,
 )
@@ -42,6 +44,15 @@ class TestStreamSampler:
         assert u.tolist() == [0.25620661797964894, 0.3094821202847663, 0.4961865059303662]
         z = StreamSampler(SeedPolicy(0, 0)).normal(3)
         assert z.tolist() == [-0.7691841020129928, 0.5864130153756398, 0.018433863497830744]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**63))
+    def test_stream_is_keyed_by_derive_stream_seed(self, base, trial):
+        # Philox keyed [seed, mix64(seed)] from the published scalar derivation gives the sampler's raw stream.
+        seed = derive_stream_seed(base, trial)
+        raw = np.random.Philox(key=np.array([seed, _mix64(seed)], dtype=np.uint64)).random_raw(4)
+        u = StreamSampler(SeedPolicy(base, trial)).uniform(4)
+        assert np.array_equal(u, (raw >> np.uint64(11)) * (2.0 ** -53))
 
     def test_uniform_range_and_determinism(self):
         u1 = StreamSampler(SeedPolicy(1, 0)).uniform(1000)
@@ -138,6 +149,12 @@ class TestNormalChunks:
     """The chunked generator yields exactly the per-trial draws of the randomness contract."""
 
     def _check(self, policy, trials, shape):
+        # The bulk keys against the published scalar derivation, then each draw
+        # against its own StreamSampler's.
+        seeds = [derive_stream_seed(policy.base_seed, policy.trial_index + t) for t in range(trials)]
+        keys = _stream_keys(policy, 0, trials)
+        assert keys[:, 0].tolist() == seeds
+        assert keys[:, 1].tolist() == [_mix64(s) for s in seeds]
         sizes = []
         for t0, W in normal_chunks(policy, trials, shape):
             assert t0 == sum(sizes)
@@ -171,8 +188,8 @@ class TestNormalChunks:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6), st.integers(1, 3))
     def test_chunk_streams_are_keyed_by_derive_stream_seed(self, base, offset, trials):
-        # The chunk's stream seeds are derived in bulk; each must key the stream
-        # that derive_stream_seed gives its own StreamSampler.
+        # The chunk's stream seeds are derived in bulk; each must equal
+        # derive_stream_seed's and key the stream of its own StreamSampler.
         self._check(SeedPolicy(base, offset), trials, (1, 2))
 
     def test_more_trials_than_one_key_block(self):

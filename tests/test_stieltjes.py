@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from effridge import (
     InvalidInputError,
+    NumericError,
     SeedPolicy,
     Spectrum,
     empirical_expected_A,
@@ -119,6 +120,22 @@ class TestTheoreticalStieltjes:
             sol = theoretical_stieltjes(spectrum, gamma, complex(-lam, 0))
             assert sol.m_tilde == complex(1.0 / eff.lambda_tilde)
             assert sol.iterations == eff.iterations
+
+    def test_nonpositive_slope_on_the_real_ray_is_a_failed_solve(self, monkeypatch):
+        # g' > 0 at a real root, so a root reported with g' <= 0 is refused, as the solve
+        # refuses it; a complex slope has no sign to check.
+        import effridge.stieltjes as stieltjes
+
+        newton = stieltjes._newton
+
+        def flipped(func, t):
+            root, (g, slope, s1), steps = newton(func, t)
+            return root, (g, -slope, s1), steps
+
+        monkeypatch.setattr(stieltjes, "_newton", flipped)
+        with pytest.raises(NumericError, match="slope"):
+            theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, -1.0 + 0j)
+        assert theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, -1.0 + 1j).in_cone
 
     def test_rejects_nonnegative_real_part(self):
         with pytest.raises(InvalidInputError):
