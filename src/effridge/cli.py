@@ -199,6 +199,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not isinstance(cfg.kernel, dict):
             raise InvalidInputError("kernel must be a descriptor object or null")
         _check_descriptor("kernel", cfg.kernel, _KERNEL_KEYS)
+    if kind != "spectrum":
+        _kernel_from(cfg)
     grid, unread = ("p_grid", "gamma_grid") if uses_p else ("gamma_grid", "p_grid")
     if getattr(cfg, unread) is not None:
         raise InvalidInputError(f"{cfg.experiment} reads {grid}, not {unread}; leave {unread} unset")

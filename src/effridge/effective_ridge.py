@@ -10,9 +10,11 @@ ridge ``lambda`` behaves like kernel ridge regression with the larger
 where ``d_i`` are the Gram eigenvalues.  One solve,
 :func:`solve_effective_ridge`, returns that fixed point together with its
 derivative in ``lambda`` and the effective dimension, at ``lambda = 0`` too,
-where the ridgeless limits on both sides of ``gamma = 1`` apply.  The module
-also inverts the map (ridge calibration) and predicts the mean squared
-parameter norm.  Each function reads the eigenvalues as a checked
+where the ridgeless limits on both sides of ``gamma = 1`` apply.  Every root
+of the equation, the Stieltjes point at a complex ``lambda = -z`` included,
+comes from one Newton run from ``lambda + T/gamma`` and one relative residual
+check.  The module also inverts the map (ridge calibration) and predicts the
+mean squared parameter norm.  Each function reads the eigenvalues as a checked
 :class:`Spectrum` (defined in ``kernels``, importable from here); the
 ``GramSpectrum`` that ``spectral_decompose`` returns is one.
 """
@@ -28,8 +30,8 @@ from .errors import AtThresholdError, InfeasibleTargetError, InvalidInputError, 
 from .kernels import GramSpectrum, Spectrum
 
 MAX_NEWTON_ITERS = 200
-# Contractual residual bound on the defining equation; the solver actually
-# polishes to machine precision.
+# Contractual bound on the defining equation's residual relative to
+# ``|t| + |lambda|``; the solver actually polishes to machine precision.
 RESIDUAL_TOL = 1e-12
 
 
@@ -98,10 +100,9 @@ def _newton(func, t):
     step that leaves ``t`` where it is (it rounds away, or ``g`` or ``g'`` is
     zero) also stops the run, without evaluating ``func`` again: ``func`` is
     pure, so it would give the same values, and the step would be rejected.  No
-    bracket is needed: each real caller starts on the side of its root from
-    which Newton runs monotonically to it (a convex increasing function from
-    above, a concave increasing one from below).  Raises
-    :class:`NumericError` if the residual still shrinks after
+    bracket is needed: on the real axis the caller's function is convex and
+    starts above its largest root, from which Newton falls monotonically to
+    it.  Raises :class:`NumericError` if the residual still shrinks after
     ``MAX_NEWTON_ITERS`` steps.
     """
     values = func(t)
@@ -117,91 +118,72 @@ def _newton(func, t):
     raise NumericError(f"Newton iteration did not settle in {MAX_NEWTON_ITERS} steps: last iterate {t:.6e}")
 
 
+def _root(spectrum: Spectrum, gamma: float, lam: float | complex):
+    """Largest root ``t`` of ``g`` at ridge ``lam``: ``(t, _fixed_point values, steps, relative residual)``.
+
+    ``g`` is convex on the real axis, because ``t d / (t + d)`` is concave,
+    and nonnegative at ``lam + T/gamma`` with ``T`` the mean eigenvalue: there
+    ``mean(d / (t + d)) <= T / t``.  That holds at ``lam = 0`` too, so Newton
+    started there falls monotonically to the largest root, the positive one
+    of a ridgeless full-rank spectrum at gamma < 1 (an all-zero spectrum
+    starts on the root ``lam``).  The check is relative to ``|t| + |lam|``,
+    which bounds the size of the terms of ``g`` at the root; at ``lam = 0`` it
+    reads ``|gamma - mean(d / (t + d))| < RESIDUAL_TOL * gamma``.  ``g' > 0`` at
+    a real root, so a nonpositive slope there is a failed solve too; a
+    complex ``lam`` gives a complex slope, which has no sign to check.
+    """
+    d = spectrum.eigenvalues
+    t, values, steps = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
+    g, slope = values[:2]
+    residual = abs(g) / (abs(t) + abs(lam))
+    if not (residual < RESIDUAL_TOL and (isinstance(lam, complex) or slope > 0)):
+        raise NumericError(f"effective-ridge fixed point did not converge at ridge {lam:.6g}: "
+                           f"relative residual {residual:.3e}, slope {slope:.3e} at {t:.6e}")
+    return t, values, steps, residual
+
+
 def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> EffectiveRidge:
     """Solve the defining fixed point for the effective ridge at ``gamma = P/N`` and ridge ``lam``.
 
-    For ``lam > 0`` the residual ``g`` is convex, because ``t d / (t + d)``
-    is concave, and nonnegative at the upper bound ``lam + T/gamma`` with
-    ``T`` the mean eigenvalue (an all-zero spectrum starts on the root
-    ``lam``), so Newton started there falls monotonically to the root.  The
-    residual, derivative and effective dimension are read at the last
-    accepted iterate.  For ``lam = 0`` the ridgeless limits apply:
-    zero in the overparameterized regime (gamma > 1), the positive root of
+    The root comes from :func:`_root`, and the residual, derivative and
+    effective dimension are read at its last accepted iterate.  For
+    ``lam = 0`` the ridgeless limits apply: zero in the overparameterized
+    regime (gamma > 1), in closed form, the positive root of
     ``gamma = mean(d / (t + d))`` in the underparameterized regime
-    (gamma < 1), and no finite answer exactly at gamma = 1.
+    (gamma < 1), which needs a full-rank spectrum, and no finite answer
+    exactly at gamma = 1.
     """
     _check_gamma(gamma)
     if not 0.0 <= lam < math.inf:
         raise InvalidInputError("ridge must be nonnegative")
-    d = spectrum.eigenvalues
-    if lam > 0.0:
-        start = lam + spectrum.trace_mean / gamma
-        lambda_tilde, values, iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), start)
-    else:
-        lambda_tilde, iterations = _ridgeless_newton(spectrum, gamma)
-        if lambda_tilde == 0.0:
+    if lam == 0.0:
+        if gamma == 1.0:
+            raise AtThresholdError("ridgeless effective ridge is degenerate at gamma = 1")
+        if gamma > 1.0:
             # Overparameterized ridgeless: the defining equation is satisfied
             # identically at t = 0; zero eigenvalues drop out of its derivative
             # and its effective dimension, which is the spectrum's rank.
             return EffectiveRidge(0.0, 1.0 / (1.0 - spectrum.rank / spectrum.n / gamma),
-                                  float(spectrum.rank), 0.0, iterations)
-        values = _fixed_point(lambda_tilde, d, gamma, 0.0)
-
-    residual, slope, dimension = values
-    # g' > 0 at a root of g, so a nonpositive slope is a failed solve too.
-    if not (abs(residual) < RESIDUAL_TOL * max(lambda_tilde, 1.0) and slope > 0):
-        raise NumericError(f"effective-ridge solve did not converge: residual {residual:.3e}, "
-                           f"slope {slope:.3e} at {lambda_tilde:.6e}")
+                                  float(spectrum.rank), 0.0, 0)
+        if spectrum.rank < spectrum.n:
+            raise InvalidInputError("underparameterized ridgeless limit needs a full-rank spectrum")
+    lambda_tilde, (residual, slope, dimension), iterations, _ = _root(spectrum, gamma, lam)
     return EffectiveRidge(lambda_tilde=float(lambda_tilde), d_lambda_tilde=1.0 / slope,
                           effective_dimension=dimension, residual=float(residual), iterations=iterations)
-
-
-def _ridgeless_newton(spectrum: Spectrum, gamma: float) -> tuple[float, int]:
-    """The ridgeless effective ridge and its Newton step count, for a checked ``gamma``.
-
-    At gamma < 1, ``gamma - mean(d / (t + d))`` is concave and increasing, so
-    Newton rises monotonically to its root from below.  The root is checked on
-    this equation, because the defining one at ``lam = 0`` is scaled by ``t``
-    and cannot see a wrong tiny root.
-    """
-    if gamma == 1.0:
-        raise AtThresholdError("ridgeless effective ridge is degenerate at gamma = 1")
-    if gamma > 1.0:
-        return 0.0, 0
-    if spectrum.rank < spectrum.n:
-        raise InvalidInputError("underparameterized ridgeless limit needs a full-rank spectrum")
-    d = spectrum.eigenvalues
-
-    def func(t):
-        s1, s2 = _quotient_sums(t, d).tolist()
-        return gamma - s1 / d.size, s2 / d.size
-
-    # Analytic lower bound dmin * (1 - sqrt(gamma)) / sqrt(gamma), shrunk
-    # slightly so the start sits below the root.
-    lo = float(np.min(d)) * (1.0 - np.sqrt(gamma)) / np.sqrt(gamma) * (1.0 - 1e-9)
-    t, (residual, _), steps = _newton(func, lo)
-    if not abs(residual) <= RESIDUAL_TOL * gamma:
-        raise NumericError(
-            f"ridgeless effective ridge did not converge: residual {residual:.3e} at {t:.6e}"
-        )
-    return float(t), steps
 
 
 def calibrate_ridge(spectrum: Spectrum, gamma: float, lambda_star: float) -> float:
     """Explicit ridge whose effective ridge equals the target ``lambda_star``.
 
-    Inverts the defining equation directly:
-
-        lambda = lambda_star - (lambda_star / gamma) * mean(d / (lambda_star + d)).
-
-    A nonpositive result means the target sits at or below the ridgeless
+    Inverts the defining equation directly: the ridge is the residual of the
+    ridgeless equation at the target, ``g(lambda_star)`` at ``lam = 0``.  A
+    nonpositive result means the target sits at or below the ridgeless
     effective ridge for this gamma and cannot be reached.
     """
     _check_gamma(gamma)
     if not 0.0 < lambda_star < math.inf:
         raise InvalidInputError("target effective ridge must be positive")
-    d = spectrum.eigenvalues
-    lam = lambda_star - (lambda_star / gamma) * (_quotient_sums(lambda_star, d)[0].item() / d.size)
+    lam = _fixed_point(lambda_star, spectrum.eigenvalues, gamma, 0.0)[0]
     if lam <= 0:
         raise InfeasibleTargetError(
             f"target {lambda_star:.6g} is below the ridgeless effective ridge for gamma={gamma:.6g}"

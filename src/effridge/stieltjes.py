@@ -44,9 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import InvalidInputError
 from .features import CHUNK_ELEMENTS, SeedPolicy, normal_chunks
-from .effective_ridge import RESIDUAL_TOL, Spectrum, _check_gamma, _fixed_point, _newton
+from .effective_ridge import Spectrum, _check_gamma, _root
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ class StieltjesSolution:
     ``in_cone`` records membership in the cone spanned by ``1`` and ``-1/z``
     where the fixed point is unique; ``residual`` is the relative residual
     ``|g(t)| / (|t| + |z|)`` of the equation solved for ``t = 1/m``,
-    ``g(t) = t + z - (t/gamma) mean(d / (t + d))``; ``iterations`` counts the
-    accepted Newton steps, equal to the effective-ridge solve's on the real axis.
+    ``g(t) = t + z - (t/gamma) mean(d / (t + d))``, as the effective-ridge
+    root finder checks it; ``iterations`` counts the accepted Newton steps,
+    equal to the effective-ridge solve's on the real axis.
     """
 
     m_tilde: complex
@@ -136,30 +137,23 @@ def theoretical_stieltjes(spectrum: Spectrum, gamma: float, z: complex) -> Stiel
 
     With ``t = 1 / m`` the fixed point is the effective-ridge equation
     ``t = lam + (t/gamma) mean(d / (t + d))`` at the ridge ``lam = -z``, solved
-    by the solve's Newton iteration from its start ``lam + T/gamma`` (``T`` the
-    mean eigenvalue).  On the real ray ``lam`` and ``t`` stay real and take the
-    solve's steps, so ``m_tilde`` is the reciprocal of its ``lambda_tilde`` bit
-    for bit.  Off the axis ``t`` is complex and lands on the solution inside
-    the cone; plain damped fixed-point iteration on ``m``, in contrast, can
-    stall or converge to a fixed point outside the cone for gamma < 1.  The
-    ``t`` equation is checked relative to ``|t| + |z|``, which bounds the size
-    of its terms at the root, so the check holds at machine precision however
-    small ``|z|`` is.  On the real ray the solve's slope check holds too:
-    ``g' > 0`` at the root, so a nonpositive slope is a failed solve.
-    A ``z`` that is not finite or has ``Re(z) >= 0`` is rejected.
+    by the solve's own root finder: one Newton run from ``lam + T/gamma``
+    (``T`` the mean eigenvalue) and one check, of the residual relative to
+    ``|t| + |z|`` and, on the real ray, of the slope's sign.  On the real ray
+    ``lam`` and ``t`` stay real and take the solve's steps, so ``m_tilde`` is
+    the reciprocal of its ``lambda_tilde`` bit for bit.  Off the axis ``t`` is
+    complex and lands on the solution inside the cone; plain damped
+    fixed-point iteration on ``m``, in contrast, can stall or converge to a
+    fixed point outside the cone for gamma < 1.  A ``z`` that is not finite
+    or has ``Re(z) >= 0`` is rejected.
     """
     _check_gamma(gamma)
     z = complex(z)
     if not (np.isfinite(z) and z.real < 0):
         raise InvalidInputError(f"z = {z}: the fixed point is solved at finite z with Re(z) < 0 only")
 
-    d = spectrum.eigenvalues
     lam = -z.real if z.imag == 0.0 else -z
-    t, (g, slope, _), iterations = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
-    residual = abs(g) / (abs(t) + abs(z))
-    if not (residual < RESIDUAL_TOL and (isinstance(lam, complex) or slope > 0)):
-        raise NumericError(f"Stieltjes fixed point did not converge at z={z}: "
-                           f"residual {residual:.3e}, slope {slope:.3e}")
+    t, _, iterations, residual = _root(spectrum, gamma, lam)
     m = complex(1.0 / t)
     return StieltjesSolution(m_tilde=m, residual=float(residual), iterations=iterations,
                              in_cone=_cone_membership(m, z))

@@ -885,6 +885,23 @@ class TestMainExitCodes:
         assert err.startswith("error: invalid configuration: ") and field in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [None, {}, {"kind": "rbf"}, {"kind": "rbf", "lengthscale": -2.0}, {"kind": "laplace", "lengthscale": 2.0}],
+        ids=["null", "empty", "no-lengthscale", "negative-lengthscale", "unknown-kind"],
+    )
+    @pytest.mark.parametrize("experiment", ["average-rf", "solve"])
+    def test_bad_kernel_is_1_before_any_output(self, experiment, kernel, tmp_path, capsys):
+        # A data-backed dataset needs a valid kernel; KernelSpec's checks run
+        # with the other field checks, before the output directory is made.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "sinusoid", "n": 4}, "kernel": kernel}))
+        code = main([experiment, "--config", str(path), "--trials", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration: ") and "kernel" in err
+        assert not (tmp_path / "out").exists()
+
     def test_csv_above_the_size_limit_is_1(self, tmp_path, capsys, monkeypatch):
         # Checked once the file is read; without held-out rows the joint Gram
         # covers every row twice: (2 * 6)^2 = 144 elements.

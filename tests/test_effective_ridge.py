@@ -22,6 +22,7 @@ from effridge import (
     theoretical_stieltjes,
     theta_norm_theory,
 )
+from effridge.effective_ridge import RESIDUAL_TOL
 
 # Closed forms for the equal spectrum d_i = 1: the defining equation becomes
 # the quadratic t^2 - (lam + 1/gamma - 1) t - lam = 0 ... solved directly below.
@@ -197,15 +198,19 @@ def test_the_solve_is_the_one_effective_ridge_entry_point():
 
 
 def test_each_rule_has_one_home():
-    # The Stieltjes fixed point calls _newton itself, every Philox key comes
-    # from features._stream_keys, and the trial engine returns moments only.
+    # Every root of the effective-ridge equation, the Stieltjes point included,
+    # comes from one root finder, every Philox key comes from
+    # features._stream_keys, and the trial engine returns moments only.
     import effridge
+    import effridge.effective_ridge
     import effridge.montecarlo
     import effridge.stieltjes
 
     assert not hasattr(effridge, "estimate_risk") and not hasattr(effridge.montecarlo, "estimate_risk")
     assert not hasattr(SeedPolicy, "stream_seed")
-    assert not hasattr(effridge.stieltjes, "solve_effective_ridge")
+    assert not hasattr(effridge.effective_ridge, "_ridgeless_newton")
+    for name in ("solve_effective_ridge", "_newton", "_fixed_point", "RESIDUAL_TOL"):
+        assert not hasattr(effridge.stieltjes, name)
 
 
 SPECTRUM_READERS = {
@@ -324,6 +329,24 @@ class TestRidgelessLimit:
         eff = solve_effective_ridge(Spectrum(d), gamma, 0.0)
         assert eff.effective_dimension == pytest.approx(gamma * 1000, rel=1e-9)
 
+    @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1480, 1491])
+    def test_subnormal_smallest_eigenvalue(self, n, gamma):
+        # d_min = exp(-(n - 1) / 2) is subnormal, but every root is a normal number
+        d = generate_spectrum("exponential", n)
+        assert 0.0 < d.min() < np.finfo(float).tiny
+        eff = solve_effective_ridge(Spectrum(d), gamma, 0.0)
+        assert eff.effective_dimension == pytest.approx(gamma * n, rel=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.4, 0.9])
+    @pytest.mark.parametrize(
+        "kind, n", [("polynomial", 20), ("polynomial", 2000), ("exponential", 50), ("exponential", 200)]
+    )
+    def test_matches_bisection(self, kind, n, gamma):
+        d = generate_spectrum(kind, n)
+        lt = solve_effective_ridge(Spectrum(d), gamma, 0.0).lambda_tilde
+        assert lt == pytest.approx(bisect_effective_ridge(d, gamma, 0.0), rel=1e-12)
+
     def test_unsettled_newton_raises(self, monkeypatch):
         import effridge.effective_ridge as er
 
@@ -359,16 +382,10 @@ def textbook_newton(func, slope, t):
 
 def textbook_solve(d, gamma, lam):
     """The solve's fields from separate three-quotient passes, and the Newton step count."""
-    if lam > 0:
-        lt, steps = textbook_newton(
-            lambda t: textbook_residual(t, d, gamma, lam), lambda t: textbook_slope(t, d, gamma),
-            lam + float(np.mean(d)) / gamma,
-        )
-    else:
-        lo = float(np.min(d)) * (1.0 - np.sqrt(gamma)) / np.sqrt(gamma) * (1.0 - 1e-9)
-        lt, steps = textbook_newton(
-            lambda t: gamma - np.mean(d / (t + d)).item(), lambda t: np.mean(d / (t + d) / (t + d)).item(), lo
-        )
+    lt, steps = textbook_newton(
+        lambda t: textbook_residual(t, d, gamma, lam), lambda t: textbook_slope(t, d, gamma),
+        lam + float(np.mean(d)) / gamma,
+    )
     positive = d > 0
     out = np.zeros_like(d)
     out[positive] = d[positive] / (lt + d[positive])
@@ -473,7 +490,6 @@ class TestOnePassSolve:
     )
     def test_no_newton_run_evaluates_one_point_twice(self, monkeypatch, solve):
         import effridge.effective_ridge as er
-        import effridge.stieltjes as st
 
         runs = []
         newton = er._newton
@@ -484,10 +500,54 @@ class TestOnePassSolve:
             return newton(lambda t: points.append(t) or func(t), t)
 
         monkeypatch.setattr(er, "_newton", recorded)
-        monkeypatch.setattr(st, "_newton", recorded)
         solve()
         assert len(runs) == 1
         assert len(set(runs[0])) == len(runs[0]) > 2
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda t, lam, g, slope: (g, -slope),
+            lambda t, lam, g, slope: (2 * RESIDUAL_TOL * (t + lam), slope),
+        ],
+        ids=["flipped-slope", "residual-twice-the-bound"],
+    )
+    @pytest.mark.parametrize(
+        "solve, lam",
+        [
+            (lambda: solve_effective_ridge(Spectrum(np.ones(3)), 0.5, 1.0), 1.0),
+            (lambda: solve_effective_ridge(Spectrum(np.ones(3)), 0.5, 0.0), 0.0),
+            (lambda: theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, -1.0 + 0j), 1.0),
+        ],
+        ids=["positive-ridge", "ridgeless", "real-stieltjes"],
+    )
+    def test_every_caller_refuses_a_failed_check(self, monkeypatch, solve, lam, fault):
+        # g' > 0 at a real root and |g| < RESIDUAL_TOL (|t| + |lam|) there, so a
+        # root reported otherwise is refused, whichever caller asked for it.
+        import effridge.effective_ridge as er
+
+        newton = er._newton
+
+        def faulty(func, t):
+            root, (g, slope, s1), steps = newton(func, t)
+            return root, (*fault(root, lam, g, slope), s1), steps
+
+        solve()
+        monkeypatch.setattr(er, "_newton", faulty)
+        with pytest.raises(NumericError, match="did not converge"):
+            solve()
+
+    def test_a_complex_slope_has_no_sign_to_check(self, monkeypatch):
+        import effridge.effective_ridge as er
+
+        newton = er._newton
+
+        def flipped(func, t):
+            root, (g, slope, s1), steps = newton(func, t)
+            return root, (g, -slope, s1), steps
+
+        monkeypatch.setattr(er, "_newton", flipped)
+        assert theoretical_stieltjes(Spectrum(np.ones(3)), 0.5, -1.0 + 1j).in_cone
 
 
 class TestCalibrate:
