@@ -31,7 +31,8 @@ import numpy as np
 from .datasets import generate_clusters, generate_sinusoid, generate_spectrum, read_csv_table
 from .effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge, theta_norm_theory
 from .errors import EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
-from .features import MAX_ELEMENTS, SeedPolicy, check_draw
+from . import features
+from .features import SeedPolicy, check_draw, check_size
 from .kernels import (
     Dataset,
     KernelSpec,
@@ -255,37 +256,26 @@ def _kernel_from(cfg: ExperimentConfig) -> KernelSpec:
     return KernelSpec(kind=cfg.kernel.get("kind", "rbf"), lengthscale=cfg.kernel.get("lengthscale"))
 
 
-def _check_size(field: str, what: str, elements: int) -> None:
-    """Refuse, naming the field, a spectrum or joint Gram of more than ``MAX_ELEMENTS`` entries."""
-    if elements > MAX_ELEMENTS:
-        raise InvalidInputError(f"{field}: {what} of {elements} elements is above the limit of {MAX_ELEMENTS}")
-
-
 def _resolve_data(cfg: ExperimentConfig) -> tuple[Dataset, np.ndarray]:
     """Materialize a data-backed dataset plus its test grid, once the size of their joint Gram is checked."""
     ds = cfg.dataset
     kind = ds["type"]
-    if kind == "sinusoid":
-        n, n_test = ds.get("n", 4), ds.get("n_test", 100)
-        _check_size("dataset.n + dataset.n_test", "the joint Gram", (n + n_test) ** 2)
-        return generate_sinusoid(n=n, n_test=n_test, seed=cfg.base_seed)
-    if kind == "clusters":
-        n, n_test = ds.get("n", 100), ds.get("n_test", 100)
-        _check_size("dataset.n + dataset.n_test", "the joint Gram", (n + n_test) ** 2)
-        return generate_clusters(
-            n=n,
-            n_test=n_test,
-            dim=ds.get("dim", 5),
-            separation=ds.get("separation", 3.0),
-            seed=cfg.base_seed,
-        )
+    if kind != "csv":
+        n, n_test = ds.get("n", 4 if kind == "sinusoid" else 100), ds.get("n_test", 100)
+        check_size("dataset.n + dataset.n_test", "the joint Gram", (n + n_test) ** 2)
+        if kind == "sinusoid":
+            return generate_sinusoid(n=n, n_test=n_test, seed=cfg.base_seed)
+        dim = ds.get("dim", 5)
+        check_size("dataset.dim", f"the {n + n_test} x {dim} cluster data", (n + n_test) * dim)
+        return generate_clusters(n=n, n_test=n_test, dim=dim, separation=ds.get("separation", 3.0),
+                                 seed=cfg.base_seed)
     # A csv file, as validate_config refuses a spectrum here.  Hold out the trailing rows as the test grid when
     # requested, else test on the training rows.  Checked before the Dataset exists, whose duplicate-row check
     # forms an n x n distance matrix, and before the file is read past the first row too many.
     n_test = ds.get("n_test", 0)
     copies = 1 if n_test else 2
-    table = read_csv_table(ds["path"], max_rows=math.isqrt(MAX_ELEMENTS) // copies + 1)
-    _check_size("dataset.path", "the joint Gram", (copies * len(table)) ** 2)
+    table = read_csv_table(ds["path"], max_rows=math.isqrt(features.MAX_ELEMENTS) // copies + 1)
+    check_size("dataset.path", "the joint Gram", (copies * len(table)) ** 2)
     # Without held-out rows the training rows are the test grid, and their labels its true values.
     data = Dataset(X=table[:, :-1], y=table[:, -1], f_star=None if n_test else table[:, -1])
     if n_test:
@@ -302,7 +292,7 @@ def _resolve_spectrum(cfg: ExperimentConfig) -> Spectrum:
     ds = cfg.dataset
     if ds["type"] == "spectrum":
         n = ds.get("n", 20)
-        _check_size("dataset.n", "a spectrum", n)
+        check_size("dataset.n", "a spectrum", n)
         return Spectrum(generate_spectrum(ds.get("kind", "exponential"), n))
     data, _ = _resolve_data(cfg)
     return spectral_decompose(gram_matrix(_kernel_from(cfg), data.X))
@@ -399,7 +389,9 @@ def _sampled_grid(cfg: ExperimentConfig):
     data, test_X = _resolve_data(cfg)
     if data.f_star is None or len(data.f_star) != test_X.shape[0]:
         raise InvalidInputError("dataset must carry true values on the test grid")
-    Ps = [max(1, int(round(P))) for P in _feature_counts(cfg, data.n)]
+    Ps = [int(round(P)) for P in _feature_counts(cfg, data.n)]
+    if 0 in Ps:
+        raise InvalidInputError(f"gamma_grid value {cfg.gamma_grid[Ps.index(0)]} times N = {data.n} rounds to P = 0")
     return data, test_X, _kernel_from(cfg), [(lam, P) for lam in cfg.lambda_list for P in Ps]
 
 
@@ -506,6 +498,7 @@ def _spectral_theory(cfg: ExperimentConfig):
 def _run_stieltjes(cfg: ExperimentConfig):
     spectrum, Ps, effs = _spectral_theory(cfg)
     d, N = spectrum.eigenvalues, spectrum.n
+    check_size("trials", f"the spectra of {cfg.trials} draws at P = {max(Ps)}", cfg.trials * min(N, max(Ps)))
     rows = []
     for P in Ps:
         # Drawn once per P and shared by every ridge.

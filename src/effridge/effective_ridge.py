@@ -167,7 +167,15 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
                                   float(spectrum.rank), 0.0, 0)
         if spectrum.rank < spectrum.n:
             raise InvalidInputError("underparameterized ridgeless limit needs a full-rank spectrum")
-    lambda_tilde, (residual, slope, dimension), iterations, _ = _root(spectrum, gamma, lam)
+        try:
+            # A root at the bottom of the float range overflows the sums, which numpy would only warn about.
+            with np.errstate(over="raise"):
+                root = _root(spectrum, gamma, lam)
+        except FloatingPointError as exc:
+            raise NumericError(f"ridgeless effective ridge is below the float range: {exc}") from exc
+    else:
+        root = _root(spectrum, gamma, lam)
+    lambda_tilde, (residual, slope, dimension), iterations, _ = root
     return EffectiveRidge(lambda_tilde=float(lambda_tilde), d_lambda_tilde=1.0 / slope,
                           effective_dimension=dimension, residual=float(residual), iterations=iterations)
 

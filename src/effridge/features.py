@@ -40,8 +40,8 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # Normals per chunk of draws.  A fixed element budget, independent of the core
 # count, so the chunking, and with it every result, is the same on any machine.
 CHUNK_ELEMENTS = 2**14
-# Entries of one feature draw, spectrum or joint Gram at most (2^26 float64 take
-# 512 MiB).  A larger array is an input error, reported before it is allocated.
+# Entries of any one array a configuration sizes, at most (2^26 float64 take
+# 512 MiB); ``check_size`` refuses a larger one before it is allocated.
 MAX_ELEMENTS = 2**26
 
 
@@ -122,16 +122,18 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_size(field: str, what: str, elements: int) -> None:
+    """Refuse, naming the field, an array of more than ``MAX_ELEMENTS`` entries, before it is allocated."""
+    if elements > MAX_ELEMENTS:
+        raise InvalidInputError(f"{field}: {what} of {elements} elements is above the limit of {MAX_ELEMENTS}")
+
+
 def check_draw(shape: tuple[int, int]) -> None:
-    """Refuse, naming P, a draw of shape ``(P, cols)`` with no features or above ``MAX_ELEMENTS`` normals."""
+    """Refuse, naming P, a draw of shape ``(P, cols)`` with no features or too many normals."""
     rows, cols = shape
     if rows < 1:
         raise InvalidInputError("need at least one feature")
-    if rows * cols > MAX_ELEMENTS:
-        raise InvalidInputError(
-            f"P = {rows}: one draw of shape ({rows}, {cols}) has {rows * cols} normals, "
-            f"above the limit of {MAX_ELEMENTS}"
-        )
+    check_size(f"P = {rows}", f"one draw of shape ({rows}, {cols})", rows * cols)
 
 
 def _stream_keys(policy: SeedPolicy, start: int, stop: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EffridgeError, InvalidInputError
-from .features import SeedPolicy, check_draw, gaussian_features, normal_chunks
+from .features import CHUNK_ELEMENTS, SeedPolicy, check_draw, check_size, gaussian_features, normal_chunks
 from .kernels import Dataset, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf_stacked
 
@@ -78,7 +78,8 @@ def run_trials(
     joint predictions at all of them.  The result maps each distinct ``P`` to
     one ``TrialStats`` per ridge, in order, each equal to that of a one-ridge,
     one-``P`` call.  Every feature count shares one joint Gram square root,
-    computed up front, once every ridge and every draw's size is checked.
+    computed up front, once every ridge, every draw's size and the size of a
+    chunk's fits at every ridge are checked.
     """
     if trials < 2:
         raise InvalidInputError(f"trials must be at least 2 for sample variances, got {trials}")
@@ -95,14 +96,18 @@ def run_trials(
         raise InvalidInputError("test points and training points have different dimension")
     N = dataset.n
     X_all = np.vstack([dataset.X, test_X])
+    M = X_all.shape[0]
     for P in Ps:
-        check_draw((P, X_all.shape[0]))
+        check_draw((P, M))
+        draws = min(trials, max(1, CHUNK_ELEMENTS // (P * M)))  # a chunk, as normal_chunks sizes it
+        check_size("lambda_list", f"the fits at P = {P} of {len(lams)} ridge(s)",
+                   len(lams) * draws * max(min(N, P) ** 2, P, M))
     joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))
     out = {}
     for P in Ps:
         joint_mean = joint_m2 = norm_mean = norm_m2 = 0.0
         kept = []
-        for t0, W in normal_chunks(SeedPolicy(base_seed), trials, (P, X_all.shape[0])):
+        for t0, W in normal_chunks(SeedPolicy(base_seed), trials, (P, M)):
             try:
                 thetas = fit_rf_stacked(gaussian_features(joint_root[:N], W), dataset.y, lams)
             except EffridgeError as exc:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import CHUNK_ELEMENTS, SeedPolicy, normal_chunks
+from .features import CHUNK_ELEMENTS, SeedPolicy, check_draw, check_size, normal_chunks
 from .effective_ridge import Spectrum, _check_gamma, _root
 
 
@@ -75,11 +75,10 @@ def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
     ``N x N`` hat matrices of ``empirical_expected_A`` fit one chunk at ``P < N``.
     """
     d = spectrum.eigenvalues
-    if P < 1:
-        raise InvalidInputError("need at least one feature")
+    N = d.size
+    check_draw((P, N))
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    N = d.size
     scale = np.sqrt(d / P)
     step = max(1, CHUNK_ELEMENTS // (N * N))
     for _, W in normal_chunks(policy, trials, (P, N)):
@@ -180,11 +179,13 @@ def empirical_expected_A(
     At ``P < N`` it is singular to working precision, so the solve runs on the
     ``P x P`` Gram through the push-through identity ``Y^T (Y Y^T + lam I)^{-1} Y``.
     Per ridge, the stacks' sums are accumulated in order, averaged, symmetrized
-    and eigendecomposed.
+    and eigendecomposed; their size, every ridge's at once, is checked first.
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
     N = spectrum.n
+    stack = min(trials, max(1, CHUNK_ELEMENTS // (max(N, P) * N)))  # the draws of _wishart_draws' largest stack
+    check_size("lambda_list", f"the hat matrices at N = {N} of {len(lams)} ridge(s)", len(lams) * stack * N * N)
     acc = np.zeros((len(lams), N, N))
     lam = np.asarray(lams, dtype=float)[:, None, None, None]
     ridges = lam * np.eye(min(N, P))

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +40,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def no_trials(*args, **kwargs):
     raise AssertionError("run_trials was called")
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a feature draw was sampled")
 
 
 def readme_table(column, pattern):
@@ -905,9 +910,9 @@ class TestMainExitCodes:
     def test_csv_above_the_size_limit_is_1(self, tmp_path, capsys, monkeypatch):
         # Checked once the file is read; without held-out rows the joint Gram
         # covers every row twice: (2 * 6)^2 = 144 elements.
-        import effridge.cli as cli
+        import effridge.features as features
 
-        monkeypatch.setattr(cli, "MAX_ELEMENTS", 143)
+        monkeypatch.setattr(features, "MAX_ELEMENTS", 143)
         data = tmp_path / "data.csv"
         data.write_text("x_0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(6)))
         path = tmp_path / "cfg.json"
@@ -920,9 +925,9 @@ class TestMainExitCodes:
 
     def test_csv_above_the_size_limit_is_refused_before_its_tail_is_parsed(self, tmp_path, capsys, monkeypatch):
         # 5 rows fit (2 * 5)^2 = 100 <= 143; reading stops at the sixth, before the bad cell of the seventh.
-        import effridge.cli as cli
+        import effridge.features as features
 
-        monkeypatch.setattr(cli, "MAX_ELEMENTS", 143)
+        monkeypatch.setattr(features, "MAX_ELEMENTS", 143)
         data = tmp_path / "data.csv"
         data.write_text("x_0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(6)) + "6,bad\n")
         path = tmp_path / "cfg.json"
@@ -937,13 +942,13 @@ class TestMainExitCodes:
     def test_csv_is_capped_before_its_duplicate_row_check(self, tmp_path, capsys, monkeypatch):
         # The Dataset's duplicate-row check forms an n x n distance matrix, so
         # a file too large for the joint Gram must be refused before it.
-        import effridge.cli as cli
+        import effridge.features as features
         import effridge.kernels as kernels
 
         distances = []
         pairwise = kernels._pairwise_sq_dists
         monkeypatch.setattr(kernels, "_pairwise_sq_dists", lambda *a: distances.append(a) or pairwise(*a))
-        monkeypatch.setattr(cli, "MAX_ELEMENTS", 35)
+        monkeypatch.setattr(features, "MAX_ELEMENTS", 35)
         data = tmp_path / "data.csv"
         data.write_text("x_0,y\n" + "".join(f"{i},{i % 2}\n" for i in range(6)))
         path = tmp_path / "cfg.json"
@@ -954,6 +959,91 @@ class TestMainExitCodes:
         assert "dataset.path" in err and "36 elements" in err
         assert "Traceback" not in err
         assert distances == []
+
+    def test_one_limit_bounds_the_joint_gram_and_the_draws(self, tmp_path, capsys, monkeypatch):
+        # One patch of the limit moves both refusals: a joint Gram of (4 + 10)^2 = 196 elements, and the
+        # P = 16 draw of 16 x 12 = 192 normals, while the P = 8 draw of 96 and its fits of 2 x 64 still fit.
+        import effridge.features as features
+
+        monkeypatch.setattr(features, "MAX_ELEMENTS", 150)
+        monkeypatch.setattr(effridge.montecarlo, "normal_chunks", no_draw)
+        base = ["average-rf", "--trials", "2", "--lambda", "0.1", "--gamma", "1,2", "--out", str(tmp_path / "out")]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "sinusoid", "n": 4, "n_test": 10}}))
+        assert main([*base, "--config", str(path)]) == 1
+        assert "dataset.n + dataset.n_test: the joint Gram of 196 elements" in capsys.readouterr().err
+        path.write_text(json.dumps({"dataset": {"type": "sinusoid", "n": 8, "n_test": 4}}))
+        assert main([*base, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "P = 16: one draw of shape (16, 12) of 192 elements is above the limit of 150" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "experiment, config, limit, message",
+        [
+            ("average-rf", {"dataset": {"type": "clusters", "n": 10, "n_test": 10, "dim": 300},
+                            "kernel": {"kind": "rbf", "lengthscale": 5.0}},
+             5999, "dataset.dim: the 20 x 300 cluster data of 6000 elements"),
+            ("expected-a", {"dataset": {"type": "spectrum", "n": 130}, "p_grid": [10],
+                            "lambda_list": [0.1, 1.0]},
+             33799, "lambda_list: the hat matrices at N = 130 of 2 ridge(s) of 33800 elements"),
+            ("expected-a", {"dataset": {"type": "spectrum", "n": 10}, "p_grid": [5], "lambda_list": [0.1, 1.0],
+                            "trials": 200},
+             32599, "lambda_list: the hat matrices at N = 10 of 2 ridge(s) of 32600 elements"),
+            ("stieltjes", {"dataset": {"type": "spectrum", "n": 10}, "p_grid": [5, 20], "trials": 21},
+             200, "trials: the spectra of 21 draws at P = 20 of 210 elements"),
+            ("average-rf", {"dataset": {"type": "sinusoid", "n": 4, "n_test": 4}, "gamma_grid": [1.0],
+                            "lambda_list": [0.1, 1.0, 10.0]},
+             95, "lambda_list: the fits at P = 4 of 3 ridge(s) of 96 elements"),
+            ("average-rf", {"dataset": {"type": "clusters", "n": 130, "n_test": 2},
+                            "kernel": {"kind": "rbf", "lengthscale": 5.0}, "gamma_grid": [1.0],
+                            "lambda_list": [0.1, 1.0, 10.0]},
+             50699, "lambda_list: the fits at P = 130 of 3 ridge(s) of 50700 elements"),
+        ],
+        ids=["clusters-data", "expected-a-sums", "expected-a-stacks", "stieltjes-spectra", "trial-engine-chunk",
+             "trial-engine-ridge-stack"],
+    )
+    def test_array_above_the_limit_is_1_before_any_draw(
+        self, experiment, config, limit, message, tmp_path, capsys, monkeypatch
+    ):
+        # Each array a config sizes is refused, naming its field, before it or any feature draw is allocated.
+        import effridge.features as features
+
+        monkeypatch.setattr(features, "MAX_ELEMENTS", limit)
+        for module in (effridge.montecarlo, effridge.stieltjes):
+            monkeypatch.setattr(module, "normal_chunks", no_draw)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 2, **config}))
+        code = main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration: ") and message in err
+        assert "Traceback" not in err
+
+    def test_gamma_that_rounds_to_no_feature_is_1(self, tmp_path, capsys, monkeypatch):
+        # gamma * N = 0.04 rounds to P = 0, which is refused, not clamped to one feature.
+        monkeypatch.setattr(effridge.cli, "run_trials", no_trials)
+        code = main(["average-rf", "--gamma", "0.01,0.25", "--trials", "5", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid configuration: ")
+        assert "gamma_grid value 0.01 times N = 4 rounds to P = 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_ridgeless_root_below_the_float_range_is_3_without_a_warning(self, action, tmp_path, capsys):
+        # The gamma = 0.999 root sits near 1e-309, where 1 / (t + d) overflows: with warnings as errors
+        # (pytest's setting, and python -W error) or shown, the run ends in the numeric-failure exit only.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"type": "spectrum", "kind": "exponential", "n": 1480},
+                                    "gamma_grid": [0.999]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(["solve", "--config", str(path), "--lambda", "0", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: numeric failure: ") and "[at gamma=0.999, ridge=0.0]" in err
+        assert caught == []
 
     def test_input_error_at_a_grid_point_names_it(self, tmp_path, capsys):
         code = main(["double-descent", "--lambda", "0", "--gamma", "1", "--trials", "3",
