@@ -22,18 +22,14 @@ from .kernels import (
     GramSpectrum,
     KernelSpec,
     Spectrum,
+    apply_inverse,
     gram_matrix,
     inv_kernel_norm_sq,
     spectral_decompose,
     sqrt_gram,
 )
 from .features import SeedPolicy, derive_stream_seed
-from .predictors import (
-    conditional_moments,
-    fit_krr,
-    posterior_kernel_diag,
-    predict_krr,
-)
+from .predictors import posterior_kernel_diag
 from .effective_ridge import (
     EffectiveRidge,
     calibrate_ridge,

@@ -36,12 +36,13 @@ from .features import SeedPolicy, check_draw, check_size
 from .kernels import (
     Dataset,
     KernelSpec,
+    apply_inverse,
     gram_matrix,
     inv_kernel_norm_sq,
     spectral_decompose,
 )
 from .montecarlo import run_trials
-from .predictors import fit_krr, posterior_kernel_diag, predict_krr
+from .predictors import posterior_kernel_diag
 from .stieltjes import empirical_expected_A, expected_A_theoretical, sample_wishart, stieltjes_moments
 from .svgplot import line_plot
 
@@ -387,8 +388,6 @@ def _run_calibrate(cfg: ExperimentConfig):
 def _sampled_grid(cfg: ExperimentConfig):
     """Training data, test grid, kernel and grid points ``(lam, P)``, ridge-major as the rows are written."""
     data, test_X = _resolve_data(cfg)
-    if data.f_star is None or len(data.f_star) != test_X.shape[0]:
-        raise InvalidInputError("dataset must carry true values on the test grid")
     Ps = [int(round(P)) for P in _feature_counts(cfg, data.n)]
     if 0 in Ps:
         raise InvalidInputError(f"gamma_grid value {cfg.gamma_grid[Ps.index(0)]} times N = {data.n} rounds to P = 0")
@@ -416,7 +415,7 @@ def _krr_points(cfg: ExperimentConfig, note: str, ridgeless_note: str):
     for lam, P in points:
         with _row_context(gamma=P / data.n, ridge=lam, P=P):
             eff = solve_effective_ridge(spec, P / data.n, lam)
-            theory.append((lam, P, eff, predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)))
+            theory.append((lam, P, eff, k_cross @ apply_inverse(spec, data.y, eff.lambda_tilde)))
     if spec.rank < spec.n:
         if any(eff.lambda_tilde == 0.0 for _, _, eff, _ in theory):
             note += f"; at lambda_tilde = 0 the pseudoinverse also gives {ridgeless_note}"

@@ -22,6 +22,7 @@ mean squared parameter norm.  Each function reads the eigenvalues as a checked
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,10 +131,14 @@ def _root(spectrum: Spectrum, gamma: float, lam: float | complex):
     which bounds the size of the terms of ``g`` at the root; at ``lam = 0`` it
     reads ``|gamma - mean(d / (t + d))| < RESIDUAL_TOL * gamma``.  ``g' > 0`` at
     a real root, so a nonpositive slope there is a failed solve too; a
-    complex ``lam`` gives a complex slope, which has no sign to check.
+    complex ``lam`` gives a complex slope, which has no sign to check.  A
+    start whose ``t/gamma`` overflows is refused: no later real iterate exceeds it.
     """
     d = spectrum.eigenvalues
-    t, values, steps = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
+    start = lam + spectrum.trace_mean / gamma
+    if not abs(start / gamma) < math.inf:
+        raise NumericError(f"the t/gamma term of the effective-ridge equation overflows at gamma {gamma:.6g}")
+    t, values, steps = _newton(lambda t: _fixed_point(t, d, gamma, lam), start)
     g, slope = values[:2]
     residual = abs(g) / (abs(t) + abs(lam))
     if not (residual < RESIDUAL_TOL and (isinstance(lam, complex) or slope > 0)):
@@ -167,12 +172,13 @@ def solve_effective_ridge(spectrum: Spectrum, gamma: float, lam: float) -> Effec
                                   float(spectrum.rank), 0.0, 0)
         if spectrum.rank < spectrum.n:
             raise InvalidInputError("underparameterized ridgeless limit needs a full-rank spectrum")
+    # Iterates stay >= lam and the sums <= N / lam, so only so small a ridge can overflow them; numpy only warns.
+    if lam < spectrum.n / sys.float_info.max:
         try:
-            # A root at the bottom of the float range overflows the sums, which numpy would only warn about.
             with np.errstate(over="raise"):
                 root = _root(spectrum, gamma, lam)
         except FloatingPointError as exc:
-            raise NumericError(f"ridgeless effective ridge is below the float range: {exc}") from exc
+            raise NumericError(f"effective ridge is below the float range: {exc}") from exc
     else:
         root = _root(spectrum, gamma, lam)
     lambda_tilde, (residual, slope, dimension), iterations, _ = root

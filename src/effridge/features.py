@@ -122,6 +122,11 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def chunk_draws(rows: int, cols: int) -> int:
+    """Draws of shape ``(rows, cols)`` per chunk: as many as ``CHUNK_ELEMENTS`` entries hold, and at least one."""
+    return max(1, CHUNK_ELEMENTS // (rows * cols))
+
+
 def check_size(field: str, what: str, elements: int) -> None:
     """Refuse, naming the field, an array of more than ``MAX_ELEMENTS`` entries, before it is allocated."""
     if elements > MAX_ELEMENTS:
@@ -155,10 +160,9 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
 
     Yields ``(t0, W)`` with ``W`` of shape ``(B, rows, cols)``, where
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
-    bit for bit.  ``B = max(1, CHUNK_ELEMENTS // (rows * cols))`` depends on
-    the shape only; the last chunk holds the remaining trials.  ``rows`` is
-    the feature count P; a shape that ``check_draw`` refuses raises
-    :class:`InvalidInputError`.
+    bit for bit.  ``B = chunk_draws(rows, cols)`` depends on the shape only;
+    the last chunk holds the remaining trials.  ``rows`` is the feature count
+    P; a shape that ``check_draw`` refuses raises :class:`InvalidInputError`.
 
     One Philox serves the whole call.  The keys of the trials' own
     ``StreamSampler`` are derived a block of whole chunks, about 4096 trials,
@@ -171,7 +175,7 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     check_draw(shape)
     rows, cols = shape
     n = rows * cols
-    size = max(1, CHUNK_ELEMENTS // n)
+    size = chunk_draws(rows, cols)
     block = size * max(1, 4096 // size)  # trials per key derivation: whole chunks
     pairs = (n + 1) // 2
     bitgen = np.random.Philox(0)

@@ -3,7 +3,8 @@
 Everything downstream (feature sampling, ridge predictors, effective-ridge
 theory) is driven by the eigendecomposition of a kernel Gram matrix, so this
 module owns the numerically delicate parts: PSD-safe eigendecomposition,
-matrix square roots, inverse-kernel norms, and the one rule for which
+matrix square roots, inverse-kernel norms, the one spectral solve of
+``(K + lam I) x = v`` (kernel ridge regression's), and the one rule for which
 eigenvalues count as zero, which the kernel side, the theory and the ridgeless
 random-feature fit share.  It also owns the one spectrum type,
 :class:`Spectrum`, which the theory reads; a decomposition is one, with its
@@ -246,13 +247,21 @@ def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray) -> float:
     return float(np.sum(w * w / d))
 
 
-def apply_inverse(spec: GramSpectrum, v: np.ndarray) -> np.ndarray:
-    """Apply ``K^{-1}`` through the eigendecomposition, or on a numerically singular spectrum the pseudoinverse.
+def apply_inverse(spec: GramSpectrum, v: np.ndarray, lam: float = 0.0) -> np.ndarray:
+    """Apply ``(K + lam I)^{-1}`` to a vector ``v``, or to each column of ``v``, in the Gram's eigenbasis.
 
-    The pseudoinverse acts on range(K) (``spec.in_range``) and maps the rest
-    to zero.  It divides only where an eigenvalue is kept, so an invertible
-    spectrum gets the bits of the plain inverse.
+    It divides by ``d + lam``.  At ``lam = 0`` it divides only where an
+    eigenvalue spans range(K) (``spec.in_range``) and maps the rest to zero:
+    the pseudoinverse of a numerically singular spectrum, with the plain
+    inverse's bits on an invertible one.  Kernel ridge regression's
+    coefficients are ``apply_inverse(spec, y, lam)``.
     """
+    if lam < 0:
+        raise InvalidInputError("ridge must be nonnegative")
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != spec.n:
+        raise InvalidInputError("vector length does not match the spectrum")
     U = spec.eigenvectors
-    w = (U.T @ np.asarray(v, dtype=float)).T
-    return U @ np.divide(w, spec.eigenvalues, out=np.zeros_like(w), where=spec.in_range).T
+    w = (U.T @ v).T
+    keep = spec.in_range if lam == 0.0 else True
+    return U @ np.divide(w, spec.eigenvalues + lam, out=np.zeros_like(w), where=keep).T

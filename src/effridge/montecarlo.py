@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EffridgeError, InvalidInputError
-from .features import CHUNK_ELEMENTS, SeedPolicy, check_draw, check_size, gaussian_features, normal_chunks
+from .features import SeedPolicy, check_draw, check_size, chunk_draws, gaussian_features, normal_chunks
 from .kernels import Dataset, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
 from .predictors import fit_rf_stacked
 
@@ -99,7 +99,7 @@ def run_trials(
     M = X_all.shape[0]
     for P in Ps:
         check_draw((P, M))
-        draws = min(trials, max(1, CHUNK_ELEMENTS // (P * M)))  # a chunk, as normal_chunks sizes it
+        draws = min(trials, chunk_draws(P, M))  # a chunk, as normal_chunks sizes it
         check_size("lambda_list", f"the fits at P = {P} of {len(lams)} ridge(s)",
                    len(lams) * draws * max(min(N, P) ** 2, P, M))
     joint_root = sqrt_gram(spectral_decompose(gram_matrix(kernel, X_all)))

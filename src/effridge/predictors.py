@@ -1,4 +1,4 @@
-"""Closed-form ridge predictors: random-feature regression and kernel ridge regression.
+"""Closed-form random-feature ridge fits, and the posterior variance of the feature process.
 
 A random-feature fit solves its ridge system on the Gram of the feature block's
 shorter side, ``F F^T`` (dual) or ``F^T F`` (primal), which agree by the
@@ -7,16 +7,15 @@ solve every positive ridge.  Ridgeless fits (``lambda = 0``) take the
 minimum-norm least-squares solution through the Gram's eigendecomposition,
 on the range that ``kernels.numerical_range`` keeps: the same floor decides
 the rank of the feature Grams, of the kernel Gram and of the theory.  Kernel
-ridge regression is a spectral filter on the Gram's eigendecomposition
-``K = U diag(d) U^T``, which every caller already holds:
-``alpha = U diag(1 / (d + lambda)) U^T y``.
+ridge regression has no function here: its coefficients are the one spectral
+solve ``kernels.apply_inverse(spec, y, lambda)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import NumericError
 from .kernels import GramSpectrum, apply_inverse, numerical_range
 
 
@@ -53,29 +52,6 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
     return (z if tall else Ft @ z)[..., 0]
 
 
-def fit_krr(spec: GramSpectrum, y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve ``(K + lam I) alpha = y`` through the Gram's spectrum; returns ``alpha = U diag(1 / (d + lam)) U^T y``.
-
-    With ``lam = 0`` this is ``apply_inverse(spec, y)``, which takes the
-    pseudoinverse on range(K) of a numerically singular spectrum.
-    """
-    if lam < 0:
-        raise InvalidInputError("ridge must be nonnegative")
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != spec.n:
-        raise InvalidInputError("label vector length does not match the Gram")
-    U = spec.eigenvectors
-    return apply_inverse(spec, y) if lam == 0.0 else U @ ((U.T @ y) / (spec.eigenvalues + lam))
-
-
-def predict_krr(alpha: np.ndarray, k_cross: np.ndarray) -> np.ndarray:
-    """Predictions ``k_cross @ alpha`` at points with cross-kernel rows ``k_cross``, from ``fit_krr``'s ``alpha``."""
-    k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
-    if k_cross.shape[1] != alpha.shape[0]:
-        raise InvalidInputError("k_cross column count does not match the training set size")
-    return k_cross @ alpha
-
-
 def posterior_kernel_diag(
     spec: GramSpectrum, k_cross: np.ndarray, k_xx_diag: np.ndarray | float
 ) -> np.ndarray:
@@ -88,24 +64,6 @@ def posterior_kernel_diag(
     otherwise round to tiny negatives.
     """
     k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
-    if k_cross.shape[1] != spec.n:
-        raise InvalidInputError("k_cross column count does not match the spectrum")
     quad = np.sum(k_cross * apply_inverse(spec, k_cross.T).T, axis=1)
     return np.maximum(np.broadcast_to(np.asarray(k_xx_diag, dtype=float), quad.shape) - quad, 0.0)
 
-
-def conditional_moments(
-    spec: GramSpectrum, k_cross: np.ndarray, train_predictions: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Mean and covariance scale of the predictor given the sampled features on the training set.
-
-    Conditioned on the feature values on the training set, the predictor with
-    parameters ``theta`` and train predictions ``yhat`` is a Gaussian process
-    with mean ``K(x, X) K(X, X)^{-1} yhat`` and covariance
-    ``(||theta||^2 / P) * Ktilde(x, x')``; this returns the mean vector at the
-    rows of ``k_cross`` and the scalar ``||theta||^2 / P``.
-    """
-    k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
-    if k_cross.shape[1] != spec.n or len(train_predictions) != spec.n:
-        raise InvalidInputError("k_cross columns and train predictions must match the spectrum")
-    return k_cross @ apply_inverse(spec, train_predictions), float(theta @ theta / len(theta))

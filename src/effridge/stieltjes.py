@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .features import CHUNK_ELEMENTS, SeedPolicy, check_draw, check_size, normal_chunks
+from .features import SeedPolicy, check_draw, check_size, chunk_draws, normal_chunks
 from .effective_ridge import Spectrum, _check_gamma, _root
 
 
@@ -71,7 +71,7 @@ def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
     """Stacks of scaled draws ``Y = W diag(d / P)^{1/2}``, shape ``(k, P, N)``; ``Y^T Y`` is ``F^T F``.
 
     The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
-    a stack holds at most ``max(1, CHUNK_ELEMENTS // N^2)`` draws, so that the
+    a stack holds at most ``chunk_draws(N, N)`` draws, so that the
     ``N x N`` hat matrices of ``empirical_expected_A`` fit one chunk at ``P < N``.
     """
     d = spectrum.eigenvalues
@@ -80,7 +80,7 @@ def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) 
     if trials < 1:
         raise InvalidInputError("need at least one trial")
     scale = np.sqrt(d / P)
-    step = max(1, CHUNK_ELEMENTS // (N * N))
+    step = chunk_draws(N, N)
     for _, W in normal_chunks(policy, trials, (P, N)):
         for k in range(0, len(W), step):
             yield W[k : k + step] * scale
@@ -184,7 +184,7 @@ def empirical_expected_A(
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
     N = spectrum.n
-    stack = min(trials, max(1, CHUNK_ELEMENTS // (max(N, P) * N)))  # the draws of _wishart_draws' largest stack
+    stack = min(trials, chunk_draws(max(N, P), N))  # the draws of _wishart_draws' largest stack
     check_size("lambda_list", f"the hat matrices at N = {N} of {len(lams)} ridge(s)", len(lams) * stack * N * N)
     acc = np.zeros((len(lams), N, N))
     lam = np.asarray(lams, dtype=float)[:, None, None, None]

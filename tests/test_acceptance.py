@@ -231,7 +231,7 @@ def _agreement_grid(data, test_X, kernel, trials, seed):
         for gamma, P in Ps.items():
             stats = runs[P][j]
             eff = e.solve_effective_ridge(spectrum, P / data.n, lam)
-            pred = e.predict_krr(e.fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
+            pred = k_cross @ e.apply_inverse(spec, data.y, eff.lambda_tilde)
             rmse = float(np.sqrt(np.mean((stats.mean_prediction - pred) ** 2)))
             band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / trials))
             if rmse > band:
@@ -256,7 +256,7 @@ def test_criterion_07_average_predictor_agreement():
         for P in (4, 8):
             stats = e.run_trials(sdata, stest, KERNEL_SIN, [P], [0.1], 6000, 100 + rep)[P][0]
             eff = e.solve_effective_ridge(e.Spectrum(spec.eigenvalues), P / 4, 0.1)
-            pred = e.predict_krr(e.fit_krr(spec, sdata.y, eff.lambda_tilde), k_cross)
+            pred = k_cross @ e.apply_inverse(spec, sdata.y, eff.lambda_tilde)
             max_abs.append(float(np.max(np.abs(stats.mean_prediction - pred))))
         wins += max_abs[1] < max_abs[0]
     elapsed = time.monotonic() - t0
@@ -273,7 +273,7 @@ def test_criterion_08_ridgeless_unbiasedness():
     data, test_X = e.generate_sinusoid(4, 100, seed=1)
     stats = e.run_trials(data, test_X, KERNEL_SIN, [16], [0.0], 500, 0)[16][0]
     spec = e.spectral_decompose(e.gram_matrix(KERNEL_SIN, data.X))
-    pred0 = e.predict_krr(e.fit_krr(spec, data.y, 0.0), e.gram_matrix(KERNEL_SIN, test_X, data.X))
+    pred0 = e.gram_matrix(KERNEL_SIN, test_X, data.X) @ e.apply_inverse(spec, data.y, 0.0)
     band = 3.0 * np.sqrt(stats.var_prediction / 500)
     worst = float(np.max(np.abs(stats.mean_prediction - pred0) / band))
     _report(8, worst <= 1.0, f"max |mean RF - ridgeless KRR| / (3-sigma band) = {worst:.2f} (<= 1)")

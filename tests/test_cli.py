@@ -447,7 +447,7 @@ class TestArtifacts:
     def test_monte_carlo_columns_match_their_definitions(self, experiment, tmp_path):
         # Each Monte Carlo column, parsed back from results.csv, is its formula on the run_trials moments, bit for bit.
         from effridge import (
-            KernelSpec, fit_krr, generate_sinusoid, gram_matrix, predict_krr, run_trials, spectral_decompose,
+            KernelSpec, apply_inverse, generate_sinusoid, gram_matrix, run_trials, spectral_decompose,
         )
 
         cfg, artifacts = run_fast(experiment, tmp_path, trials=20)
@@ -461,7 +461,7 @@ class TestArtifacts:
             (s,) = stats[int(row["P"])]
             mean_variance = float(np.mean(s.var_prediction))
             lambda_tilde = solve_effective_ridge(spec, row["gamma"], 0.1).lambda_tilde
-            krr_pred = predict_krr(fit_krr(spec, data.y, lambda_tilde), gram_matrix(kernel, test_X, data.X))
+            krr_pred = gram_matrix(kernel, test_X, data.X) @ apply_inverse(spec, data.y, lambda_tilde)
             risk_of_mean = float(np.mean((s.mean_prediction - data.f_star) ** 2))
             assert row["mean_variance"] == mean_variance
             assert row["krr_risk"] == float(np.mean((krr_pred - data.f_star) ** 2))
@@ -1030,20 +1030,31 @@ class TestMainExitCodes:
         assert "gamma_grid value 0.01 times N = 4 rounds to P = 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lam", ["0", "1e-320"])
     @pytest.mark.parametrize("action", ["error", "always"])
-    def test_ridgeless_root_below_the_float_range_is_3_without_a_warning(self, action, tmp_path, capsys):
-        # The gamma = 0.999 root sits near 1e-309, where 1 / (t + d) overflows: with warnings as errors
-        # (pytest's setting, and python -W error) or shown, the run ends in the numeric-failure exit only.
+    def test_ridgeless_root_below_the_float_range_is_3_without_a_warning(self, action, lam, tmp_path, capsys):
+        # The gamma = 0.999 root sits near 1e-309, where 1 / (t + d) overflows, with no ridge or one as tiny:
+        # with warnings as errors (pytest's setting, and python -W error) or shown, the run ends in the
+        # numeric-failure exit only.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dataset": {"type": "spectrum", "kind": "exponential", "n": 1480},
                                     "gamma_grid": [0.999]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
-            code = main(["solve", "--config", str(path), "--lambda", "0", "--out", str(tmp_path / "out")])
+            code = main(["solve", "--config", str(path), "--lambda", lam, "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: numeric failure: ") and "[at gamma=0.999, ridge=0.0]" in err
+        assert err.startswith("error: numeric failure: effective ridge is below the float range: ")
+        assert f"[at gamma=0.999, ridge={float(lam)}]" in err
         assert caught == []
+
+    def test_overflowing_t_over_gamma_is_3_and_named(self, tmp_path, capsys):
+        # The root, about 1.3e159, is a float, but t / gamma at the Newton start is not.
+        code = main(["solve", "--gamma", "1e-160", "--lambda", "0.1", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: numeric failure: the t/gamma term of the effective-ridge equation "
+                              "overflows at gamma 1e-160 [at gamma=1e-160, ridge=0.1]")
 
     def test_input_error_at_a_grid_point_names_it(self, tmp_path, capsys):
         code = main(["double-descent", "--lambda", "0", "--gamma", "1", "--trials", "3",

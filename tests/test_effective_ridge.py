@@ -200,10 +200,12 @@ def test_the_solve_is_the_one_effective_ridge_entry_point():
 def test_each_rule_has_one_home():
     # Every root of the effective-ridge equation, the Stieltjes point included,
     # comes from one root finder, every Philox key comes from
-    # features._stream_keys, and the trial engine returns moments only.
+    # features._stream_keys, the trial engine returns moments only, and every
+    # kernel ridge solve is kernels.apply_inverse.
     import effridge
     import effridge.effective_ridge
     import effridge.montecarlo
+    import effridge.predictors
     import effridge.stieltjes
 
     assert not hasattr(effridge, "estimate_risk") and not hasattr(effridge.montecarlo, "estimate_risk")
@@ -211,6 +213,9 @@ def test_each_rule_has_one_home():
     assert not hasattr(effridge.effective_ridge, "_ridgeless_newton")
     for name in ("solve_effective_ridge", "_newton", "_fixed_point", "RESIDUAL_TOL"):
         assert not hasattr(effridge.stieltjes, name)
+    for name in ("fit_krr", "predict_krr", "conditional_moments"):
+        assert not hasattr(effridge, name) and not hasattr(effridge.predictors, name)
+    assert effridge.apply_inverse is effridge.kernels.apply_inverse
 
 
 SPECTRUM_READERS = {

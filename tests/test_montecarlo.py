@@ -94,7 +94,7 @@ class TestRunTrials:
         # the comparison to the ridgeless kernel predictor additionally
         # allows the deterministic small-ridge offset, since near training
         # points the band collapses below that offset
-        from effridge import fit_krr, predict_krr
+        from effridge import apply_inverse
 
         data, test_X = generate_sinusoid(4, 100, seed=1)
         stats = run_trials(data, test_X, KERNEL, [100], [1e-4], 500, 0)[100][0]
@@ -102,8 +102,8 @@ class TestRunTrials:
         k_cross = gram_matrix(KERNEL, test_X, data.X)
         spec = spectral_decompose(gram)
         eff = solve_effective_ridge(Spectrum(spec.eigenvalues), 25.0, 1e-4)
-        pred_eff = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
-        pred_zero = predict_krr(fit_krr(spec, data.y, 0.0), k_cross)
+        pred_eff = k_cross @ apply_inverse(spec, data.y, eff.lambda_tilde)
+        pred_zero = k_cross @ apply_inverse(spec, data.y, 0.0)
         band = 3.0 * np.sqrt(stats.var_prediction / 500)
         assert np.all(np.abs(stats.mean_prediction - pred_eff) <= band + 1e-12)
         offset = np.abs(pred_eff - pred_zero)
@@ -129,7 +129,7 @@ class TestRunTrials:
     def test_doubling_features_tightens_agreement(self):
         # paired comparison at P and 2P against the matched kernel predictor;
         # from P = N upward the bias shrinks like 1/P so the larger P wins
-        from effridge import fit_krr, predict_krr
+        from effridge import apply_inverse
 
         data, test_X = generate_sinusoid(4, 30, seed=1)
         gram = gram_matrix(KERNEL, data.X)
@@ -142,7 +142,7 @@ class TestRunTrials:
             for P in (4, 8):
                 stats = run_trials(data, test_X, KERNEL, [P], [0.1], 3000, 100 + rep)[P][0]
                 eff = solve_effective_ridge(Spectrum(spec.eigenvalues), P / 4, 0.1)
-                krr_pred = predict_krr(fit_krr(spec, data.y, eff.lambda_tilde), k_cross)
+                krr_pred = k_cross @ apply_inverse(spec, data.y, eff.lambda_tilde)
                 gaps.append(np.max(np.abs(stats.mean_prediction - krr_pred)))
             wins += gaps[1] < gaps[0]
         assert wins >= 4

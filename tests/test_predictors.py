@@ -6,12 +6,10 @@ from effridge import (
     InvalidInputError,
     KernelSpec,
     SeedPolicy,
-    conditional_moments,
-    fit_krr,
+    apply_inverse,
     generate_sinusoid,
     gram_matrix,
     posterior_kernel_diag,
-    predict_krr,
     run_trials,
     spectral_decompose,
     sqrt_gram,
@@ -112,38 +110,54 @@ class TestPredictRF:
 
 
 class TestKRR:
+    """Kernel ridge regression is the spectral solve ``apply_inverse(spec, y, lam)``, predicted as ``k_cross @ alpha``."""
+
     def test_identity_gram(self):
         y = np.array([2.0, -4.0])
-        alpha = fit_krr(spectral_decompose(np.eye(2)), y, 1.0)
+        alpha = apply_inverse(spectral_decompose(np.eye(2)), y, 1.0)
         assert np.allclose(alpha, y / 2)
-        assert np.allclose(predict_krr(alpha, np.eye(2)), y / 2)
+        assert np.allclose(np.eye(2) @ alpha, y / 2)
 
     def test_ridgeless_interpolation(self):
         K = np.array([[2.0, 0.5], [0.5, 1.0]])
         y = np.array([1.0, -1.0])
-        alpha = fit_krr(spectral_decompose(K), y, 0.0)
-        assert np.max(np.abs(predict_krr(alpha, K) - y)) < 1e-8
+        alpha = apply_inverse(spectral_decompose(K), y, 0.0)
+        assert np.max(np.abs(K @ alpha - y)) < 1e-8
 
     def test_diag_hand_solve(self):
-        alpha = fit_krr(spectral_decompose(np.diag([2.0, 1.0])), np.array([1.0, 1.0]), 1.0)
+        alpha = apply_inverse(spectral_decompose(np.diag([2.0, 1.0])), np.array([1.0, 1.0]), 1.0)
         assert np.allclose(alpha, [1.0 / 3.0, 0.5], atol=1e-12)
 
-    def test_prediction_checks_the_column_count(self):
-        alpha = fit_krr(spectral_decompose(np.eye(2)), np.array([1.0, 1.0]), 1.0)
-        with pytest.raises(InvalidInputError):
-            predict_krr(alpha, np.ones((1, 3)))
+    @pytest.mark.parametrize("lam", [1e-12, 0.1, 7.3])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_positive_ridge_is_the_eigenbasis_division(self, lam, singular):
+        # At lam > 0 every eigenvalue divides, those below the rank floor included, bit for bit.
+        A = np.random.default_rng(6).normal(size=(5, 3 if singular else 5))
+        spec = spectral_decompose(A @ A.T)
+        assert (spec.rank < spec.n) == singular
+        y = np.random.default_rng(7).normal(size=5)
+        U = spec.eigenvectors
+        assert np.array_equal(apply_inverse(spec, y, lam), U @ ((U.T @ y) / (spec.eigenvalues + lam)))
+
+    def test_negative_ridge_is_refused(self):
+        with pytest.raises(InvalidInputError, match="ridge must be nonnegative"):
+            apply_inverse(spectral_decompose(np.eye(2)), np.array([1.0, 1.0]), -0.1)
+
+    def test_solve_checks_the_vector_length(self):
+        with pytest.raises(InvalidInputError, match="does not match the spectrum"):
+            apply_inverse(spectral_decompose(np.eye(2)), np.ones(3), 1.0)
 
     def test_singular_ridgeless_is_the_pseudoinverse(self):
         # K = v v^T has K^+ = v v^T / 4, so K^+ y = (0.5, 0.5) for y = v.
         v = np.array([1.0, 1.0])
         spec = spectral_decompose(np.outer(v, v))
-        assert np.allclose(fit_krr(spec, v, 0.0), [0.5, 0.5], atol=1e-12)
+        assert np.allclose(apply_inverse(spec, v, 0.0), [0.5, 0.5], atol=1e-12)
 
     def test_invertible_ridgeless_keeps_the_plain_inverse_bits(self):
         spec = spectral_decompose(np.array([[2.0, 0.5], [0.5, 1.0]]))
         y = np.array([1.0, -1.0])
         U = spec.eigenvectors
-        assert np.array_equal(fit_krr(spec, y, 0.0), U @ ((U.T @ y) / spec.eigenvalues))
+        assert np.array_equal(apply_inverse(spec, y, 0.0), U @ ((U.T @ y) / spec.eigenvalues))
 
 
 class TestPosteriorKernel:
@@ -165,6 +179,12 @@ class TestPosteriorKernel:
 
 
 class TestConditionalMoments:
+    """Given the features on the training set, the predictor is a Gaussian process.
+
+    Its mean at ``x`` is ``K(x, X) K(X, X)^{-1} yhat``, with ``yhat`` the train
+    predictions, and its covariance ``(||theta||^2 / P) * Ktilde(x, x')``.
+    """
+
     def _setup(self, lam=0.1, P=6, seed=0):
         data, test_X = generate_sinusoid(4, 25, seed=3)
         kernel = KernelSpec("rbf", 2.0)
@@ -180,21 +200,21 @@ class TestConditionalMoments:
     def test_mean_at_training_points_is_yhat(self):
         data, _, kernel, spec, F_train, theta, _ = self._setup()
         k_self = gram_matrix(kernel, data.X)
-        mean, _ = conditional_moments(spec, k_self, F_train @ theta, theta)
+        mean = k_self @ apply_inverse(spec, F_train @ theta)
         assert np.max(np.abs(mean - F_train @ theta)) < 1e-8
 
     def test_zero_parameters_degenerate(self):
         data, test_X, kernel, spec, F_train, theta, k_cross = self._setup()
         zero_theta = fit_one(F_train, np.zeros(data.n), 0.5)
-        _, cov_scale = conditional_moments(spec, k_cross, F_train @ zero_theta, zero_theta)
-        assert cov_scale == 0.0
+        assert np.all(k_cross @ apply_inverse(spec, F_train @ zero_theta) == 0.0)
+        assert zero_theta @ zero_theta / zero_theta.size == 0.0
 
     def test_conditional_resampling_oracle(self):
         # given fixed features on the training set, resample the feature process
         # at test points from its Gaussian conditional; empirical mean and
         # variance of the resulting predictor match the stated moments
         data, test_X, kernel, spec, F_train, theta, k_cross = self._setup(lam=0.1, P=6, seed=1)
-        mean, cov_scale = conditional_moments(spec, k_cross, F_train @ theta, theta)
+        mean, cov_scale = k_cross @ apply_inverse(spec, F_train @ theta), theta @ theta / theta.size
         ktilde = posterior_kernel_diag(spec, k_cross, 1.0)
 
         K_inv_cross = np.linalg.solve(gram_matrix(kernel, data.X), k_cross.T)
@@ -236,8 +256,7 @@ class TestRidgelessUnbiasedness:
             thetas = fit_rf_stacked(F[:, : data.n], data.y, [0.0])[0]
             acc[t0 : t0 + len(W)] = [f[data.n :] @ theta for f, theta in zip(F, thetas)]
         gram = gram_matrix(kernel, data.X)
-        krr = fit_krr(spectral_decompose(gram), data.y, 0.0)
-        krr_pred = predict_krr(krr, gram_matrix(kernel, test_X, data.X))
+        krr_pred = gram_matrix(kernel, test_X, data.X) @ apply_inverse(spectral_decompose(gram), data.y, 0.0)
         band = 3.0 * acc.std(axis=0, ddof=1) / np.sqrt(trials)
         assert np.all(np.abs(acc.mean(axis=0) - krr_pred) <= band + 1e-12)
 
