@@ -22,7 +22,8 @@ take their Philox keys from ``_stream_keys``, a SplitMix64 over uint64 arrays.
 Philox per trial by assigning its state (a fresh stream: the key,
 a zero counter, an empty buffer), writes the uniforms into one preallocated
 array and runs one Box-Muller per chunk.  Each trial gets the same bits as
-its own ``StreamSampler``.
+its own ``StreamSampler``.  Box-Muller takes cos and sin in bucket order of
+the angles, per block; each element's operations, and so its bits, are unchanged.
 """
 
 from __future__ import annotations
@@ -106,7 +107,9 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     The first half of that axis gives radii, its second half angles.  Every
     operation is elementwise along that axis, so a stack of streams gives the
-    same bits as each stream on its own.
+    same bits as each stream on its own.  cos and sin, whose libm cost depends
+    on the angle's range, run on blocks of at most ``CHUNK_ELEMENTS // 2`` angles
+    sorted into 32 buckets of [0, 2 pi] and scattered back, which changes no bit.
     """
     pairs = u.shape[-1] // 2
     r, theta = u[..., :pairs], u[..., pairs:]
@@ -116,9 +119,20 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.multiply(-2.0, r, out=r)
     np.sqrt(r, out=r)
     np.multiply(2.0 * np.pi, theta, out=theta)
-    cos, sin = out[..., :pairs], out[..., pairs:]
-    np.multiply(r, np.cos(theta, out=cos), out=cos)
-    np.multiply(r, np.sin(theta, out=sin), out=sin)
+    # One stream reads u's halves and writes out's, viewed flat; a stack goes through one flat buffer.
+    one = u.size == 2 * pairs
+    flat = u.reshape(2, pairs) if one else u.reshape(-1, 2, pairs).swapaxes(0, 1).reshape(2, -1)
+    dest = out.reshape(2, pairs) if one else flat
+    step = CHUNK_ELEMENTS // 2
+    for s in range(0, flat.shape[1], step):
+        r, theta = flat[:, s : s + step]
+        order = np.argsort((theta * (16 / np.pi)).astype(np.uint8), kind="stable")
+        r, theta = r[order], theta[order]
+        cos = np.cos(theta)
+        dest[0, s : s + step][order] = np.multiply(r, cos, out=cos)
+        dest[1, s : s + step][order] = np.multiply(r, np.sin(theta, out=theta), out=theta)
+    if not one:
+        out.reshape(-1, 2, pairs).swapaxes(0, 1)[...] = flat.reshape(2, -1, pairs)
     return out
 
 

@@ -7,6 +7,7 @@ from effridge.features import (
     CHUNK_ELEMENTS,
     MAX_ELEMENTS,
     StreamSampler,
+    _box_muller,
     _mix64,
     _stream_keys,
     gaussian_features,
@@ -217,3 +218,60 @@ class TestNormalChunks:
         P = MAX_ELEMENTS // 2 + 1
         with pytest.raises(InvalidInputError, match=rf"P = {P}: one draw of shape \({P}, 2\)"):
             next(normal_chunks(SeedPolicy(0, 0), 2, (P, 2)))
+
+
+def elementwise_box_muller(u):
+    """Box-Muller as every element was computed before bucket order: ``r * cos(theta)``, ``r * sin(theta)`` in place."""
+    u, out = u.copy(), np.empty_like(u)
+    pairs = u.shape[-1] // 2
+    r, theta = u[..., :pairs], u[..., pairs:]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, theta, out=theta)
+    cos, sin = out[..., :pairs], out[..., pairs:]
+    np.multiply(r, np.cos(theta, out=cos), out=cos)
+    np.multiply(r, np.sin(theta, out=sin), out=sin)
+    return out
+
+
+class TestBoxMuller:
+    """cos and sin in bucket order, a block of angles at a time, give the elementwise bits."""
+
+    BLOCK = CHUNK_ELEMENTS // 2
+
+    def _check(self, u):
+        out = np.full_like(u, np.nan)
+        assert _box_muller(u.copy(), out) is out
+        assert not np.isnan(out).any()
+        assert out.tobytes() == elementwise_box_muller(u).tobytes()
+
+    def test_one_stream(self):
+        self._check(np.random.default_rng(0).random(2 * 1000))
+
+    def test_stacked_chunk(self):
+        # 700 draws of 15 pairs: 10,500 angles, two blocks whose edge falls inside a draw
+        self._check(np.random.default_rng(1).random((700, 30)))
+
+    def test_one_draw_spanning_three_blocks(self):
+        # the last block holds 100 angles
+        self._check(np.random.default_rng(2).random((1, 2 * (2 * self.BLOCK + 100))))
+
+    def test_angles_on_every_bucket_edge(self):
+        # u = k/32 puts the angle on an edge of the 32 buckets, and just below
+        # it; u = 1 gives an angle of exactly 2 pi, the only one in bucket 32.
+        edges = np.arange(33) / 32
+        angles = np.concatenate([edges, np.nextafter(edges[1:], 0.0)])
+        keys = (2.0 * np.pi * angles * (16 / np.pi)).astype(np.uint8)
+        assert set(keys.tolist()) == set(range(33))
+        radii = np.random.default_rng(3).random(angles.size)
+        self._check(np.concatenate([radii, angles]))
+        self._check(np.stack([np.concatenate([radii, angles])] * 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3 * BLOCK), st.integers(0, 2**32 - 1))
+    def test_any_stack(self, rows, pairs, seed):
+        u = np.random.default_rng(seed).random((rows, 2 * pairs))
+        self._check(u)
+        self._check(u[0])
