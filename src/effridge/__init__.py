@@ -23,13 +23,13 @@ from .kernels import (
     KernelSpec,
     Spectrum,
     apply_inverse,
+    coordinates,
     gram_matrix,
-    inv_kernel_norm_sq,
     spectral_decompose,
+    spectral_sum,
     sqrt_gram,
 )
 from .features import SeedPolicy, derive_stream_seed
-from .predictors import posterior_kernel_diag
 from .effective_ridge import (
     EffectiveRidge,
     calibrate_ridge,

@@ -33,16 +33,8 @@ from .effective_ridge import Spectrum, calibrate_ridge, solve_effective_ridge, t
 from .errors import EffridgeError, InfeasibleTargetError, InvalidInputError, NumericError
 from . import features
 from .features import SeedPolicy, check_draw, check_size
-from .kernels import (
-    Dataset,
-    KernelSpec,
-    apply_inverse,
-    gram_matrix,
-    inv_kernel_norm_sq,
-    spectral_decompose,
-)
+from .kernels import Dataset, KernelSpec, apply_inverse, coordinates, gram_matrix, spectral_decompose, spectral_sum
 from .montecarlo import run_trials
-from .predictors import posterior_kernel_diag
 from .stieltjes import empirical_expected_A, expected_A_theoretical, sample_wishart, stieltjes_moments
 from .svgplot import line_plot
 
@@ -401,7 +393,7 @@ def _sample(cfg: ExperimentConfig, data: Dataset, test_X: np.ndarray, kernel: Ke
 
 
 def _krr_points(cfg: ExperimentConfig, note: str, ridgeless_note: str):
-    """Data, train spectrum, cross kernel and ``(lam, P, eff, krr_pred, stats)`` per grid point, in row order.
+    """Data, train spectrum, ``w = U^T y``, ``C = K(x, X) U`` and ``(lam, P, eff, krr_pred, stats)`` per grid point.
 
     Every point's effective ridge and KRR test predictions come before the
     first draw, so a point that theory rejects fails at once.  A singular train
@@ -421,7 +413,8 @@ def _krr_points(cfg: ExperimentConfig, note: str, ridgeless_note: str):
             note += f"; at lambda_tilde = 0 the pseudoinverse also gives {ridgeless_note}"
         print(f"note: Gram matrix numerically singular; {note}", file=sys.stderr)
     stats = _sample(cfg, data, test_X, kernel, points)
-    return data, spec, k_cross, [(*point, s) for point, s in zip(theory, stats)]
+    w, C = coordinates(spec, data.y), coordinates(spec, k_cross.T)
+    return data, spec, w, C, [(*point, s) for point, s in zip(theory, stats)]
 
 
 def _test_risk(pred: np.ndarray, f_star: np.ndarray) -> float:
@@ -430,11 +423,11 @@ def _test_risk(pred: np.ndarray, f_star: np.ndarray) -> float:
 
 
 def _run_average_rf(cfg: ExperimentConfig):
-    data, spec, _, points = _krr_points(
+    data, spec, w, _, points = _krr_points(
         cfg, "bound_scale_norm and bound_scale_norm_sq use the pseudoinverse label norm",
         "krr_risk, mean_rf_vs_krr_rmse, mean_rf_vs_krr_max_abs and theta_norm_theory")
     N = data.n
-    q_norm_sq = inv_kernel_norm_sq(spec, data.y)
+    q_norm_sq = float(spectral_sum(spec, w, w))
     rows = []
     for lam, P, eff, krr_pred, stats in points:
         gap = stats.mean_prediction - krr_pred
@@ -459,10 +452,11 @@ def _run_average_rf(cfg: ExperimentConfig):
 
 
 def _run_double_descent(cfg: ExperimentConfig):
-    data, spec, k_cross, points = _krr_points(cfg, "variance_theory uses the pseudoinverse posterior variance",
-                                              "krr_risk and the parameter norm in variance_theory")
+    data, spec, _, C, points = _krr_points(cfg, "variance_theory uses the pseudoinverse posterior variance",
+                                           "krr_risk and the parameter norm in variance_theory")
     N = data.n
-    ktilde_diag = posterior_kernel_diag(spec, k_cross, 1.0)
+    # Posterior variances k(x, x) - K(x, X) K^+ K(X, x), k(x, x) = 1 for RBF; zeros at train points round below 0.
+    ktilde_diag = np.maximum(1.0 - spectral_sum(spec, C, C), 0.0)
     rows = []
     for lam, P, eff, krr_pred, stats in points:
         risk_of_mean = _test_risk(stats.mean_prediction, data.f_star)
@@ -503,7 +497,8 @@ def _run_stieltjes(cfg: ExperimentConfig):
         # Drawn once per P and shared by every ridge.
         spectra = sample_wishart(spectrum, P, SeedPolicy(cfg.base_seed), cfg.trials)
         for lam in cfg.lambda_list:
-            mean, var = stieltjes_moments(spectra, P, complex(-lam, 0.0))
+            with _row_context(P=P, ridge=lam):
+                mean, var = stieltjes_moments(spectra, P, complex(-lam, 0.0))
             gamma = P / N
             m_tilde = 1.0 / effs[P, lam].lambda_tilde
             # The m-form of the fixed point, gamma = mean(d m / (1 + d m)) + gamma lam m, at m = m_tilde.

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtThresholdError, InfeasibleTargetError, InvalidInputError, NumericError
-from .kernels import GramSpectrum, Spectrum
+from .kernels import GramSpectrum, Spectrum, coordinates, spectral_sum
 
 MAX_NEWTON_ITERS = 200
 # Contractual bound on the defining equation's residual relative to
@@ -207,9 +207,5 @@ def calibrate_ridge(spectrum: Spectrum, gamma: float, lambda_star: float) -> flo
 
 def theta_norm_theory(spec: GramSpectrum, y: np.ndarray, eff: EffectiveRidge) -> float:
     """Predicted mean squared parameter norm, ``d(lt)/d(l) * y^T K (K + lt I)^{-2} y``, over range(K) at ``lt = 0``."""
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != spec.n:
-        raise InvalidInputError("label vector length does not match the spectrum")
-    keep = spec.in_range if eff.lambda_tilde == 0.0 else slice(None)
-    w, d = (spec.eigenvectors.T @ y)[keep], spec.eigenvalues[keep]
-    return eff.d_lambda_tilde * float(np.sum(d * w * w / (eff.lambda_tilde + d) ** 2))
+    w = coordinates(spec, np.ravel(y))
+    return eff.d_lambda_tilde * float(spectral_sum(spec, w, w, eff.lambda_tilde, 2, spec.eigenvalues))

@@ -3,10 +3,10 @@
 Everything downstream (feature sampling, ridge predictors, effective-ridge
 theory) is driven by the eigendecomposition of a kernel Gram matrix, so this
 module owns the numerically delicate parts: PSD-safe eigendecomposition,
-matrix square roots, inverse-kernel norms, the one spectral solve of
-``(K + lam I) x = v`` (kernel ridge regression's), and the one rule for which
-eigenvalues count as zero, which the kernel side, the theory and the ridgeless
-random-feature fit share.  It also owns the one spectrum type,
+matrix square roots, the one spectral solve of ``(K + lam I) x = v`` (kernel
+ridge regression's), the one eigenbasis sum that every kernel-side theory
+quantity reads, and the one rule for which eigenvalues count as zero, which
+the kernel side, the theory and the ridgeless random-feature fit share.  It also owns the one spectrum type,
 :class:`Spectrum`, which the theory reads; a decomposition is one, with its
 eigenvectors.
 """
@@ -230,21 +230,12 @@ def sqrt_gram(spec: GramSpectrum) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def inv_kernel_norm_sq(spec: GramSpectrum, y: np.ndarray) -> float:
-    """Squared inverse-kernel norm of the labels, ``y^T K^{-1} y``, or ``y^T K^+ y`` on a singular spectrum.
-
-    Computed in the eigenbasis as ``sum_i (U^T y)_i^2 / d_i`` over the
-    eigenvalues that span range(K) (``spec.in_range``), which is every one of
-    an invertible spectrum; on a singular one the true inverse norm is
-    infinite unless the labels avoid the null space.  The (unsquared) norm is
-    the square root of this value; both conventions appear in reported error
-    bounds, so the squared form is the primitive.
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != spec.n:
-        raise InvalidInputError("label vector length does not match the spectrum")
-    w, d = (spec.eigenvectors.T @ y)[spec.in_range], spec.eigenvalues[spec.in_range]
-    return float(np.sum(w * w / d))
+def coordinates(spec: GramSpectrum, v: np.ndarray) -> np.ndarray:
+    """Eigenbasis coordinates ``U^T v`` of a vector ``v``, or of each column of ``v`` as the rows of the result."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != spec.n:
+        raise InvalidInputError("vector length does not match the spectrum")
+    return (spec.eigenvectors.T @ v).T
 
 
 def apply_inverse(spec: GramSpectrum, v: np.ndarray, lam: float = 0.0) -> np.ndarray:
@@ -258,10 +249,24 @@ def apply_inverse(spec: GramSpectrum, v: np.ndarray, lam: float = 0.0) -> np.nda
     """
     if lam < 0:
         raise InvalidInputError("ridge must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != spec.n:
-        raise InvalidInputError("vector length does not match the spectrum")
-    U = spec.eigenvectors
-    w = (U.T @ v).T
+    w = coordinates(spec, v)
     keep = spec.in_range if lam == 0.0 else True
-    return U @ np.divide(w, spec.eigenvalues + lam, out=np.zeros_like(w), where=keep).T
+    return spec.eigenvectors @ np.divide(w, spec.eigenvalues + lam, out=np.zeros_like(w), where=keep).T
+
+
+def spectral_sum(spec: GramSpectrum, a: np.ndarray, b: np.ndarray, shift: float = 0.0, power: int = 1,
+                 weight: np.ndarray | None = None) -> np.ndarray:
+    """``sum_i weight_i a_i b_i / (d_i + shift)^power`` over eigenbasis coordinates, the last axis of ``a`` and ``b``.
+
+    ``a`` and ``b`` are vectors or matrices of rows, as ``coordinates`` gives
+    them, and ``weight`` a vector over the eigenvalues (1 if omitted).  At
+    ``shift = 0`` the sum runs over range(K) (``spec.in_range``) only, as
+    ``apply_inverse`` divides: with ``w = U^T y``, ``spectral_sum(spec, w, w)``
+    is ``y^T K^+ y``.  A denominator past the float range gives its term the
+    zero it rounds to, without an overflow warning.
+    """
+    keep = spec.in_range if shift == 0.0 else slice(None)
+    a, b, d = a[..., keep], b[..., keep], spec.eigenvalues[keep]
+    with np.errstate(over="ignore"):
+        denominator = (d + shift) ** power
+    return np.sum((a * b if weight is None else weight[keep] * a * b) / denominator, axis=-1)

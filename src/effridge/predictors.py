@@ -1,4 +1,4 @@
-"""Closed-form random-feature ridge fits, and the posterior variance of the feature process.
+"""Closed-form random-feature ridge fits.
 
 A random-feature fit solves its ridge system on the Gram of the feature block's
 shorter side, ``F F^T`` (dual) or ``F^T F`` (primal), which agree by the
@@ -8,7 +8,8 @@ minimum-norm least-squares solution through the Gram's eigendecomposition,
 on the range that ``kernels.numerical_range`` keeps: the same floor decides
 the rank of the feature Grams, of the kernel Gram and of the theory.  Kernel
 ridge regression has no function here: its coefficients are the one spectral
-solve ``kernels.apply_inverse(spec, y, lambda)``.
+solve ``kernels.apply_inverse(spec, y, lambda)``, and the posterior variances of
+the feature process are one ``kernels.spectral_sum``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .kernels import GramSpectrum, apply_inverse, numerical_range
+from .kernels import numerical_range
 
 
 def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
@@ -50,20 +51,4 @@ def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"ridge fit failed: {exc}") from exc
     return (z if tall else Ft @ z)[..., 0]
-
-
-def posterior_kernel_diag(
-    spec: GramSpectrum, k_cross: np.ndarray, k_xx_diag: np.ndarray | float
-) -> np.ndarray:
-    """Posterior variances ``K(x, x) - K(x, X) K(X, X)^{-1} K(X, x)`` of the feature process.
-
-    They are conditioned on the process's values on the data, so they vanish
-    at training points.  ``k_cross`` holds one cross-kernel row per
-    evaluation point and ``k_xx_diag`` the matching prior variances (a scalar
-    broadcasts).  Values are clipped at zero: exact zeros at training points
-    otherwise round to tiny negatives.
-    """
-    k_cross = np.atleast_2d(np.asarray(k_cross, dtype=float))
-    quad = np.sum(k_cross * apply_inverse(spec, k_cross.T).T, axis=1)
-    return np.maximum(np.broadcast_to(np.asarray(k_xx_diag, dtype=float), quad.shape) - quad, 0.0)
 

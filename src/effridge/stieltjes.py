@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericError
 from .features import SeedPolicy, check_draw, check_size, chunk_draws, normal_chunks
 from .effective_ridge import Spectrum, _check_gamma, _root
 
@@ -106,7 +106,7 @@ def empirical_stieltjes(spectra: np.ndarray, P: int, z: complex) -> np.ndarray:
 
     ``spectra`` holds ``r <= P`` eigenvalues per draw on its last axis, as
     ``sample_wishart`` returns them; the other ``P - r`` eigenvalues are zero,
-    so ``m_P(z) = ((P - r) / (-z) + sum_i 1 / (s_i - z)) / P``.
+    so ``m_P(z) = ((P - r) / (-z) + sum_i 1 / (s_i - z)) / P``; one that leaves the float range is a NumericError.
     """
     z = complex(z)
     if not np.isfinite(z) or (z.imag == 0 and z.real >= 0):
@@ -115,7 +115,11 @@ def empirical_stieltjes(spectra: np.ndarray, P: int, z: complex) -> np.ndarray:
     r = s.shape[-1]
     if r > P:
         raise InvalidInputError(f"a spectrum of {r} eigenvalues does not fit P = {P} features")
-    return ((P - r) / -z + np.sum(1.0 / (s - z), axis=-1)) / P
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ((P - r) / -z + np.sum(1.0 / (s - z), axis=-1)) / P
+    if not np.all(np.isfinite(m)):
+        raise NumericError(f"m_P(z) leaves the float range at z = {z}")
+    return m
 
 
 def _cone_membership(m: complex, z: complex) -> bool:

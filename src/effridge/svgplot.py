@@ -8,6 +8,7 @@ pure function of the numeric series, which keeps emitted files byte-stable.
 from __future__ import annotations
 
 import math
+import sys
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 40, 56
@@ -51,9 +52,15 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
     lo_e = math.floor(math.log10(lo))
-    hi_e = math.ceil(math.log10(hi))
+    hi_e = min(math.ceil(math.log10(hi)), sys.float_info.max_10_exp)
     ticks = [10.0**e for e in range(lo_e, hi_e + 1)]
     return [t for t in ticks if lo / 1.0001 <= t <= hi * 1.0001]
+
+
+def _widened(v: float, log: bool) -> tuple[float, float]:
+    """Axis ends around a single value ``v``; the top stays a float where ``v`` near the float maximum overflows."""
+    half = (abs(v) or 1.0) * 0.5
+    return v / 2 if log else v - half, min(v + half, sys.float_info.max)
 
 
 def _tick_label(v: float, log: bool) -> str:
@@ -101,11 +108,9 @@ def line_plot(
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
-        x_hi = x_lo + (abs(x_lo) or 1.0) * 0.5
-        x_lo = x_lo - (abs(x_lo) or 1.0) * 0.5 if not logx else x_lo / 2
+        x_lo, x_hi = _widened(x_lo, logx)
     if y_hi == y_lo:
-        y_hi = y_lo + (abs(y_lo) or 1.0) * 0.5
-        y_lo = y_lo - (abs(y_lo) or 1.0) * 0.5 if not logy else y_lo / 2
+        y_lo, y_hi = _widened(y_lo, logy)
     if not logy:
         pad = 0.05 * (y_hi - y_lo)
         y_lo, y_hi = y_lo - pad, y_hi + pad

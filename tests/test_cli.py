@@ -445,7 +445,9 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("experiment", ["average-rf", "double-descent"])
     def test_monte_carlo_columns_match_their_definitions(self, experiment, tmp_path):
-        # Each Monte Carlo column, parsed back from results.csv, is its formula on the run_trials moments, bit for bit.
+        # Each Monte Carlo column, parsed back from results.csv, is its formula on the run_trials moments, bit for bit;
+        # each theory column is its sum over the train Gram's eigenbasis, w = U^T y, bit for bit, and
+        # variance_theory its definition through a direct solve with K.
         from effridge import (
             KernelSpec, apply_inverse, generate_sinusoid, gram_matrix, run_trials, spectral_decompose,
         )
@@ -454,14 +456,19 @@ class TestArtifacts:
         _, rows = parse_results_csv(artifacts["results"])
         data, test_X = generate_sinusoid(4, 16, seed=cfg.base_seed)
         kernel = KernelSpec("rbf", 2.0)
-        spec = spectral_decompose(gram_matrix(kernel, data.X))
+        K, k_cross = gram_matrix(kernel, data.X), gram_matrix(kernel, test_X, data.X)
+        spec = spectral_decompose(K)
+        assert spec.rank == spec.n
+        d, w = spec.eigenvalues, spec.eigenvectors.T @ data.y
         stats = run_trials(data, test_X, kernel, [2, 8], [0.1], 20, cfg.base_seed)
         assert [(r["P"], r["lambda"]) for r in rows] == [(2, 0.1), (8, 0.1)]
         for row in rows:
             (s,) = stats[int(row["P"])]
             mean_variance = float(np.mean(s.var_prediction))
-            lambda_tilde = solve_effective_ridge(spec, row["gamma"], 0.1).lambda_tilde
-            krr_pred = gram_matrix(kernel, test_X, data.X) @ apply_inverse(spec, data.y, lambda_tilde)
+            eff = solve_effective_ridge(spec, row["gamma"], 0.1)
+            lambda_tilde = eff.lambda_tilde
+            theta_norm = eff.d_lambda_tilde * float(np.sum(d * w * w / (lambda_tilde + d) ** 2))
+            krr_pred = k_cross @ apply_inverse(spec, data.y, lambda_tilde)
             risk_of_mean = float(np.mean((s.mean_prediction - data.f_star) ** 2))
             assert row["mean_variance"] == mean_variance
             assert row["krr_risk"] == float(np.mean((krr_pred - data.f_star) ** 2))
@@ -471,9 +478,16 @@ class TestArtifacts:
                 assert row["mean_rf_vs_krr_rmse"] == float(np.sqrt(np.mean(gap**2)))
                 assert row["mean_rf_vs_krr_max_abs"] == float(np.max(np.abs(gap)))
                 assert row["mc_band_rmse"] == 3.0 * float(np.sqrt(mean_variance / 20))
+                q_norm_sq = float(np.sum(w * w / d))
+                assert row["theta_norm_theory"] == theta_norm
+                assert row["bound_scale_norm"] == np.sqrt(q_norm_sq) / row["P"]
+                assert row["bound_scale_norm_sq"] == q_norm_sq / row["P"]
             else:
                 assert row["risk_of_mean"] == risk_of_mean
                 assert row["expected_risk"] == row["risk_of_mean"] + row["mean_variance"]
+                posterior = 1.0 - np.sum(k_cross * np.linalg.solve(K, k_cross.T).T, axis=1)
+                want = theta_norm / row["P"] * float(np.mean(np.maximum(posterior, 0.0)))
+                assert row["variance_theory"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_ridgeless_solve_on_a_singular_gram_counts_its_rank(self, tmp_path):
         # Only 17 of this Gram's 40 eigenvalues lie above the rank floor, so at lambda = 0 the
@@ -1046,6 +1060,47 @@ class TestMainExitCodes:
         assert code == 3
         assert err.startswith("error: numeric failure: effective ridge is below the float range: ")
         assert f"[at gamma=0.999, ridge={float(lam)}]" in err
+        assert caught == []
+
+    @pytest.mark.parametrize("experiment, column", [("average-rf", "theta_norm_theory"),
+                                                    ("double-descent", "variance_theory")])
+    def test_parameter_norm_at_a_ridge_whose_square_overflows_is_0_without_a_warning(
+        self, experiment, column, tmp_path
+    ):
+        # (lambda_tilde + d)^2 leaves the float range near lambda_tilde = 1.3e154, so the predicted norm
+        # d(lt)/d(l) sum_i d_i w_i^2 / (lambda_tilde + d_i)^2 underflows to 0, under warnings as errors too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, "--lambda", "1e160", "--gamma", "4", "--trials", "2",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        _, (row,) = parse_results_csv(tmp_path / "out" / "results.csv")
+        assert row[column] == 0.0
+
+    @pytest.mark.parametrize("experiment, args", [("solve", ["--lambda", "1.5e308", "--gamma", "10"]),
+                                                  ("calibrate", ["--lambda", "1e308"])])
+    def test_values_near_the_float_maximum_are_plotted(self, experiment, args, tmp_path):
+        # A single value near the float maximum widens to the float maximum, not to inf, and its
+        # log axis gets decade ticks up to 1e308.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, *args, "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("*.svg")) == sorted(effridge.cli._PLOTS[experiment])
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_stieltjes_transform_past_the_float_range_is_3_and_named_without_a_warning(
+        self, action, tmp_path, capsys
+    ):
+        # At z = -1e-310 the zero eigenvalues' term (P - r) / (-z) of m_P(z) overflows.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(["stieltjes", "--lambda", "1e-310", "--p", "100", "--trials", "2",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: numeric failure: m_P(z) leaves the float range")
+        assert "[at P=100, ridge=1e-310]" in err
         assert caught == []
 
     def test_overflowing_t_over_gamma_is_3_and_named(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 from dataclasses import astuple, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,10 +201,12 @@ def test_the_solve_is_the_one_effective_ridge_entry_point():
 def test_each_rule_has_one_home():
     # Every root of the effective-ridge equation, the Stieltjes point included,
     # comes from one root finder, every Philox key comes from
-    # features._stream_keys, the trial engine returns moments only, and every
-    # kernel ridge solve is kernels.apply_inverse.
+    # features._stream_keys, the trial engine returns moments only, every
+    # kernel ridge solve is kernels.apply_inverse, and every kernel-side theory
+    # sum is kernels.spectral_sum.
     import effridge
     import effridge.effective_ridge
+    import effridge.kernels
     import effridge.montecarlo
     import effridge.predictors
     import effridge.stieltjes
@@ -216,6 +219,13 @@ def test_each_rule_has_one_home():
     for name in ("fit_krr", "predict_krr", "conditional_moments"):
         assert not hasattr(effridge, name) and not hasattr(effridge.predictors, name)
     assert effridge.apply_inverse is effridge.kernels.apply_inverse
+    for name in ("inv_kernel_norm_sq", "posterior_kernel_diag"):
+        for module in (effridge, effridge.kernels, effridge.predictors):
+            assert not hasattr(module, name)
+    assert effridge.spectral_sum is effridge.kernels.spectral_sum
+    # The range rule, which eigenvalues a zero shift divides by, is read in kernels only.
+    package = Path(effridge.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "in_range" in p.read_text()] == ["kernels.py"]
 
 
 SPECTRUM_READERS = {

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +12,22 @@ from effridge import (
     KernelSpec,
     NumericError,
     Spectrum,
+    coordinates,
     gram_matrix,
-    inv_kernel_norm_sq,
     solve_effective_ridge,
     spectral_decompose,
+    spectral_sum,
     sqrt_gram,
     theta_norm_theory,
 )
 from effridge.kernels import RANK_FLOOR_REL, apply_inverse
 from effridge.predictors import fit_rf_stacked
+
+
+def inv_kernel_norm_sq(spec, y):
+    """``y^T K^+ y``, the squared inverse-kernel norm of the labels: the sum of ``w w / d`` over the range."""
+    w = coordinates(spec, y)
+    return float(spectral_sum(spec, w, w))
 
 
 def random_spd(n, seed):
@@ -196,6 +205,30 @@ class TestInvKernelNormSq:
         d = spec.eigenvalues
         assert q >= ysq / d[0] - 1e-9 * ysq
         assert q <= ysq / d[-1] + 1e-9 * ysq / d[-1]
+
+
+class TestSpectralSum:
+    def test_each_term_is_weight_times_a_times_b_over_the_shifted_power(self):
+        spec = spectral_decompose(random_spd(5, 3))
+        rng = np.random.default_rng(8)
+        A, B = rng.normal(size=(3, 5)), rng.normal(size=5)
+        d = spec.eigenvalues
+        assert np.array_equal(spectral_sum(spec, A, B, 0.3, 2, d), np.sum(d * A * B / (d + 0.3) ** 2, axis=-1))
+        assert spectral_sum(spec, B, B) == np.sum(B * B / d)
+
+    def test_zero_shift_sums_over_the_range_only(self):
+        # 1e-11 lies below the rank floor: it drops out at shift 0 and divides at any positive shift.
+        spec = spectral_decompose(np.diag([1.0, 1e-11]))
+        a = np.array([1.0, 1.0])
+        assert spectral_sum(spec, a, a) == 1.0
+        assert spectral_sum(spec, a, a, 1.0) == 0.5 + 1.0 / (1.0 + 1e-11)
+
+    def test_denominator_past_the_float_range_gives_zero_without_a_warning(self):
+        spec = spectral_decompose(np.eye(2))
+        a = np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_sum(spec, a, a, 1e160, 2, spec.eigenvalues) == 0.0
 
 
 class TestApplyInverse:

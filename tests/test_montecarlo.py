@@ -113,12 +113,12 @@ class TestRunTrials:
         # far from the interpolation threshold (P >= 4N) and with a healthy
         # ridge, the sampled-predictor variance clears half the leading
         # theoretical term at every test point
-        from effridge import posterior_kernel_diag, theta_norm_theory
+        from effridge import coordinates, spectral_sum
 
         data, test_X = generate_sinusoid(4, 50, seed=1)
         spec = spectral_decompose(gram_matrix(KERNEL, data.X))
-        k_cross = gram_matrix(KERNEL, test_X, data.X)
-        ktilde = posterior_kernel_diag(spec, k_cross, 1.0)
+        C = coordinates(spec, gram_matrix(KERNEL, test_X, data.X).T)
+        ktilde = np.maximum(1.0 - spectral_sum(spec, C, C), 0.0)
         for lam in (0.1, 0.5):
             P = 16
             stats = run_trials(data, test_X, KERNEL, [P], [lam], 1500, 0)[P][0]

@@ -7,16 +7,23 @@ from effridge import (
     KernelSpec,
     SeedPolicy,
     apply_inverse,
+    coordinates,
     generate_sinusoid,
     gram_matrix,
-    posterior_kernel_diag,
     run_trials,
     spectral_decompose,
+    spectral_sum,
     sqrt_gram,
 )
 from effridge.features import gaussian_features, normal_chunks
 from effridge.kernels import RANK_FLOOR_REL
 from effridge.predictors import fit_rf_stacked
+
+
+def posterior_kernel_diag(spec, k_cross, k_xx):
+    """Posterior variances ``k(x, x) - K(x, X) K^+ K(X, x)`` of the feature process, clipped at zero."""
+    C = coordinates(spec, np.atleast_2d(k_cross).T)
+    return np.maximum(k_xx - spectral_sum(spec, C, C), 0.0)
 
 
 def fit_one(F, y, lam):
