@@ -358,12 +358,12 @@ def _run_calibrate(cfg: ExperimentConfig):
     rows = []
     for lam_star in cfg.lambda_list:
         for gamma, P in zip(cfg.gamma_grid, Ps):
-            try:
-                lam = calibrate_ridge(spectrum, gamma, lam_star)
-            except InfeasibleTargetError as exc:
-                print(f"note: skipping infeasible target: {exc}", file=sys.stderr)
-                continue
             with _row_context(gamma=gamma, target=lam_star):
+                try:
+                    lam = calibrate_ridge(spectrum, gamma, lam_star)
+                except InfeasibleTargetError as exc:
+                    print(f"note: skipping infeasible target: {exc}", file=sys.stderr)
+                    continue
                 eff = solve_effective_ridge(spectrum, gamma, lam)
             row = _prefix(cfg, N, P, gamma, lam)
             row.update(
@@ -540,7 +540,7 @@ def _run_expected_a(cfg: ExperimentConfig):
 def _run_predictor_fan(cfg: ExperimentConfig):
     data, test_X, kernel, points = _sampled_grid(cfg)
     if data.dim != 1:
-        raise InvalidInputError("predictor-fan needs one-dimensional inputs")
+        raise InvalidInputError(f"dataset: predictor-fan needs one-dimensional inputs, got dimension {data.dim}")
     N = data.n
     X_all = np.vstack([data.X, test_X])
     truths = np.concatenate([data.y, data.f_star])
@@ -775,13 +775,13 @@ def cmd_run(cfg: ExperimentConfig) -> dict[str, Path]:
 
     The plots are drawn from the rows in memory, each converted as
     ``parse_results_csv`` would read it back from ``results.csv``, so they
-    equal the plots of the written file without reading it.
+    equal the plots of the written file without reading it.  The output
+    directory is made once the rows exist, so a refused run leaves none.
     """
     validate_config(cfg)
+    rows = _RUNNERS[cfg.experiment](cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    rows = _RUNNERS[cfg.experiment](cfg)
     columns = list(rows[0])
     results_path = out / "results.csv"
     write_results_csv(results_path, columns, rows)

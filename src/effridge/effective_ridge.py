@@ -83,12 +83,16 @@ def _fixed_point(t: float | complex, d: np.ndarray, gamma: float, lam: float | c
     ``lam = -z`` the root is ``1 / m_tilde(z)``.  The sums are divided as
     ``np.mean`` divides them, so the means keep its bits: a real sum as a
     Python float, whose division rounds as numpy's does, and a complex one in
-    numpy, whose complex division rounds differently from Python's.
+    numpy, whose complex division rounds differently from Python's.  A ``t``
+    whose ``t/gamma`` overflows, a Newton start or a calibration target, is refused.
     """
+    t_over_gamma = t / gamma
+    if not abs(t_over_gamma) < math.inf:
+        raise NumericError(f"the t/gamma term of the effective-ridge equation overflows at gamma {gamma:.6g}")
     sums = _quotient_sums(t, d)
     s1, s2 = sums.tolist()
     m1, m2 = (sums / d.size).tolist() if isinstance(t, complex) else (s1 / d.size, s2 / d.size)
-    return t - lam - (t / gamma) * m1, 1.0 - m1 / gamma + t * m2 / gamma, s1
+    return t - lam - t_over_gamma * m1, 1.0 - m1 / gamma + t * m2 / gamma, s1
 
 
 def _newton(func, t):
@@ -131,14 +135,10 @@ def _root(spectrum: Spectrum, gamma: float, lam: float | complex):
     which bounds the size of the terms of ``g`` at the root; at ``lam = 0`` it
     reads ``|gamma - mean(d / (t + d))| < RESIDUAL_TOL * gamma``.  ``g' > 0`` at
     a real root, so a nonpositive slope there is a failed solve too; a
-    complex ``lam`` gives a complex slope, which has no sign to check.  A
-    start whose ``t/gamma`` overflows is refused: no later real iterate exceeds it.
+    complex ``lam`` gives a complex slope, which has no sign to check.
     """
     d = spectrum.eigenvalues
-    start = lam + spectrum.trace_mean / gamma
-    if not abs(start / gamma) < math.inf:
-        raise NumericError(f"the t/gamma term of the effective-ridge equation overflows at gamma {gamma:.6g}")
-    t, values, steps = _newton(lambda t: _fixed_point(t, d, gamma, lam), start)
+    t, values, steps = _newton(lambda t: _fixed_point(t, d, gamma, lam), lam + spectrum.trace_mean / gamma)
     g, slope = values[:2]
     residual = abs(g) / (abs(t) + abs(lam))
     if not (residual < RESIDUAL_TOL and (isinstance(lam, complex) or slope > 0)):

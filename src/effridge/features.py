@@ -176,7 +176,8 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
     bit for bit.  ``B = chunk_draws(rows, cols)`` depends on the shape only;
     the last chunk holds the remaining trials.  ``rows`` is the feature count
-    P; a shape that ``check_draw`` refuses raises :class:`InvalidInputError`.
+    P; a shape that ``check_draw`` refuses, or fewer than one trial, raises
+    :class:`InvalidInputError`.
 
     One Philox serves the whole call.  The keys of the trials' own
     ``StreamSampler`` are derived a block of whole chunks, about 4096 trials,
@@ -187,6 +188,8 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     overwritten.
     """
     check_draw(shape)
+    if trials < 1:
+        raise InvalidInputError("need at least one trial")
     rows, cols = shape
     n = rows * cols
     size = chunk_draws(rows, cols)

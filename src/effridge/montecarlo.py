@@ -3,13 +3,13 @@
 Each trial draws a fresh Gaussian feature matrix (jointly over train and test
 points) at every requested feature count, fits the ridge solution at every
 requested ridge, and evaluates it on the test grid.  Draws come in chunks
-whose size depends on the draw's shape only, and each draw's feature Gram is
-formed once for every ridge.  Each chunk's mean and sum of squared
-deviations merge into the running moments by the pairwise update of Chan,
-Golub & LeVeque (1979), in fixed chunk order, so results are deterministic,
-numerically stable, and reproducible from the configuration alone.  The
-module returns moments only; the risk, bias-variance and band columns compared
-to theory are formed from them where the CLI writes them.
+whose size depends on the draw's shape only, and ``fit_rf_stacked`` forms each
+draw's feature Gram once for every ridge.  Each chunk's mean and sum of
+squared deviations merge into the running moments by the pairwise update of
+Chan, Golub & LeVeque (1979), in fixed chunk order, so results are
+deterministic, numerically stable, and reproducible from the configuration
+alone.  The module returns moments only; the risk, bias-variance and band
+columns compared to theory are formed from them where the CLI writes them.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EffridgeError, InvalidInputError
+from .errors import EffridgeError, InvalidInputError, NumericError
 from .features import SeedPolicy, check_draw, check_size, chunk_draws, gaussian_features, normal_chunks
-from .kernels import Dataset, KernelSpec, gram_matrix, spectral_decompose, sqrt_gram
-from .predictors import fit_rf_stacked
+from .kernels import Dataset, KernelSpec, gram_matrix, numerical_range, spectral_decompose, sqrt_gram
 
 # Leading trials whose joint predictions TrialStats keeps as individual draws.
 _FAN_SAMPLES = 10
@@ -59,6 +58,39 @@ def _merge(mean, m2, count: int, chunk: np.ndarray):
     delta = chunk_mean - mean
     total = count + n
     return mean + delta * (n / total), m2 + chunk_m2 + delta * delta * (count * n / total)
+
+
+def fit_rf_stacked(F_train: np.ndarray, y: np.ndarray, lams: list[float]) -> np.ndarray:
+    """Ridge parameters of every draw in a stack ``F_train`` of shape (B, N, P), at every ridge.
+
+    Returns ``theta`` of shape ``(len(lams), B, P)``.  Each draw's Gram on its
+    shorter side, ``G = F F^T`` (N <= P) or ``F^T F`` (N > P), is formed once
+    and serves every ridge: ``theta = F^T (G + lam I)^{-1} y`` or
+    ``(G + lam I)^{-1} F^T y``.  One batched solve serves every positive
+    ridge and one batched ``eigh`` every zero ridge: at ``lam = 0`` the
+    inverse is the pseudoinverse ``U diag(1/e) U^T`` of ``G = U diag(e) U^T``
+    on its range (``numerical_range``), which gives the minimum-norm
+    least-squares solution.
+    The solves and products are batched, one per draw and ridge, so a draw
+    gets the same bits in any stack and with any other ridges.
+    """
+    Ft = F_train.transpose(0, 2, 1)
+    tall = F_train.shape[1] > F_train.shape[2]
+    G = Ft @ F_train if tall else F_train @ Ft
+    b = Ft @ y[:, None] if tall else y[None, :, None]
+    ridged = [lam for lam in lams if lam != 0.0]
+    try:
+        # b[None] has the stack's rank: numpy before 2.0 reads one rank less as vectors.
+        if ridged or len(lams) == 0:
+            z = np.linalg.solve(G + np.multiply.outer(ridged, np.eye(G.shape[-1]))[:, None], b[None])
+        if len(ridged) < len(lams):
+            e, U = np.linalg.eigh(G)
+            h = np.divide(1.0, e, out=np.zeros_like(e), where=numerical_range(e))
+            z0, solved = U @ (h[:, :, None] * (U.transpose(0, 2, 1) @ b)), iter(z if ridged else ())
+            z = np.array([z0 if lam == 0.0 else next(solved) for lam in lams])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"ridge fit failed: {exc}") from exc
+    return (z if tall else Ft @ z)[..., 0]
 
 
 def run_trials(

@@ -13,10 +13,11 @@ effective ridge: ``m_tilde(-lambda) = 1 / lambda_tilde(lambda, gamma)``.
 
 Sampling happens in the kernel eigenbasis: ``W`` is Gaussian, so only the
 kernel eigenvalues ``d`` matter, and each draw reduces to
-``Y = W diag(d / P)^{1/2}`` and its ``N x N`` Gram ``G = Y^T Y``.  One
-sampler yields these draws, and each consumer forms its own Gram: the
-Stieltjes transform reads the ``r = min(N, P)`` eigenvalues ``s_i`` of ``G``
-or ``Y Y^T``, whichever is smaller, and the other ``P - r`` zeros in closed form,
+``Y = W diag(d / P)^{1/2}`` and its ``N x N`` Gram ``G = Y^T Y``.  Each
+consumer scales the chunks of ``normal_chunks`` in place and forms its own
+Gram: the Stieltjes transform reads the ``r = min(N, P)`` eigenvalues ``s_i``
+of ``G`` or ``Y Y^T``, whichever is smaller, and the other ``P - r`` zeros in
+closed form,
 
     m_P(z) = ((P - r) / (-z) + sum_{i<=r} 1 / (s_i - z)) / P,
 
@@ -39,13 +40,12 @@ a ``P^-3`` decay; the unnormalized trace ``P m_P`` decays as ``P^-1``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .features import SeedPolicy, check_draw, check_size, chunk_draws, normal_chunks
+from .features import SeedPolicy, check_size, chunk_draws, normal_chunks
 from .effective_ridge import Spectrum, _check_gamma, _root
 
 
@@ -67,37 +67,21 @@ class StieltjesSolution:
     in_cone: bool
 
 
-def _wishart_draws(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> Iterator[np.ndarray]:
-    """Stacks of scaled draws ``Y = W diag(d / P)^{1/2}``, shape ``(k, P, N)``; ``Y^T Y`` is ``F^T F``.
-
-    The draws are those of ``normal_chunks(policy, trials, (P, N))``, in order;
-    a stack holds at most ``chunk_draws(N, N)`` draws, so that the
-    ``N x N`` hat matrices of ``empirical_expected_A`` fit one chunk at ``P < N``.
-    """
-    d = spectrum.eigenvalues
-    N = d.size
-    check_draw((P, N))
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    scale = np.sqrt(d / P)
-    step = chunk_draws(N, N)
-    for _, W in normal_chunks(policy, trials, (P, N)):
-        for k in range(0, len(W), step):
-            yield W[k : k + step] * scale
-
-
 def sample_wishart(spectrum: Spectrum, P: int, policy: SeedPolicy, trials: int) -> np.ndarray:
     """Nonzero spectra of ``trials`` draws of ``F^T F = (1/P) W diag(d) W^T``.
 
     Row ``t`` of the ``(trials, min(N, P))`` result holds the eigenvalues of the
     smaller Gram, ``Y^T Y`` or ``Y Y^T``, of the draw at ``policy.shifted(t)``,
     descending and clamped at zero; the other eigenvalues of ``F^T F`` are zeros.
+    One ``eigvalsh`` takes a whole chunk's Grams, unsymmetrized: a stacked
+    ``Y^T Y`` or ``Y Y^T`` is exactly symmetric.
     """
+    d = spectrum.eigenvalues
     spectra = []
-    for Y in _wishart_draws(spectrum, P, policy, trials):
+    for _, Y in normal_chunks(policy, trials, (P, d.size)):
+        Y *= np.sqrt(d / P)
         Yt = Y.transpose(0, 2, 1)
-        G = Y @ Yt if P < spectrum.n else Yt @ Y
-        spectra.append(np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1])
+        spectra.append(np.linalg.eigvalsh(Y @ Yt if P < d.size else Yt @ Y)[:, ::-1])
     return np.maximum(np.concatenate(spectra), 0.0)
 
 
@@ -182,23 +166,28 @@ def empirical_expected_A(
     ill-conditioned, and solved against ``G`` it pushes eigenvalues above 1.
     At ``P < N`` it is singular to working precision, so the solve runs on the
     ``P x P`` Gram through the push-through identity ``Y^T (Y Y^T + lam I)^{-1} Y``.
-    Per ridge, the stacks' sums are accumulated in order, averaged, symmetrized
-    and eigendecomposed; their size, every ridge's at once, is checked first.
+    A stack holds at most ``chunk_draws(N, N)`` draws, so that its ``N x N``
+    hat matrices fit one chunk at ``P < N``.  Per ridge, the stacks' sums are
+    accumulated in order, averaged, symmetrized and eigendecomposed; their
+    size, every ridge's at once, is checked first.
     """
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
     N = spectrum.n
-    stack = min(trials, chunk_draws(max(N, P), N))  # the draws of _wishart_draws' largest stack
+    step = chunk_draws(N, N)  # draws per stack
+    stack = min(trials, chunk_draws(max(N, P), N))  # the draws of the largest stack
     check_size("lambda_list", f"the hat matrices at N = {N} of {len(lams)} ridge(s)", len(lams) * stack * N * N)
     acc = np.zeros((len(lams), N, N))
     lam = np.asarray(lams, dtype=float)[:, None, None, None]
     ridges = lam * np.eye(min(N, P))
-    for Y in _wishart_draws(spectrum, P, policy, trials):
-        Yt = Y.transpose(0, 2, 1)
-        if P < N:
-            acc += np.sum(Yt @ np.linalg.solve(Y @ Yt + ridges, Y[None]), axis=1)
-        else:
-            acc += np.sum(np.eye(N) - lam * np.linalg.inv(Yt @ Y + ridges), axis=1)
+    for _, W in normal_chunks(policy, trials, (P, N)):
+        W *= np.sqrt(spectrum.eigenvalues / P)
+        for Y in np.split(W, range(step, len(W), step)):
+            Yt = Y.transpose(0, 2, 1)
+            if P < N:
+                acc += np.sum(Yt @ np.linalg.solve(Y @ Yt + ridges, Y[None]), axis=1)
+            else:
+                acc += np.sum(np.eye(N) - lam * np.linalg.inv(Yt @ Y + ridges), axis=1)
     acc /= trials
     return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]
 

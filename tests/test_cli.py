@@ -1078,7 +1078,7 @@ class TestMainExitCodes:
         assert row[column] == 0.0
 
     @pytest.mark.parametrize("experiment, args", [("solve", ["--lambda", "1.5e308", "--gamma", "10"]),
-                                                  ("calibrate", ["--lambda", "1e308"])])
+                                                  ("calibrate", ["--lambda", "1e308", "--gamma", "1,2,4"])])
     def test_values_near_the_float_maximum_are_plotted(self, experiment, args, tmp_path):
         # A single value near the float maximum widens to the float maximum, not to inf, and its
         # log axis gets decade ticks up to 1e308.
@@ -1110,6 +1110,38 @@ class TestMainExitCodes:
         assert code == 3
         assert err.startswith("error: numeric failure: the t/gamma term of the effective-ridge equation "
                               "overflows at gamma 1e-160 [at gamma=1e-160, ridge=0.1]")
+
+    def test_calibration_target_whose_t_over_gamma_overflows_is_3_and_named(self, tmp_path, capsys):
+        # 1e308 / 0.25 overflows at the target itself: a numeric failure naming gamma and the target, not a
+        # skipped infeasible target, since the ridgeless effective ridge there is of order 1.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error")
+            code = main(["calibrate", "--lambda", "1e308", "--gamma", "0.25", "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == ("error: numeric failure: the t/gamma term of the effective-ridge "
+                                           "equation overflows at gamma 0.25 [at gamma=0.25, target=1e+308]\n")
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "argv, config, code, message",
+        [
+            (["average-rf", "--gamma", "0.1"], {}, 1, "gamma_grid value 0.1 times N = 4 rounds to P = 0"),
+            (["predictor-fan"], {"dataset": {"type": "clusters", "n": 10, "n_test": 5}},
+             1, "dataset: predictor-fan needs one-dimensional inputs"),
+            (["average-rf"], {"dataset": {"type": "csv", "path": "missing.csv"}}, 2, "missing.csv"),
+        ],
+        ids=["no-feature", "fan-on-clusters", "missing-csv"],
+    )
+    def test_refusal_inside_a_runner_leaves_no_output_dir(self, argv, config, code, message, tmp_path, capsys,
+                                                          monkeypatch):
+        # Refused once the runner reads its grid or data, after validate_config has passed the config.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(path), "--trials", "2", "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_input_error_at_a_grid_point_names_it(self, tmp_path, capsys):
         code = main(["double-descent", "--lambda", "0", "--gamma", "1", "--trials", "3",

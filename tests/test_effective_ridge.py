@@ -204,23 +204,27 @@ def test_each_rule_has_one_home():
     # features._stream_keys, the trial engine returns moments only, every
     # kernel ridge solve is kernels.apply_inverse, and every kernel-side theory
     # sum is kernels.spectral_sum.
+    import importlib.util
+
     import effridge
     import effridge.effective_ridge
     import effridge.kernels
     import effridge.montecarlo
-    import effridge.predictors
     import effridge.stieltjes
 
     assert not hasattr(effridge, "estimate_risk") and not hasattr(effridge.montecarlo, "estimate_risk")
+    # The ridge fit lives with its one caller, the trial engine.
+    assert importlib.util.find_spec("effridge.predictors") is None
+    assert not hasattr(effridge, "fit_rf_stacked")
     assert not hasattr(SeedPolicy, "stream_seed")
     assert not hasattr(effridge.effective_ridge, "_ridgeless_newton")
     for name in ("solve_effective_ridge", "_newton", "_fixed_point", "RESIDUAL_TOL"):
         assert not hasattr(effridge.stieltjes, name)
     for name in ("fit_krr", "predict_krr", "conditional_moments"):
-        assert not hasattr(effridge, name) and not hasattr(effridge.predictors, name)
+        assert not hasattr(effridge, name) and not hasattr(effridge.montecarlo, name)
     assert effridge.apply_inverse is effridge.kernels.apply_inverse
     for name in ("inv_kernel_norm_sq", "posterior_kernel_diag"):
-        for module in (effridge, effridge.kernels, effridge.predictors):
+        for module in (effridge, effridge.kernels, effridge.montecarlo):
             assert not hasattr(module, name)
     assert effridge.spectral_sum is effridge.kernels.spectral_sum
     # The range rule, which eigenvalues a zero shift divides by, is read in kernels only.
@@ -577,6 +581,12 @@ class TestCalibrate:
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleTargetError):
             calibrate_ridge(Spectrum(np.ones(3)), 0.5, 0.5)  # ridgeless limit is 1.0
+
+    def test_target_whose_t_over_gamma_overflows_is_a_numeric_failure(self):
+        # 1e308 / 0.25 overflows; the ridgeless effective ridge, 3.0, is far below the target.
+        with pytest.raises(NumericError, match=r"^the t/gamma term of the effective-ridge equation overflows "
+                                               r"at gamma 0\.25$"):
+            calibrate_ridge(Spectrum(np.ones(3)), 0.25, 1e308)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 30), st.floats(0.2, 8.0), st.floats(1e-3, 5.0), st.integers(0, 10_000))

@@ -90,6 +90,10 @@ class TestGaussianFeatures:
         with pytest.raises(InvalidInputError, match="at least one feature"):
             next(normal_chunks(SeedPolicy(0, 0), 1, (0, 2)))
 
+    def test_rejects_zero_trials(self):
+        with pytest.raises(InvalidInputError, match="at least one trial"):
+            next(normal_chunks(SeedPolicy(0, 0), 0, (4, 2)))
+
     def test_bit_identical_for_same_policy(self):
         root = np.eye(3)
         a = feature_draws(root, 5, 1, SeedPolicy(7, 3))

@@ -21,7 +21,7 @@ from effridge import (
     theta_norm_theory,
 )
 from effridge.kernels import RANK_FLOOR_REL, apply_inverse
-from effridge.predictors import fit_rf_stacked
+from effridge.montecarlo import fit_rf_stacked
 
 
 def inv_kernel_norm_sq(spec, y):

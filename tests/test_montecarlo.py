@@ -229,7 +229,7 @@ class TestRunTrialsRidges:
     def test_fit_failure_names_ridge_and_trial(self, monkeypatch):
         import effridge.montecarlo as mc
         from effridge import NumericError
-        from effridge.predictors import fit_rf_stacked
+        from effridge.montecarlo import fit_rf_stacked
 
         calls = []
 

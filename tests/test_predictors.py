@@ -17,7 +17,7 @@ from effridge import (
 )
 from effridge.features import gaussian_features, normal_chunks
 from effridge.kernels import RANK_FLOOR_REL
-from effridge.predictors import fit_rf_stacked
+from effridge.montecarlo import fit_rf_stacked
 
 
 def posterior_kernel_diag(spec, k_cross, k_xx):

@@ -15,7 +15,7 @@ from effridge import (
     stieltjes_moments,
     theoretical_stieltjes,
 )
-from effridge.features import StreamSampler
+from effridge.features import StreamSampler, chunk_draws, normal_chunks
 
 
 class TestEmpiricalStieltjes:
@@ -351,3 +351,72 @@ class TestBatchedDraws:
         # number at most (max s^2 + lam) / lam, about 1e3 here.
         (emp,) = empirical_expected_A(Spectrum(d), P, [lam], trials, policy)
         assert np.max(np.abs(emp - ref)) <= 1e-12
+
+
+def stacked_draws(d, P, policy, trials):
+    """Scaled copies ``W diag(d / P)^{1/2}`` of the chunks of ``normal_chunks``, in stacks of ``chunk_draws(N, N)``."""
+    scale = np.sqrt(d / P)
+    step = chunk_draws(d.size, d.size)
+    for _, W in normal_chunks(policy, trials, (P, d.size)):
+        for k in range(0, len(W), step):
+            yield W[k : k + step] * scale
+
+
+def stacked_sample_wishart(d, P, policy, trials):
+    """``sample_wishart`` through scaled stacked copies and symmetrized Grams."""
+    spectra = []
+    for Y in stacked_draws(d, P, policy, trials):
+        Yt = Y.transpose(0, 2, 1)
+        G = Y @ Yt if P < d.size else Yt @ Y
+        spectra.append(np.linalg.eigvalsh(0.5 * (G + G.transpose(0, 2, 1)))[:, ::-1])
+    return np.maximum(np.concatenate(spectra), 0.0)
+
+
+def stacked_expected_A(d, P, lams, trials, policy):
+    """``empirical_expected_A`` through scaled stacked copies."""
+    N = d.size
+    acc = np.zeros((len(lams), N, N))
+    lam = np.asarray(lams, dtype=float)[:, None, None, None]
+    ridges = lam * np.eye(min(N, P))
+    for Y in stacked_draws(d, P, policy, trials):
+        Yt = Y.transpose(0, 2, 1)
+        if P < N:
+            acc += np.sum(Yt @ np.linalg.solve(Y @ Yt + ridges, Y[None]), axis=1)
+        else:
+            acc += np.sum(np.eye(N) - lam * np.linalg.inv(Yt @ Y + ridges), axis=1)
+    acc /= trials
+    return [np.linalg.eigvalsh(0.5 * (a + a.T))[::-1] for a in acc]
+
+
+class TestWishartReadersKeepTheirBits:
+    """Each reader scales the chunks in place, and ``sample_wishart`` takes a whole chunk's Grams unsymmetrized.
+
+    Both give the bits of scaled copies in stacks of ``chunk_draws(N, N)``
+    draws with symmetrized Grams.
+    """
+
+    @pytest.mark.parametrize(
+        "N, P, trials",
+        [(50, 5, 70), (10, 3, 1200), (5, 3, 2000), (7, 7, 400), (8, 8, 300), (9, 13, 300), (6, 40, 150)],
+        ids=["P<N-small-stacks", "P<N", "P<N-odd", "P=N-odd", "P=N", "P>N-odd", "P>N"],
+    )
+    def test_readers_equal_the_stacked_copies(self, N, P, trials):
+        assert trials > chunk_draws(P, N)  # several chunks
+        d = generate_spectrum("exponential", N)
+        policy = SeedPolicy(6, 3)
+        assert np.array_equal(sample_wishart(Spectrum(d), P, policy, trials),
+                              stacked_sample_wishart(d, P, policy, trials))
+        lams = [0.05, 0.3]
+        for got, want in zip(empirical_expected_A(Spectrum(d), P, lams, trials, policy),
+                             stacked_expected_A(d, P, lams, trials, policy), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("P, N", [(5, 50), (7, 7), (13, 9), (3, 5), (40, 6)])
+    def test_stacked_grams_are_exactly_symmetric(self, P, N):
+        # An odd P * N makes each yielded chunk a strided view, which the product reads as it is.
+        d = generate_spectrum("exponential", N)
+        for _, Y in normal_chunks(SeedPolicy(2), 30, (P, N)):
+            Y *= np.sqrt(d / P)
+            Yt = Y.transpose(0, 2, 1)
+            for G in (Yt @ Y, Y @ Yt):
+                assert np.array_equal(G, G.transpose(0, 2, 1))
