@@ -430,13 +430,13 @@ def _run_average_rf(cfg: ExperimentConfig):
     q_norm_sq = float(spectral_sum(spec, w, w))
     rows = []
     for lam, P, eff, krr_pred, stats in points:
-        gap = stats.mean_prediction - krr_pred
-        mean_variance = float(np.mean(stats.var_prediction))
+        gap = stats.mean[N:] - krr_pred
+        mean_variance = float(np.mean(stats.var[N:]))
         row = _prefix(cfg, N, P, P / N, lam)
         # The bound scales carry a factor sqrt(k(x, x)), which is one for the RBF kernel.
         row.update(
             lambda_tilde=eff.lambda_tilde,
-            rf_mean_risk=_test_risk(stats.mean_prediction, data.f_star),
+            rf_mean_risk=_test_risk(stats.mean[N:], data.f_star),
             krr_risk=_test_risk(krr_pred, data.f_star),
             mean_rf_vs_krr_rmse=float(np.sqrt(np.mean(gap**2))),
             mean_rf_vs_krr_max_abs=float(np.max(np.abs(gap))),
@@ -459,8 +459,8 @@ def _run_double_descent(cfg: ExperimentConfig):
     ktilde_diag = np.maximum(1.0 - spectral_sum(spec, C, C), 0.0)
     rows = []
     for lam, P, eff, krr_pred, stats in points:
-        risk_of_mean = _test_risk(stats.mean_prediction, data.f_star)
-        mean_variance = float(np.mean(stats.var_prediction))
+        risk_of_mean = _test_risk(stats.mean[N:], data.f_star)
+        mean_variance = float(np.mean(stats.var[N:]))
         var_theory = theta_norm_theory(spec, data.y, eff) / P * float(np.mean(ktilde_diag))
         row = _prefix(cfg, N, P, P / N, lam)
         row.update(
@@ -546,15 +546,14 @@ def _run_predictor_fan(cfg: ExperimentConfig):
     truths = np.concatenate([data.y, data.f_star])
     rows = []
     for (lam, P), stats in zip(points, _sample(cfg, data, test_X, kernel, points)):
-        mean = np.concatenate([stats.mean_train_prediction, stats.mean_prediction])
-        std = np.sqrt(np.concatenate([stats.var_train_prediction, stats.var_prediction]))
+        std = np.sqrt(stats.var)
         for i in range(X_all.shape[0]):
             row = _prefix(cfg, N, P, P / N, lam)
             row.update(
                 role=int(i < N),
                 x=X_all[i, 0],
                 f_star=truths[i],
-                mean_prediction=mean[i],
+                mean_prediction=stats.mean[i],
                 std_prediction=std[i],
             )
             row.update((f"sample_{k}", s) for k, s in enumerate(stats.samples[:, i]))

@@ -7,15 +7,15 @@ Randomness contract
 -------------------
 Every draw is a pure function of a :class:`SeedPolicy`.  The per-trial stream
 seed is the ``(trial_index + 1)``-th output of the SplitMix64 generator seeded
-with ``base_seed``; that seed keys a Philox4x64 counter-based generator, and
-uniforms/normals are produced from its raw 64-bit outputs by ``(r >> 11) *
-2^-53`` and the Box-Muller transform.  The seed derivation, the raw Philox
-stream and the uniforms are published, fixed integer algorithms, so they are
-the same bits on any platform.  The normals are not: Box-Muller's ``log1p``,
-``sqrt``, ``cos`` and ``sin`` are numpy's, and numpy picks its float64
-``log1p`` by the CPU's SIMD level (its AVX-512 loop and libm's differ by one
-ulp on some inputs).  So identical seeds give a bit-identical ``W`` on one
-numpy build, CPU SIMD level and libm.
+with ``base_seed``; that seed keys a Philox4x64 counter-based generator.  Its
+raw 64-bit outputs ``r`` become uniforms ``(r >> 11) * 2^-53`` through numpy's
+``Generator.random``, and the uniforms become normals through the Box-Muller
+transform.  The seed derivation, the raw Philox stream and the uniforms are
+published, fixed integer algorithms, so they are the same bits on any platform.
+The normals are not: Box-Muller's ``log1p``, ``sqrt``, ``cos`` and ``sin`` are
+numpy's, and numpy picks its float64 ``log1p`` by the CPU's SIMD level (its
+AVX-512 loop and libm's differ by one ulp on some inputs).  So identical seeds
+give a bit-identical ``W`` on one numpy build, CPU SIMD level and libm.
 ``StreamSampler`` draws one such stream and ``normal_chunks`` draws many; both
 take their Philox keys from ``_stream_keys``, a SplitMix64 over uint64 arrays.
 ``normal_chunks`` derives the keys of a block of chunks at once, re-keys one
@@ -88,22 +88,20 @@ class StreamSampler:
     """Uniform and normal variates from a Philox stream keyed by a SeedPolicy."""
 
     def __init__(self, policy: SeedPolicy):
-        self._bitgen = np.random.Philox(key=_stream_keys(policy, 0, 1)[0])
+        self._gen = np.random.Generator(np.random.Philox(key=_stream_keys(policy, 0, 1)[0]))
 
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1), each from the top 53 bits of one raw draw."""
-        raw = self._bitgen.random_raw(n)
-        return (raw >> np.uint64(11)) * (2.0 ** -53)
+        return self._gen.random(n)
 
     def normal(self, shape) -> np.ndarray:
         """Standard normals via Box-Muller on consecutive uniform pairs."""
         n = int(np.prod(shape))
-        u = self.uniform(2 * ((n + 1) // 2))
-        return _box_muller(u, np.empty_like(u))[:n].reshape(shape)
+        return _box_muller(self.uniform(2 * ((n + 1) // 2)))[:n].reshape(shape)
 
 
-def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Normals into ``out`` from the uniforms on the last axis of ``u``, which is overwritten.
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """A new array of normals from the uniforms on the last axis of ``u``, which is overwritten.
 
     The first half of that axis gives radii, its second half angles.  Every
     operation is elementwise along that axis, so a stack of streams gives the
@@ -111,6 +109,7 @@ def _box_muller(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     on the angle's range, run on blocks of at most ``CHUNK_ELEMENTS // 2`` angles
     sorted into 32 buckets of [0, 2 pi] and scattered back, which changes no bit.
     """
+    out = np.empty_like(u)
     pairs = u.shape[-1] // 2
     r, theta = u[..., :pairs], u[..., pairs:]
     # 1 - u lies in (0, 1], so the log is finite.
@@ -147,11 +146,16 @@ def check_size(field: str, what: str, elements: int) -> None:
         raise InvalidInputError(f"{field}: {what} of {elements} elements is above the limit of {MAX_ELEMENTS}")
 
 
+def _check_count(name: str, value, what: str) -> None:
+    """Refuse, naming it, a count that is not a positive Python or numpy integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidInputError(f"{name} = {value!r}: need an integer count of at least one {what}")
+
+
 def check_draw(shape: tuple[int, int]) -> None:
-    """Refuse, naming P, a draw of shape ``(P, cols)`` with no features or too many normals."""
+    """Refuse, naming P, a draw of shape ``(P, cols)`` whose P is not a positive integer, or of too many normals."""
     rows, cols = shape
-    if rows < 1:
-        raise InvalidInputError("need at least one feature")
+    _check_count("P", rows, "feature")
     check_size(f"P = {rows}", f"one draw of shape ({rows}, {cols})", rows * cols)
 
 
@@ -176,20 +180,19 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
     ``W[b]`` equals ``StreamSampler(policy.shifted(t0 + b)).normal(shape)``
     bit for bit.  ``B = chunk_draws(rows, cols)`` depends on the shape only;
     the last chunk holds the remaining trials.  ``rows`` is the feature count
-    P; a shape that ``check_draw`` refuses, or fewer than one trial, raises
-    :class:`InvalidInputError`.
+    P; a shape that ``check_draw`` refuses, or a trial count that is not an
+    integer of at least one, raises :class:`InvalidInputError`.
 
     One Philox serves the whole call.  The keys of the trials' own
     ``StreamSampler`` are derived a block of whole chunks, about 4096 trials,
     at a time.  Each trial re-keys the Philox with its key and a fresh state,
-    and ``Generator.random``, which computes ``(r >> 11) * 2^-53``, writes
-    that trial's uniforms into one row of a buffer shared by every chunk.
+    and ``Generator.random`` writes that trial's uniforms into one row of a
+    buffer shared by every chunk.
     Each chunk's normals go to a new array, so a yielded ``W`` is never
     overwritten.
     """
     check_draw(shape)
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
+    _check_count("trials", trials, "trial")
     rows, cols = shape
     n = rows * cols
     size = chunk_draws(rows, cols)
@@ -210,7 +213,7 @@ def normal_chunks(policy: SeedPolicy, trials: int, shape: tuple[int, int]) -> It
             fresh["state"]["key"] = key
             bitgen.state = fresh
             gen.random(out=row)
-        yield t0, _box_muller(chunk, np.empty_like(chunk))[:, :n].reshape(-1, rows, cols)
+        yield t0, _box_muller(chunk)[:, :n].reshape(-1, rows, cols)
 
 
 def gaussian_features(joint_sqrt: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Each trial draws a fresh Gaussian feature matrix (jointly over train and test
 points) at every requested feature count, fits the ridge solution at every
-requested ridge, and evaluates it on the test grid.  Draws come in chunks
-whose size depends on the draw's shape only, and ``fit_rf_stacked`` forms each
-draw's feature Gram once for every ridge.  Each chunk's mean and sum of
+requested ridge, and evaluates it on the train and test points together.
+Draws come in chunks whose size depends on the draw's shape only, and
+``fit_rf_stacked`` forms each draw's feature Gram once for every ridge.  Each chunk's mean and sum of
 squared deviations merge into the running moments by the pairwise update of
 Chan, Golub & LeVeque (1979), in fixed chunk order, so results are
 deterministic, numerically stable, and reproducible from the configuration
@@ -30,18 +30,17 @@ _FAN_SAMPLES = 10
 class TrialStats:
     """Running moments of the sampled predictor across the trials of one ``run_trials`` call.
 
+    ``mean`` and ``var`` are the moments of the joint ``[train; test]``
+    predictions, train points first, so ``mean[N:]`` is the test grid's.
     Variance fields hold sample variances (``ddof=1``).  ``samples`` holds the
-    joint ``[train; test]`` predictions of the first
-    ``min(_FAN_SAMPLES, trials)`` trials, one row per trial.  The trial count
-    stays with the caller.
+    joint predictions of the first ``min(_FAN_SAMPLES, trials)`` trials, one
+    row per trial.  The trial count stays with the caller.
     """
 
-    mean_prediction: np.ndarray
-    var_prediction: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
     mean_theta_norm_sq: float
     var_theta_norm_sq: float
-    mean_train_prediction: np.ndarray
-    var_train_prediction: np.ndarray
     samples: np.ndarray
 
 
@@ -155,15 +154,7 @@ def run_trials(
         var_joint, var_norm = joint_m2 / (trials - 1), norm_m2 / (trials - 1)
         samples = np.concatenate(kept)
         out[P] = [
-            TrialStats(
-                mean_prediction=joint_mean[i, N:],
-                var_prediction=var_joint[i, N:],
-                mean_theta_norm_sq=float(norm_mean[i]),
-                var_theta_norm_sq=float(var_norm[i]),
-                mean_train_prediction=joint_mean[i, :N],
-                var_train_prediction=var_joint[i, :N],
-                samples=samples[:, i],
-            )
+            TrialStats(joint_mean[i], var_joint[i], float(norm_mean[i]), float(var_norm[i]), samples[:, i])
             for i in range(len(lams))
         ]
     return out

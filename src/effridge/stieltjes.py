@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericError
-from .features import SeedPolicy, check_size, chunk_draws, normal_chunks
+from .features import SeedPolicy, check_draw, check_size, chunk_draws, normal_chunks
 from .effective_ridge import Spectrum, _check_gamma, _root
 
 
@@ -168,12 +168,13 @@ def empirical_expected_A(
     ``P x P`` Gram through the push-through identity ``Y^T (Y Y^T + lam I)^{-1} Y``.
     A stack holds at most ``chunk_draws(N, N)`` draws, so that its ``N x N``
     hat matrices fit one chunk at ``P < N``.  Per ridge, the stacks' sums are
-    accumulated in order, averaged, symmetrized and eigendecomposed; their
-    size, every ridge's at once, is checked first.
+    accumulated in order, averaged, symmetrized and eigendecomposed; the
+    draw's shape and their size, every ridge's at once, are checked first.
     """
+    N = spectrum.n
+    check_draw((P, N))
     if not all(lam > 0 for lam in lams):
         raise InvalidInputError("ridges must be positive")
-    N = spectrum.n
     step = chunk_draws(N, N)  # draws per stack
     stack = min(trials, chunk_draws(max(N, P), N))  # the draws of the largest stack
     check_size("lambda_list", f"the hat matrices at N = {N} of {len(lams)} ridge(s)", len(lams) * stack * N * N)

@@ -232,8 +232,8 @@ def _agreement_grid(data, test_X, kernel, trials, seed):
             stats = runs[P][j]
             eff = e.solve_effective_ridge(spectrum, P / data.n, lam)
             pred = k_cross @ e.apply_inverse(spec, data.y, eff.lambda_tilde)
-            rmse = float(np.sqrt(np.mean((stats.mean_prediction - pred) ** 2)))
-            band = 3.0 * float(np.sqrt(np.mean(stats.var_prediction) / trials))
+            rmse = float(np.sqrt(np.mean((stats.mean[data.n :] - pred) ** 2)))
+            band = 3.0 * float(np.sqrt(np.mean(stats.var[data.n :]) / trials))
             if rmse > band:
                 failures.append((gamma, lam, rmse, band))
     return failures
@@ -257,7 +257,7 @@ def test_criterion_07_average_predictor_agreement():
             stats = e.run_trials(sdata, stest, KERNEL_SIN, [P], [0.1], 6000, 100 + rep)[P][0]
             eff = e.solve_effective_ridge(e.Spectrum(spec.eigenvalues), P / 4, 0.1)
             pred = k_cross @ e.apply_inverse(spec, sdata.y, eff.lambda_tilde)
-            max_abs.append(float(np.max(np.abs(stats.mean_prediction - pred))))
+            max_abs.append(float(np.max(np.abs(stats.mean[sdata.n :] - pred))))
         wins += max_abs[1] < max_abs[0]
     elapsed = time.monotonic() - t0
     ok = not failures and wins >= 4 and elapsed < 180.0
@@ -274,8 +274,8 @@ def test_criterion_08_ridgeless_unbiasedness():
     stats = e.run_trials(data, test_X, KERNEL_SIN, [16], [0.0], 500, 0)[16][0]
     spec = e.spectral_decompose(e.gram_matrix(KERNEL_SIN, data.X))
     pred0 = e.gram_matrix(KERNEL_SIN, test_X, data.X) @ e.apply_inverse(spec, data.y, 0.0)
-    band = 3.0 * np.sqrt(stats.var_prediction / 500)
-    worst = float(np.max(np.abs(stats.mean_prediction - pred0) / band))
+    band = 3.0 * np.sqrt(stats.var[data.n :] / 500)
+    worst = float(np.max(np.abs(stats.mean[data.n :] - pred0) / band))
     _report(8, worst <= 1.0, f"max |mean RF - ridgeless KRR| / (3-sigma band) = {worst:.2f} (<= 1)")
 
 
@@ -300,7 +300,7 @@ def test_criterion_10_double_descent():
         for gamma in (0.25, 1.0, 4.0):
             P = max(1, round(gamma * 4))
             stats = e.run_trials(data, test_X, KERNEL_SIN, [P], [lam], 2000, 0)[P][0]
-            variances[(lam, gamma)] = float(np.mean(stats.var_prediction))
+            variances[(lam, gamma)] = float(np.mean(stats.var[data.n :]))
     peak_ridgeless = (
         variances[(1e-4, 1.0)] > variances[(1e-4, 0.25)]
         and variances[(1e-4, 1.0)] > variances[(1e-4, 4.0)]

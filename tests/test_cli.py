@@ -412,8 +412,9 @@ class TestArtifacts:
                     assert float(cell) == row[c]
                     assert float(format_number(row[c])) == float(cell)
 
-    def test_config_echo_reproduces_results(self, tmp_path):
-        cfg, artifacts = run_fast("average-rf", tmp_path)
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_config_echo_reproduces_results(self, experiment, tmp_path):
+        cfg, artifacts = run_fast(experiment, tmp_path)
         first = artifacts["results"].read_bytes()
         echo = json.loads(artifacts["config"].read_text())
         cfg2 = load_config(
@@ -464,16 +465,16 @@ class TestArtifacts:
         assert [(r["P"], r["lambda"]) for r in rows] == [(2, 0.1), (8, 0.1)]
         for row in rows:
             (s,) = stats[int(row["P"])]
-            mean_variance = float(np.mean(s.var_prediction))
+            mean_variance = float(np.mean(s.var[data.n :]))
             eff = solve_effective_ridge(spec, row["gamma"], 0.1)
             lambda_tilde = eff.lambda_tilde
             theta_norm = eff.d_lambda_tilde * float(np.sum(d * w * w / (lambda_tilde + d) ** 2))
             krr_pred = k_cross @ apply_inverse(spec, data.y, lambda_tilde)
-            risk_of_mean = float(np.mean((s.mean_prediction - data.f_star) ** 2))
+            risk_of_mean = float(np.mean((s.mean[data.n :] - data.f_star) ** 2))
             assert row["mean_variance"] == mean_variance
             assert row["krr_risk"] == float(np.mean((krr_pred - data.f_star) ** 2))
             if experiment == "average-rf":
-                gap = s.mean_prediction - krr_pred
+                gap = s.mean[data.n :] - krr_pred
                 assert row["rf_mean_risk"] == risk_of_mean
                 assert row["mean_rf_vs_krr_rmse"] == float(np.sqrt(np.mean(gap**2)))
                 assert row["mean_rf_vs_krr_max_abs"] == float(np.max(np.abs(gap)))

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from effridge import InvalidInputError, SeedPolicy, derive_stream_seed
+from effridge import (
+    InvalidInputError,
+    KernelSpec,
+    SeedPolicy,
+    Spectrum,
+    derive_stream_seed,
+    empirical_expected_A,
+    generate_sinusoid,
+    run_trials,
+    sample_wishart,
+)
 from effridge.features import (
     CHUNK_ELEMENTS,
     MAX_ELEMENTS,
@@ -48,6 +58,10 @@ class TestStreamSampler:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 2**63))
+    @example(0, 0)
+    @example(7, 3)
+    @example(2**63 + 5, 499)
+    @example(1, 2**62)
     def test_stream_is_keyed_by_derive_stream_seed(self, base, trial):
         # Philox keyed [seed, mix64(seed)] from the published scalar derivation gives the sampler's raw stream.
         seed = derive_stream_seed(base, trial)
@@ -246,10 +260,7 @@ class TestBoxMuller:
     BLOCK = CHUNK_ELEMENTS // 2
 
     def _check(self, u):
-        out = np.full_like(u, np.nan)
-        assert _box_muller(u.copy(), out) is out
-        assert not np.isnan(out).any()
-        assert out.tobytes() == elementwise_box_muller(u).tobytes()
+        assert _box_muller(u.copy()).tobytes() == elementwise_box_muller(u).tobytes()
 
     def test_one_stream(self):
         self._check(np.random.default_rng(0).random(2 * 1000))
@@ -279,3 +290,33 @@ class TestBoxMuller:
         u = np.random.default_rng(seed).random((rows, 2 * pairs))
         self._check(u)
         self._check(u[0])
+
+
+def draw_with(sampler, P, trials):
+    """One call of a library sampler at feature count ``P`` and ``trials`` trials."""
+    if sampler == "run_trials":
+        data, test_X = generate_sinusoid(4, 10, seed=1)
+        return run_trials(data, test_X, KernelSpec("rbf", 2.0), [P], [0.1], trials, 0)
+    if sampler == "sample_wishart":
+        return sample_wishart(Spectrum([1.0, 0.5]), P, SeedPolicy(0), trials)
+    return empirical_expected_A(Spectrum([1.0, 0.5]), P, [0.1], trials, SeedPolicy(0))
+
+
+class TestCounts:
+    """Feature and trial counts are positive integers; any other count is refused by name, before numpy sees it."""
+
+    @pytest.mark.parametrize("sampler", ["sample_wishart", "empirical_expected_A", "run_trials"])
+    @pytest.mark.parametrize(
+        "P, trials, named",
+        [(2.5, 3, "P = 2.5"), (True, 3, "P = True"), (-1, 3, "P = -1"), (4, 2.5, "trials = 2.5")],
+    )
+    def test_count_that_is_not_a_positive_integer_is_refused(self, sampler, P, trials, named):
+        with pytest.raises(InvalidInputError, match=named):
+            draw_with(sampler, P, trials)
+
+    @pytest.mark.parametrize("sampler", ["sample_wishart", "empirical_expected_A", "run_trials"])
+    def test_numpy_integer_counts_are_accepted(self, sampler):
+        a, b = draw_with(sampler, np.int64(3), np.int64(4)), draw_with(sampler, 3, 4)
+        if sampler == "run_trials":
+            a, b = a[3][0].mean, b[3][0].mean
+        assert np.array_equal(a, b)

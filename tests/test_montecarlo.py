@@ -66,7 +66,7 @@ class TestRunTrials:
         data, test_X = generate_sinusoid(4, 10, seed=1)
         stats = run_trials(data, test_X, KERNEL, [6], [0.1], 2, 3)[6][0]
         stats3 = run_trials(data, test_X, KERNEL, [6], [0.1], 3, 3)[6][0]
-        assert np.array_equal(stats.mean_prediction, (stats.samples[0, data.n :] + stats.samples[1, data.n :]) / 2)
+        assert np.array_equal(stats.mean[data.n :], (stats.samples[0, data.n :] + stats.samples[1, data.n :]) / 2)
         # the first trials contribute identically in both runs
         assert np.array_equal(stats3.samples[:2], stats.samples)
 
@@ -79,13 +79,13 @@ class TestRunTrials:
         data, test_X = generate_sinusoid(4, 10, seed=1)
         for trials in (2, 3, 7):
             stats = run_trials(data, test_X, KERNEL, [8], [0.0], trials, 0)[8][0]
-            assert np.max(np.abs(stats.mean_train_prediction - data.y)) < 1e-6
+            assert np.max(np.abs(stats.mean[: data.n] - data.y)) < 1e-6
 
     def test_reproducible_bit_identical(self):
         _, _, a = sinusoid_stats(trials=12, seed=9)
         _, _, b = sinusoid_stats(trials=12, seed=9)
-        assert np.array_equal(a.mean_prediction, b.mean_prediction)
-        assert np.array_equal(a.var_prediction, b.var_prediction)
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.var, b.var)
         assert a.mean_theta_norm_sq == b.mean_theta_norm_sq
 
     def test_mean_close_to_ridgeless_krr(self):
@@ -104,10 +104,10 @@ class TestRunTrials:
         eff = solve_effective_ridge(Spectrum(spec.eigenvalues), 25.0, 1e-4)
         pred_eff = k_cross @ apply_inverse(spec, data.y, eff.lambda_tilde)
         pred_zero = k_cross @ apply_inverse(spec, data.y, 0.0)
-        band = 3.0 * np.sqrt(stats.var_prediction / 500)
-        assert np.all(np.abs(stats.mean_prediction - pred_eff) <= band + 1e-12)
+        band = 3.0 * np.sqrt(stats.var[data.n :] / 500)
+        assert np.all(np.abs(stats.mean[data.n :] - pred_eff) <= band + 1e-12)
         offset = np.abs(pred_eff - pred_zero)
-        assert np.all(np.abs(stats.mean_prediction - pred_zero) <= band + offset + 1e-12)
+        assert np.all(np.abs(stats.mean[data.n :] - pred_zero) <= band + offset + 1e-12)
 
     def test_variance_dominates_theory_term(self):
         # far from the interpolation threshold (P >= 4N) and with a healthy
@@ -124,7 +124,7 @@ class TestRunTrials:
             stats = run_trials(data, test_X, KERNEL, [P], [lam], 1500, 0)[P][0]
             eff = solve_effective_ridge(Spectrum(spec.eigenvalues), P / 4, lam)
             theory = theta_norm_theory(spec, data.y, eff) / P * ktilde
-            assert np.all(stats.var_prediction >= 0.5 * theory)
+            assert np.all(stats.var[data.n :] >= 0.5 * theory)
 
     def test_doubling_features_tightens_agreement(self):
         # paired comparison at P and 2P against the matched kernel predictor;
@@ -143,7 +143,7 @@ class TestRunTrials:
                 stats = run_trials(data, test_X, KERNEL, [P], [0.1], 3000, 100 + rep)[P][0]
                 eff = solve_effective_ridge(Spectrum(spec.eigenvalues), P / 4, 0.1)
                 krr_pred = k_cross @ apply_inverse(spec, data.y, eff.lambda_tilde)
-                gaps.append(np.max(np.abs(stats.mean_prediction - krr_pred)))
+                gaps.append(np.max(np.abs(stats.mean[data.n :] - krr_pred)))
             wins += gaps[1] < gaps[0]
         assert wins >= 4
 
@@ -189,10 +189,7 @@ class TestThetaNormCheck:
 class TestRunTrialsRidges:
     """One draw per trial serves every ridge, with the results of one-ridge calls."""
 
-    FIELDS = (
-        "mean_prediction", "var_prediction", "mean_theta_norm_sq", "var_theta_norm_sq",
-        "mean_train_prediction", "var_train_prediction", "samples",
-    )
+    FIELDS = ("mean", "var", "mean_theta_norm_sq", "var_theta_norm_sq", "samples")
 
     @pytest.mark.parametrize(
         "P, lams, trials",
